@@ -8,10 +8,14 @@ minimal qualifying bundle out of the remaining pool (``minimal_set``).
 ``fair_divide`` drives it with shrinking share estimates mu, multiplying
 the estimate of every unallocated agent by (1 - delta) between rounds.
 
-Every choice point is pinned by ``TieBreakConfig``: subsets in
-lexicographic order of their sorted item indices, agents by ascending
-index, removal scans by ascending (item value for the chosen agent, item
-index).  All searches run over item-equivalence blocks, which collapses
+Every choice point follows one of three fixed orders, so equal inputs
+give identical traces:
+
+* subsets: lexicographic order of their sorted item indices;
+* agents: ascending index;
+* removal scans: ascending (item value for the chosen agent, item index).
+
+All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
@@ -40,34 +44,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_NAIVE_CAP = 16
-DEFAULT_NODE_BUDGET = 2_000_000
+NAIVE_NODE_CAP = 2_000_000
 QUERY_BUDGET_CONSTANT = 8
 
 PHASE = "phase"
 MINIMAL = "minimal"
 ZERO_ESTIMATE = "zero-estimate"
-
-
-@dataclass(frozen=True)
-class TieBreakConfig:
-    """Deterministic resolution of every choice the procedures leave open.
-
-    Two runs with equal inputs and equal configs produce identical traces.
-    Only the orders below are implemented; anything else is rejected.
-    """
-
-    subset_order: str = "lex-items"
-    agent_order: str = "index"
-    removal_order: str = "value-then-index"
-
-    def validate(self) -> None:
-        expected = ("lex-items", "index", "value-then-index")
-        actual = (self.subset_order, self.agent_order, self.removal_order)
-        if actual != expected:
-            raise ConfigError(f"unsupported tie-break config {actual}, expected {expected}")
-
-
-DEFAULT_TIES = TieBreakConfig()
 
 
 @dataclass(frozen=True)
@@ -121,6 +103,17 @@ class RunStats:
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
 
 
+def check_parameters(
+    alpha: Fraction | None = None, delta: Fraction | None = None
+) -> None:
+    """Reject alpha <= 0 and delta outside (0, 1); every entry point that
+    takes either parameter checks it here."""
+    if alpha is not None and alpha <= 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
+    if delta is not None and not 0 < delta < 1:
+        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _ratio_greater(v1: Fraction, t1: Fraction, v2: Fraction, t2: Fraction) -> bool:
     # v1/t1 > v2/t2 via cross-multiplication; a zero threshold reads as an
     # infinite ratio.  Thresholds are nonnegative throughout.
@@ -135,6 +128,14 @@ class _BlockTable:
     identical feasibility role.  Agents sharing one value row form a
     group; each value evaluated here costs one query on the group's
     representative valuation.
+
+    ``value`` optionally caps the bundle at ``size`` items, giving the
+    best value any size-``size`` subset of the pool reaches (padding
+    with surplus items is free since values are monotone).  Both families
+    take items greedily in descending value: capacity systems in one
+    global order under per-class caps (a truncated partition matroid,
+    where greedy is optimal), explicit systems in one order per maximal
+    set.
     """
 
     def __init__(
@@ -182,39 +183,20 @@ class _BlockTable:
             self.block_class = tuple(
                 spec.class_of[block[0]] for block in self.block_items
             )
-            class_blocks: list[list[int]] = [[] for _ in spec.classes]
-            for b, c in enumerate(self.block_class):
-                class_blocks[c].append(b)
-            self.cap_orders: list[list[list[int]]] = [
-                [
-                    sorted(class_blocks[c], key=lambda b: (-self.val[g][b], b))
-                    for c in range(len(spec.classes))
-                ]
-                for g in range(num_groups)
-            ]
             self.greedy_orders: list[list[int]] = [
                 sorted(range(nb), key=lambda b: (-self.val[g][b], b))
                 for g in range(num_groups)
             ]
-            self.set_blocks: list[list[int]] = []
-            self.set_orders: list[list[list[int]]] = []
         else:
             member_of = {block[0]: b for b, block in enumerate(self.block_items)}
-            self.set_blocks = [
-                sorted(member_of[j] for j in maximal if j in member_of)
+            set_blocks = [
+                [member_of[j] for j in maximal if j in member_of]
                 for maximal in spec.maximal_sets
             ]
-            self.set_orders = [
-                [
-                    sorted(bs, key=lambda b: (-self.val[g][b], b))
-                    for bs in self.set_blocks
-                ]
+            self.set_orders: list[list[list[int]]] = [
+                [sorted(bs, key=lambda b: (-self.val[g][b], b)) for bs in set_blocks]
                 for g in range(num_groups)
             ]
-            self.caps = ()
-            self.block_class = ()
-            self.cap_orders = []
-            self.greedy_orders = []
 
     @property
     def num_blocks(self) -> int:
@@ -233,79 +215,51 @@ class _BlockTable:
         counts: Mapping[int, int],
         minus_block: int = -1,
         minus: int = 0,
+        size: int | None = None,
     ) -> Fraction:
-        """Bundle value of the multiset ``counts`` (optionally minus items
-        of one block).  Costs one query."""
+        """Bundle value of the multiset ``counts``, optionally minus
+        ``minus`` items of one block and capped at ``size`` items.
+        Costs one query."""
         self._count(group)
         vrow = self.val[group]
+        limit = self.spec.num_items if size is None else size
         if isinstance(self.spec, Capacity):
             total = ZERO
-            for c, cap in enumerate(self.caps):
-                if cap <= 0:
-                    continue
-                left = cap
-                for b in self.cap_orders[group][c]:
-                    k = counts.get(b, 0)
-                    if b == minus_block:
-                        k -= minus
-                    if k <= 0:
-                        continue
-                    take = k if k < left else left
-                    total += vrow[b] * take
-                    left -= take
-                    if not left:
-                        break
-            return total
-        best = ZERO
-        for bs in self.set_blocks:
-            acc = ZERO
-            for b in bs:
+            left = limit
+            cap_left = list(self.caps)
+            for b in self.greedy_orders[group]:
                 k = counts.get(b, 0)
                 if b == minus_block:
                     k -= minus
-                if k > 0:
-                    acc += vrow[b] * k
-            if acc > best:
-                best = acc
-        return best
-
-    def max_value_for_size(self, group: int, counts: Mapping[int, int], size: int) -> Fraction:
-        """Best bundle value achievable by any size-``size`` subset of the
-        pool described by ``counts`` (padding with surplus items is free
-        since values are monotone).  Costs one query."""
-        self._count(group)
-        vrow = self.val[group]
-        if isinstance(self.spec, Capacity):
-            total = ZERO
-            left_size = size
-            cap_left = list(self.caps)
-            for b in self.greedy_orders[group]:
-                if left_size == 0:
-                    break
-                k = counts.get(b, 0)
                 if k <= 0:
                     continue
                 c = self.block_class[b]
-                take = min(k, cap_left[c], left_size)
-                if take <= 0:
+                room = cap_left[c]
+                if not room:
                     continue
-                total += vrow[b] * take
-                cap_left[c] -= take
-                left_size -= take
+                if k > room:
+                    k = room
+                if k >= left:
+                    return total + vrow[b] * left
+                total += vrow[b] * k
+                cap_left[c] = room - k
+                left -= k
             return total
         best = ZERO
         for order in self.set_orders[group]:
             acc = ZERO
-            left_size = size
+            left = limit
             for b in order:
-                if left_size == 0:
-                    break
                 k = counts.get(b, 0)
+                if b == minus_block:
+                    k -= minus
                 if k <= 0:
                     continue
-                take = min(k, left_size)
-                acc += vrow[b] * take
-                left_size -= take
+                if k >= left:
+                    acc += vrow[b] * left
+                    break
+                acc += vrow[b] * k
+                left -= k
             if acc > best:
                 best = acc
         return best
@@ -398,7 +352,7 @@ def _run_phase(
     for pos in sorted(remaining):
         g = table.group_of[pos]
         if g not in best_by_group:
-            best_by_group[g] = table.max_value_for_size(g, counts0, size)
+            best_by_group[g] = table.value(g, counts0, size=size)
     if not any(
         best_by_group[table.group_of[pos]] >= thresholds[pos] for pos in remaining
     ):
@@ -589,7 +543,6 @@ def minimal_set(
     valuations: Mapping[int, Valuation],
     items: Iterable[int],
     thresholds: Mapping[int, Fraction],
-    ties: TieBreakConfig = DEFAULT_TIES,
 ) -> tuple[frozenset[int], int]:
     """Find a 1-minimal bundle within ``items`` meeting some agent's threshold.
 
@@ -598,7 +551,6 @@ def minimal_set(
     at least one agent whose value for ``items`` meets its threshold.
     Returns the bundle and the chosen agent id.
     """
-    ties.validate()
     agent_ids = sorted(valuations)
     if not agent_ids:
         raise NoEligibleAgentError("no agents given")
@@ -649,7 +601,6 @@ def allocate_from_estimates(
     instance: "Instance",
     mu: EstimateVector,
     alpha: Fraction,
-    ties: TieBreakConfig = DEFAULT_TIES,
 ) -> Allocation:
     """Allocate against per-agent thresholds alpha * mu_i.
 
@@ -660,9 +611,7 @@ def allocate_from_estimates(
     Thresholds are formed by multiplication, so a zero estimate never
     forces a division.
     """
-    ties.validate()
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    check_parameters(alpha=alpha)
     n = instance.n
     if len(mu.mu) != n:
         raise InputError(f"estimate vector has {len(mu.mu)} entries, expected {n}")
@@ -714,10 +663,8 @@ def allocate_from_estimates(
 def allocate_naive(
     instance: "Instance",
     alpha: Fraction,
-    ties: TieBreakConfig = DEFAULT_TIES,
     *,
     max_items: int = DEFAULT_NAIVE_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Allocation:
     """Reference path: search every bundle size 1..m against a uniform alpha.
 
@@ -728,9 +675,7 @@ def allocate_naive(
     values the whole remaining pool at alpha (values are monotone, so
     nothing can qualify afterwards).
     """
-    ties.validate()
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    check_parameters(alpha=alpha)
     table = _BlockTable(instance.spec, instance.valuations)
     if instance.num_items > max_items and table.num_blocks > max_items:
         raise DeskCapError(
@@ -743,7 +688,7 @@ def allocate_naive(
     remaining = set(range(n))
     trace: list[TraceEvent] = []
     value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction] = {}
-    budget = [node_budget]
+    budget = [NAIVE_NODE_CAP]
 
     for size in range(1, instance.num_items + 1):
         if not remaining or pool.total() < size:
@@ -760,7 +705,6 @@ def fair_divide(
     instance: "Instance",
     alpha: Fraction,
     delta: Fraction,
-    ties: TieBreakConfig = DEFAULT_TIES,
     *,
     stats: RunStats | None = None,
 ) -> tuple[Allocation, EstimateVector]:
@@ -775,11 +719,7 @@ def fair_divide(
     n * ceil(log_{1/(1-delta)} m) + 1 rounds and every agent receives
     value at least (1 - delta) * alpha * (its maximin share).
     """
-    ties.validate()
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    if not 0 < delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+    check_parameters(alpha=alpha, delta=delta)
     n = instance.n
     m = instance.num_items
     mu = [m * nth_value(val, n) for val in instance.valuations]
@@ -788,7 +728,7 @@ def fair_divide(
 
     for _ in range(allowed):
         estimates = EstimateVector(tuple(mu))
-        allocation = allocate_from_estimates(instance, estimates, alpha, ties)
+        allocation = allocate_from_estimates(instance, estimates, alpha)
         if stats is not None:
             stats.iterations += 1
             stats.rounds.append((estimates.mu, allocation.unallocated_agents))
@@ -803,8 +743,7 @@ def fair_divide(
 
 def iteration_bound(n: int, m: int, delta: Fraction) -> int:
     """n * ceil(log_{1/(1-delta)} m) + 1, computed exactly."""
-    if not 0 < delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+    check_parameters(delta=delta)
     steps = 0
     if m > 1:
         shrink = ONE - delta
@@ -816,10 +755,10 @@ def iteration_bound(n: int, m: int, delta: Fraction) -> int:
     return n * steps + 1
 
 
-def query_budget(n: int, m: int, delta: Fraction, constant: int = QUERY_BUDGET_CONSTANT) -> int:
+def query_budget(n: int, m: int, delta: Fraction) -> int:
     """Valuation-query allowance for one fair_divide run."""
     log_factor = (iteration_bound(n, m, delta) - 1) // n if n else 0
-    return constant * (n * m**3 + n**2 * m**2) * log_factor
+    return QUERY_BUDGET_CONSTANT * (n * m**3 + n**2 * m**2) * log_factor
 
 
 @dataclass(frozen=True)

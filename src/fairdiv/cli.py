@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -25,6 +24,7 @@ from .allocator import (
     EstimateVector,
     allocate_from_estimates,
     allocate_naive,
+    check_parameters,
     fair_divide,
     verify_allocation,
 )
@@ -58,24 +58,6 @@ DEFAULT_ALPHA = "11/30"
 DEFAULT_DELTA = "1/16"
 DEFAULT_EPSILON = "1/10000000"
 UPPER_BOUND_RATIO = Fraction(40, 107)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Exact-rational run parameters, validated once at the edge."""
-
-    alpha: Fraction = Fraction(11, 30)
-    delta: Fraction = Fraction(1, 16)
-    epsilon: Fraction = Fraction(1, 10**7)
-    seed: int = 0
-    naive_cap: int = DEFAULT_NAIVE_CAP
-    mms_cap: int = DEFAULT_MMS_CAP
-
-    def __post_init__(self) -> None:
-        if not 0 < self.delta < 1:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -169,28 +151,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.kind == "footnote":
         instance = footnote_instance()
     else:
-        config = RunConfig(seed=args.seed)
         instance = random_instance(
-            config.seed, args.m, args.n, args.family, (args.max_num, args.max_den)
+            args.seed, args.m, args.n, args.family, (args.max_num, args.max_den)
         )
     _write_output(serialize_instance(instance), args.output)
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = RunConfig(alpha=args.alpha, delta=args.delta, naive_cap=args.naive_cap)
     instance = _read_instance(args.instance)
     if args.naive:
-        allocation = allocate_naive(instance, config.alpha, max_items=config.naive_cap)
+        allocation = allocate_naive(instance, args.alpha, max_items=args.naive_cap)
     else:
-        allocation, _mu = fair_divide(instance, config.alpha, config.delta)
-    _write_output(serialize_allocation(allocation, alpha=config.alpha), args.output)
+        allocation, _mu = fair_divide(instance, args.alpha, args.delta)
+    _write_output(serialize_allocation(allocation, alpha=args.alpha), args.output)
     _write_trace(allocation, args.trace)
     return EXIT_OK
 
 
 def _cmd_mms(args: argparse.Namespace) -> int:
-    config = RunConfig(mms_cap=args.cap)
     instance = _read_instance(args.instance)
     if not 0 <= args.agent < instance.n:
         raise InputError(f"agent {args.agent} outside [0, {instance.n})")
@@ -198,7 +177,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
     valuation = instance.valuations[args.agent]
     doc: dict[str, Any] = {"agent": args.agent, "parts": parts}
     try:
-        result = mms_exact(instance.spec, valuation, parts, max_items=config.mms_cap)
+        result = mms_exact(instance.spec, valuation, parts, max_items=args.cap)
         doc["mode"] = "exact"
         doc["value"] = format_rational(result.value)
         doc["witness"] = [sorted(part) for part in result.witness.parts]
@@ -217,7 +196,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(alpha=args.alpha, delta=args.delta, mms_cap=args.cap)
+    check_parameters(alpha=args.alpha, delta=args.delta)
     allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"))
     instance = _read_instance(args.instance)
     floors: dict[int, Fraction] = {}
@@ -227,10 +206,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for event in allocation.trace:
             floors[event.agent] = event.threshold
     else:
-        scale = (1 - config.delta) * config.alpha
+        scale = (1 - args.delta) * args.alpha
         for agent in sorted(allocation.bundles):
             result = mms_exact(
-                instance.spec, instance.valuations[agent], instance.n, max_items=config.mms_cap
+                instance.spec, instance.valuations[agent], instance.n, max_items=args.cap
             )
             floors[agent] = scale * result.value
     report = verify_allocation(instance, allocation, floors)
@@ -247,9 +226,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    config = RunConfig(epsilon=args.epsilon)
     instance = table1_instance(args.n)
-    alpha = UPPER_BOUND_RATIO + config.epsilon
+    alpha = UPPER_BOUND_RATIO + args.epsilon
     started = time.monotonic()
     allocation = allocate_from_estimates(
         instance, EstimateVector((Fraction(1),) * instance.n), alpha

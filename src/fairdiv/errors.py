@@ -10,7 +10,7 @@ class InputError(FairdivError, ValueError):
 
 
 class ConfigError(FairdivError, ValueError):
-    """Invalid run parameters (alpha, delta, tie-break settings)."""
+    """Invalid run parameters (alpha, delta)."""
 
 
 class DegenerateInputError(FairdivError, ValueError):

@@ -411,21 +411,29 @@ def parse_allocation(text: str) -> Allocation:
         raise ParseError("allocation document must be a JSON object")
     raw_events = _require(doc, "events", "allocation")
     events: list[TraceEvent] = []
+    bundles: dict[int, frozenset[int]] = {}
     for idx, entry in enumerate(raw_events):
         where = f"events[{idx}]"
         kind = _require(entry, "kind", where)
         if kind not in _EVENT_KINDS:
             raise ParseError(f"unknown event kind {kind!r}", location=where)
-        events.append(
-            TraceEvent(
-                kind=kind,
-                phase=_require(entry, "phase", where),
-                agent=_require(entry, "agent", where),
-                bundle=tuple(_require(entry, "bundle", where)),
-                value=parse_rational(_require(entry, "value", where)),
-                threshold=parse_rational(_require(entry, "threshold", where)),
-            )
+        event = TraceEvent(
+            kind=kind,
+            phase=_require(entry, "phase", where),
+            agent=_require(entry, "agent", where),
+            bundle=tuple(_require(entry, "bundle", where)),
+            value=parse_rational(_require(entry, "value", where)),
+            threshold=parse_rational(_require(entry, "threshold", where)),
         )
-    bundles = {event.agent: frozenset(event.bundle) for event in events}
+        if event.agent in bundles:
+            raise ParseError(f"agent {event.agent!r} already has an event", location=where)
+        bundles[event.agent] = frozenset(event.bundle)
+        events.append(event)
     unallocated = frozenset(_require(doc, "unallocated_agents", "allocation"))
+    both = sorted(unallocated & bundles.keys())
+    if both:
+        raise ParseError(
+            f"agents {both} have events but are listed as unallocated",
+            location="unallocated_agents",
+        )
     return Allocation(bundles, tuple(events), unallocated)

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import DeskCapError, InputError
 
+EXPLICIT_EXPANSION_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class ExplicitMaximal:
@@ -87,10 +89,6 @@ def capacity(num_items: int, classes: Iterable[tuple[Iterable[int], int]]) -> Ca
     if missing:
         raise InputError(f"items not covered by any class: {missing}")
     return Capacity(num_items, tuple(norm), tuple(class_of))
-
-
-def ground_set(spec: SetSystemSpec) -> range:
-    return range(spec.num_items)
 
 
 def coerce_items(spec: SetSystemSpec, items: Iterable[int]) -> frozenset[int]:
@@ -165,12 +163,12 @@ def equivalence_classes(
     return tuple(frozenset(b) for b in blocks)
 
 
-def capacity_as_explicit(spec: Capacity, *, max_sets: int = 200_000) -> ExplicitMaximal:
+def capacity_as_explicit(spec: Capacity) -> ExplicitMaximal:
     """Expand a capacity spec into its explicit maximal-set family.
 
     Maximal sets take exactly min(capacity, class size) items from every
     class.  Intended as a desk-scale cross-check oracle; the expansion is
-    refused beyond ``max_sets`` sets.
+    refused beyond ``EXPLICIT_EXPANSION_CAP`` sets.
     """
     from itertools import combinations
 
@@ -180,9 +178,9 @@ def capacity_as_explicit(spec: Capacity, *, max_sets: int = 200_000) -> Explicit
         take = min(cap, len(members))
         combos = list(combinations(sorted(members), take))
         total *= len(combos)
-        if total > max_sets:
+        if total > EXPLICIT_EXPANSION_CAP:
             raise DeskCapError(
-                f"explicit expansion would exceed {max_sets} maximal sets"
+                f"explicit expansion would exceed {EXPLICIT_EXPANSION_CAP} maximal sets"
             )
         per_class.append(combos)
 

@@ -3,7 +3,8 @@ pass/fail line each (run with ``pytest -s`` to see them live).
 
 The random suites are fully seeded; rerunning any of them must produce
 byte-identical allocation documents and traces, which criterion 8 checks
-by replaying criteria 2 and 3 end to end.
+by replaying criteria 2 and 3 end to end and comparing both digests with
+pinned values, so a refactor that changes any bundle fails here too.
 """
 import hashlib
 import json
@@ -44,6 +45,10 @@ GUARANTEE_SEED = 20_000
 DRIVER_COUNT = 200
 DRIVER_SEED = 50_000
 ORACLE_PAIRS = 1000
+
+# sha256 over every allocation document and trace of each suite.
+GUARANTEE_DIGEST = "71c3c29a11d97c1683113c935055613badfbc9a3c0c1528a94878c0ea2127ca7"
+DRIVER_DIGEST = "0a4a90b444783cdefa33dbd0d88f5ca8da39d3486e921ecb74b55fde7c23f0ea"
 
 
 def run_guarantee_suite():
@@ -193,6 +198,6 @@ def test_criterion_8_determinism(guarantee_suite, driver_suite):
     d_digest, _ = driver_suite
     g_again, _ = run_guarantee_suite()
     d_again, _ = run_driver_suite()
-    assert g_again == g_digest
-    assert d_again == d_digest
-    print("ACCEPTANCE 8 PASS: both suites replayed to byte-identical documents")
+    assert g_again == g_digest == GUARANTEE_DIGEST
+    assert d_again == d_digest == DRIVER_DIGEST
+    print("ACCEPTANCE 8 PASS: both suites replayed to the pinned byte-identical documents")

@@ -12,7 +12,6 @@ from fairdiv import (
     Instance,
     NoEligibleAgentError,
     RunStats,
-    TieBreakConfig,
     Valuation,
     allocate_from_estimates,
     allocate_naive,
@@ -25,12 +24,16 @@ from fairdiv import (
     minimal_set,
     mms_exact,
     query_budget,
+    random_instance,
     replicate_agents,
     serialize_allocation,
     table1_instance,
     verify_allocation,
 )
+from fairdiv.allocator import _BlockTable
 from support import (
+    FAMILIES,
+    brute_bundle_value,
     iter_suite,
     normalized_by_witnesses,
     reference_allocate_naive,
@@ -50,11 +53,6 @@ def footnote2():
 @pytest.fixture(scope="module")
 def table1():
     return table1_instance(330)
-
-
-def test_tie_break_config_rejects_unknown_orders():
-    with pytest.raises(ConfigError):
-        allocate_naive(footnote_instance(), ALPHA, TieBreakConfig(subset_order="random"))
 
 
 def test_naive_normalized_footnote(footnote2):
@@ -174,6 +172,39 @@ def test_minimal_set_matches_literal_scan():
             continue
         expected = reference_minimal_set(inst.spec, vals, grand, thresholds)
         assert minimal_set(inst.spec, vals, grand, thresholds) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_value_matches_brute_force_with_size_cap(seed):
+    """Block-count evaluation, with and without a block's items taken
+    out, equals the best size-s sub-multiset of the pool by brute force;
+    every call costs exactly one query."""
+    rng = random.Random(seed)
+    for trial in range(2 * len(FAMILIES)):
+        # one agent with values in {1, 2} makes multi-item blocks, so
+        # counts exceed one and can overrun a class capacity or the size
+        n, value_range = (2, (8, 4)) if trial % 2 else (1, (2, 1))
+        family = FAMILIES[trial % len(FAMILIES)]
+        inst = random_instance(rng.randrange(10**9), rng.randint(1, 8), n, family, value_range)
+        table = _BlockTable(inst.spec, inst.valuations)
+        counts = {b: rng.randint(0, len(block)) for b, block in enumerate(table.block_items)}
+        nonempty = [b for b, c in counts.items() if c]
+        minus_block = rng.choice(nonempty) if nonempty else -1
+        minus = rng.randint(1, counts[minus_block]) if nonempty else 0
+        for mb, k in ((-1, 0), (minus_block, minus)):
+            pool = [
+                j
+                for b, c in counts.items()
+                for j in table.block_items[b][: c - (k if b == mb else 0)]
+            ]
+            for g in range(table.num_groups):
+                val = table.valuations[table.group_reps[g]]
+                for size in [None, *range(len(pool) + 1)]:
+                    combos = [pool] if size is None else combinations(pool, size)
+                    best = max(brute_bundle_value(inst.spec, val.values, c) for c in combos)
+                    before = val.query_count
+                    assert table.value(g, counts, minus_block=mb, minus=k, size=size) == best
+                    assert val.query_count == before + 1
 
 
 def test_minimal_set_interleaved_equal_value_blocks():

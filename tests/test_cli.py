@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from fairdiv import footnote_instance, parse_instance, serialize_instance, table1_instance
 from fairdiv.cli import main
@@ -147,6 +148,65 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "solve", str(tmp_path / "missing.json"))[0] == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+@pytest.fixture
+def solved(tmp_path, capsys):
+    """Paths of a small random instance and its solved allocation."""
+    inst_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    run_cli(capsys, "gen", "random", "--seed", "21", "--m", "7", "--n", "3", "-o", str(inst_path))
+    assert run_cli(capsys, "solve", str(inst_path), "-o", str(alloc_path))[0] == 0
+    return inst_path, alloc_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{inst}", "--alpha", "0"),
+        ("solve", "{inst}", "--delta", "1"),
+        ("verify", "{alloc}", "{inst}", "--floor-mode", "mu", "--delta", "0"),
+        ("verify", "{alloc}", "{inst}", "--floor-mode", "exact-mms", "--delta", "0"),
+        ("repro-upper-bound", "--epsilon", "-1"),
+    ],
+)
+def test_parameter_edges_are_usage_errors(solved, capsys, argv):
+    inst_path, alloc_path = solved
+    code, _, err = run_cli(
+        capsys, *(arg.format(inst=inst_path, alloc=alloc_path) for arg in argv)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _rewrite_allocation(alloc_path, edit):
+    doc = json.loads(alloc_path.read_text())
+    edit(doc)
+    alloc_path.write_text(json.dumps(doc))
+
+
+def test_verify_rejects_agent_both_allocated_and_unallocated(solved, capsys):
+    inst_path, alloc_path = solved
+    _rewrite_allocation(alloc_path, lambda doc: doc["unallocated_agents"].append(0))
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith("error: unallocated_agents: ")
+
+
+def test_verify_rejects_second_event_for_one_agent(solved, capsys):
+    # a trailing empty event with threshold 0 would otherwise replace the
+    # agent's real bundle and floor, and verify would pass
+    inst_path, alloc_path = solved
+
+    def add_empty_event(doc):
+        first = doc["events"][0]
+        doc["events"].append(dict(first, bundle=[], value="0/1", threshold="0/1"))
+
+    _rewrite_allocation(alloc_path, add_empty_event)
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith("error: events[3]: ")
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):
