@@ -19,11 +19,21 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
+
+The searches compute in integers.  Agents sharing one value row form a
+value group g, whose row is scaled by L_g, the lcm of the row's
+denominators, so every bundle value is an integer sum S.  Each run
+converts an agent's threshold t once to ceil(t * L_g); S meets t exactly
+when S >= ceil(t * L_g), because S is an integer.  A value becomes the
+fraction S / L_g only where it leaves the search: in trace events and in
+the minimal-set scan's result.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -114,12 +124,6 @@ def check_parameters(
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _ratio_greater(v1: Fraction, t1: Fraction, v2: Fraction, t2: Fraction) -> bool:
-    # v1/t1 > v2/t2 via cross-multiplication; a zero threshold reads as an
-    # infinite ratio.  Thresholds are nonnegative throughout.
-    return v1 * t2 > v2 * t1
-
-
 class _BlockTable:
     """Item-equivalence blocks with values evaluated on block counts.
 
@@ -128,6 +132,11 @@ class _BlockTable:
     identical feasibility role.  Agents sharing one value row form a
     group; each value evaluated here costs one query on the group's
     representative valuation.
+
+    ``val[g]`` holds group g's block values as integers over the group's
+    scale ``scale[g]`` (L_g, the lcm of the row's denominators), and
+    ``value`` returns the integer sum S, so the true bundle value is
+    S / L_g.  No fraction arithmetic happens per call.
 
     ``value`` optionally caps the bundle at ``size`` items, giving the
     best value any size-``size`` subset of the pool reaches (padding
@@ -170,13 +179,13 @@ class _BlockTable:
             tuple(sorted(b)) for b in blocks if b
         )
         nb = len(self.block_items)
-        self.val: list[tuple[Fraction, ...]] = [
-            tuple(
-                self.valuations[self.group_reps[g]].values[block[0]]
-                for block in self.block_items
-            )
-            for g in range(num_groups)
-        ]
+        self.scale: list[int] = []
+        self.val: list[tuple[int, ...]] = []
+        for rep in self.group_reps:
+            row = [self.valuations[rep].values[block[0]] for block in self.block_items]
+            scale = lcm(*(v.denominator for v in row))
+            self.scale.append(scale)
+            self.val.append(tuple(v.numerator * (scale // v.denominator) for v in row))
 
         if isinstance(spec, Capacity):
             self.caps = tuple(cap for _, cap in spec.classes)
@@ -216,15 +225,15 @@ class _BlockTable:
         minus_block: int = -1,
         minus: int = 0,
         size: int | None = None,
-    ) -> Fraction:
-        """Bundle value of the multiset ``counts``, optionally minus
-        ``minus`` items of one block and capped at ``size`` items.
+    ) -> int:
+        """Scaled bundle value of the multiset ``counts``, optionally
+        minus ``minus`` items of one block and capped at ``size`` items.
         Costs one query."""
         self._count(group)
         vrow = self.val[group]
         limit = self.spec.num_items if size is None else size
         if isinstance(self.spec, Capacity):
-            total = ZERO
+            total = 0
             left = limit
             cap_left = list(self.caps)
             for b in self.greedy_orders[group]:
@@ -245,9 +254,9 @@ class _BlockTable:
                 cap_left[c] = room - k
                 left -= k
             return total
-        best = ZERO
+        best = 0
         for order in self.set_orders[group]:
-            acc = ZERO
+            acc = 0
             left = limit
             for b in order:
                 k = counts.get(b, 0)
@@ -306,20 +315,113 @@ class _Pool:
         return items
 
 
+class _Roster:
+    """The remaining agents of one run, with thresholds in group scale.
+
+    ``need[pos]`` is ceil(t * L_g) for the agent's threshold t and its
+    group's scale L_g: a scaled group value S meets t exactly when
+    S >= need[pos].  ``weight[pos]`` holds t * L_g exactly, as a
+    (numerator, denominator) pair, for the ratio test in ``pick``.
+
+    Agents only ever leave.  ``ascending`` lists the remaining positions
+    in index order.  Each group keeps its members in ascending
+    (threshold, index) order behind a head pointer that skips departed
+    agents, so the group's leader costs amortized O(1).
+    """
+
+    def __init__(
+        self,
+        group_of: Sequence[int],
+        scale: Sequence[int],
+        thresholds: Sequence[Fraction],
+        remaining: Iterable[int],
+    ):
+        self.group_of = group_of
+        self.thresholds = thresholds
+        self.need: list[int] = []
+        self.weight: list[tuple[int, int]] = []
+        for pos, t in enumerate(thresholds):
+            scaled = t.numerator * scale[group_of[pos]]
+            self.need.append(-(-scaled // t.denominator))
+            self.weight.append((scaled, t.denominator))
+        self.ascending = sorted(remaining)
+        self._alive = set(self.ascending)
+        members: list[list[int]] = [[] for _ in scale]
+        for pos in self.ascending:
+            members[group_of[pos]].append(pos)
+        self._by_threshold = [
+            sorted(group, key=lambda p: (thresholds[p], p)) for group in members
+        ]
+        self._head = [0] * len(scale)
+
+    def __bool__(self) -> bool:
+        return bool(self.ascending)
+
+    def __contains__(self, pos: int) -> bool:
+        return pos in self._alive
+
+    def discard(self, pos: int) -> None:
+        self._alive.remove(pos)
+        del self.ascending[bisect_left(self.ascending, pos)]
+
+    def leader(self, g: int) -> int:
+        """Group g's remaining member of least (threshold, index), or -1."""
+        order = self._by_threshold[g]
+        i = self._head[g]
+        while i < len(order) and order[i] not in self._alive:
+            i += 1
+        self._head[g] = i
+        return order[i] if i < len(order) else -1
+
+    def groups(self) -> list[int]:
+        """Groups with a remaining member, ascending."""
+        return [g for g in range(len(self._head)) if self.leader(g) >= 0]
+
+    def pick(self, group_vals: Mapping[int, int]) -> int:
+        """The agent with the highest value-to-threshold ratio, ties by index.
+
+        ``group_vals`` maps every group in play to its scaled value.  The
+        result is that of a scan over all remaining agents in ascending
+        index that keeps its current pick unless a later agent's ratio is
+        strictly greater, compared by cross-multiplication: a zero
+        threshold reads as an infinite ratio, and an agent with value 0
+        and threshold 0 neither displaces nor is displaced.  That scan can
+        only end on the first remaining agent or on some group's leader,
+        since a group's members share one value and its leader has the
+        group's best ratio.  A group of value 0 gives each member ratio 0
+        or the (0, 0) standstill; it can decide the pick only when every
+        ratio is 0, and then the scan keeps the first agent.  So the scan
+        runs over at most #groups + 1 candidates, in integers:
+        S1 / t1 > S2 / t2 reads S1 * (t2 L2) > S2 * (t1 L1), the same test
+        scaled by L1 * L2 > 0.
+        """
+        candidates = sorted({self.ascending[0], *map(self.leader, group_vals)})
+        best = candidates[0]
+        best_s = group_vals[self.group_of[best]]
+        for pos in candidates[1:]:
+            s = group_vals[self.group_of[pos]]
+            num, den = self.weight[pos]
+            best_num, best_den = self.weight[best]
+            if s * best_num * den > best_s * num * best_den:
+                best, best_s = pos, s
+        return best
+
+
 def _any_eligible(
     table: _BlockTable,
     counts: Mapping[int, int],
-    remaining: set[int],
-    thresholds: Sequence[Fraction],
+    roster: _Roster,
 ) -> bool:
-    if not remaining:
-        return False
-    group_vals: dict[int, Fraction] = {}
-    for pos in sorted(remaining):
+    # Agent by agent in index order, valuing each group when first met:
+    # the scan stops at the first qualifying agent, which fixes how many
+    # groups are queried.
+    group_vals: dict[int, int] = {}
+    for pos in roster.ascending:
         g = table.group_of[pos]
-        if g not in group_vals:
-            group_vals[g] = table.value(g, counts)
-        if group_vals[g] >= thresholds[pos]:
+        s = group_vals.get(g)
+        if s is None:
+            s = group_vals[g] = table.value(g, counts)
+        if s >= roster.need[pos]:
             return True
     return False
 
@@ -328,10 +430,9 @@ def _run_phase(
     table: _BlockTable,
     pool: _Pool,
     size: int,
-    thresholds: Sequence[Fraction],
-    remaining: set[int],
+    roster: _Roster,
     trace: list[TraceEvent],
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction],
+    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int],
     budget: list[int] | None,
 ) -> None:
     """Repeatedly allocate the first qualifying size-``size`` bundle.
@@ -341,21 +442,19 @@ def _run_phase(
     removals only shrink the pool, so a multiset that failed to qualify
     can never start qualifying; the allocation loop just re-picks the
     lexicographically smallest realization among surviving candidates.
+    Each candidate lists its qualifying agents in descending index, so
+    departed agents pop off the end and the first remaining one is last.
     """
-    if not remaining or pool.total() < size:
+    if not roster or pool.total() < size:
         return
     counts0 = pool.counts()
+    groups = roster.groups()
 
     # Existence short-circuit: skip the enumeration when even the best
-    # size-`size` bundle misses every remaining agent's threshold.
-    best_by_group: dict[int, Fraction] = {}
-    for pos in sorted(remaining):
-        g = table.group_of[pos]
-        if g not in best_by_group:
-            best_by_group[g] = table.value(g, counts0, size=size)
-    if not any(
-        best_by_group[table.group_of[pos]] >= thresholds[pos] for pos in remaining
-    ):
+    # size-`size` bundle misses every remaining agent's threshold (a
+    # group's leader has its least threshold).
+    best = {g: table.value(g, counts0, size=size) for g in groups}
+    if not any(best[g] >= roster.need[roster.leader(g)] for g in groups):
         return
 
     avail = sorted(counts0)
@@ -363,27 +462,27 @@ def _run_phase(
     for i in range(len(avail) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + counts0[avail[i]]
 
-    groups_in_play = sorted({table.group_of[pos] for pos in remaining})
-    candidates: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = []
+    descending = roster.ascending[::-1]
+    candidates: list[tuple[tuple[tuple[int, int], ...], list[int]]] = []
     chosen: list[tuple[int, int]] = []
 
     def emit() -> None:
         ms = tuple(chosen)
-        quals: list[int] = []
-        val_by_group: dict[int, Fraction] = {}
-        for g in groups_in_play:
+        val_by_group: dict[int, int] = {}
+        for g in groups:
             key = (g, ms)
             v = value_cache.get(key)
             if v is None:
                 v = table.value(g, dict(ms))
                 value_cache[key] = v
             val_by_group[g] = v
-        for pos in sorted(remaining):
-            g = table.group_of[pos]
-            if val_by_group.get(g, ZERO) >= thresholds[pos]:
-                quals.append(pos)
+        quals = [
+            pos
+            for pos in descending
+            if val_by_group[table.group_of[pos]] >= roster.need[pos]
+        ]
         if quals:
-            candidates.append((ms, tuple(quals)))
+            candidates.append((ms, quals))
 
     def enumerate_multisets(i: int, left: int) -> None:
         if budget is not None:
@@ -407,15 +506,16 @@ def _run_phase(
     enumerate_multisets(0, size)
 
     while candidates:
-        alive: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = []
+        alive: list[tuple[tuple[tuple[int, int], ...], list[int]]] = []
         best_key: tuple[int, ...] | None = None
         best_ms: tuple[tuple[int, int], ...] | None = None
         best_agent = -1
         for ms, quals in candidates:
             if any(pool.count(b) < k for b, k in ms):
                 continue
-            agent = next((p for p in quals if p in remaining), None)
-            if agent is None:
+            while quals and quals[-1] not in roster:
+                quals.pop()
+            if not quals:
                 continue
             alive.append((ms, quals))
             realization: list[int] = []
@@ -424,42 +524,43 @@ def _run_phase(
             realization.sort()
             key = tuple(realization)
             if best_key is None or key < best_key:
-                best_key, best_ms, best_agent = key, ms, agent
+                best_key, best_ms, best_agent = key, ms, quals[-1]
         candidates = alive
         if best_ms is None:
             return
         for b, k in best_ms:
             pool.take_front(b, k)
         g = table.group_of[best_agent]
-        value = value_cache[(g, best_ms)]
         trace.append(
             TraceEvent(
                 PHASE,
                 size,
                 table.agents[best_agent],
                 best_key,
-                value,
-                thresholds[best_agent],
+                Fraction(value_cache[(g, best_ms)], table.scale[g]),
+                roster.thresholds[best_agent],
             )
         )
-        remaining.discard(best_agent)
+        roster.discard(best_agent)
 
 
 def _minimal_set_scan(
     table: _BlockTable,
     counts: Mapping[int, int],
     base_lo: Sequence[int],
-    remaining: set[int],
-    thresholds: Sequence[Fraction],
+    roster: _Roster,
 ) -> tuple[dict[int, int], dict[int, int], int, Fraction]:
     """Strip removable items off the candidate set until it is 1-minimal.
 
     Each round re-picks the agent with the highest value-to-threshold
-    ratio (cross-multiplied, ties by index), then removes the first item
-    in ascending (value for that agent, item index) order whose removal
-    keeps the agent at or above threshold.  Within a block all items are
+    ratio (``_Roster.pick``: cross-multiplied in integers, ties by index,
+    over the first remaining agent and each group's least-threshold
+    member), then removes the first item in ascending (value for that
+    agent, item index) order whose removal keeps the agent's scaled value
+    at or above ceil(threshold * L_g).  Within a block all items are
     interchangeable, so removability is tested once per block and the
-    front (smallest-index) item is the one removed.
+    front (smallest-index) item is the one removed.  The roster does not
+    change during a scan, so the groups in play are fixed up front.
 
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
@@ -470,35 +571,29 @@ def _minimal_set_scan(
     order cannot switch mid-batch.
 
     Returns (kept counts, removed-from-front counts, chosen agent
-    position, final value for that agent).
+    position, final value for that agent as a fraction).
     """
     local = {b: c for b, c in counts.items() if c > 0}
     removed: dict[int, int] = {}
+    groups = roster.groups()
 
     def min_index(b: int) -> int:
         return table.block_items[b][base_lo[b] + removed.get(b, 0)]
 
     while True:
-        group_vals: dict[int, Fraction] = {}
-        for g in sorted({table.group_of[p] for p in remaining}):
-            group_vals[g] = table.value(g, local)
-        pick = -1
-        pick_v = pick_t = ZERO
-        for pos in sorted(remaining):
-            v = group_vals[table.group_of[pos]]
-            t = thresholds[pos]
-            if pick < 0 or _ratio_greater(v, t, pick_v, pick_t):
-                pick, pick_v, pick_t = pos, v, t
+        group_vals = {g: table.value(g, local) for g in groups}
+        pick = roster.pick(group_vals)
         gj = table.group_of[pick]
         vrow = table.val[gj]
+        need = roster.need[pick]
 
         removable = [
             b
             for b in sorted(local)
-            if table.value(gj, local, minus_block=b, minus=1) >= pick_t
+            if table.value(gj, local, minus_block=b, minus=1) >= need
         ]
         if not removable:
-            return local, removed, pick, pick_v
+            return local, removed, pick, Fraction(group_vals[gj], table.scale[gj])
 
         bstar = min(removable, key=lambda b: (vrow[b], min_index(b)))
         k_bound = local[bstar]
@@ -567,34 +662,18 @@ def minimal_set(
     )
     counts = {b: len(block) for b, block in enumerate(table.block_items)}
     thr = [thresholds[a] for a in agent_ids]
-    remaining = set(range(len(agent_ids)))
-    if not _any_eligible(table, counts, remaining, thr):
+    roster = _Roster(table.group_of, table.scale, thr, range(len(agent_ids)))
+    if not _any_eligible(table, counts, roster):
         raise NoEligibleAgentError(
             "no remaining agent values the remaining items at its threshold"
         )
     base_lo = [0] * table.num_blocks
-    kept, removed, pick, _value = _minimal_set_scan(table, counts, base_lo, remaining, thr)
+    kept, removed, pick, _value = _minimal_set_scan(table, counts, base_lo, roster)
     bundle: list[int] = []
     for b, keep in kept.items():
         start = removed.get(b, 0)
         bundle.extend(table.block_items[b][start : start + keep])
     return frozenset(bundle), table.agents[pick]
-
-
-def _grant_zero_estimates(
-    mu: Sequence[Fraction],
-    remaining: set[int],
-    bundles: dict[int, frozenset[int]],
-    trace: list[TraceEvent],
-) -> None:
-    # A zero estimate certifies a zero maximin share (m * nth_value = 0
-    # bounds it above), so the empty bundle already meets the guarantee.
-    for pos in sorted(remaining):
-        if mu[pos] == 0:
-            bundles[pos] = frozenset()
-            trace.append(TraceEvent(ZERO_ESTIMATE, 0, pos, (), ZERO, ZERO))
-    for pos in list(bundles):
-        remaining.discard(pos)
 
 
 def allocate_from_estimates(
@@ -622,22 +701,26 @@ def allocate_from_estimates(
     table = _BlockTable(instance.spec, instance.valuations)
     pool = _Pool(table)
     thresholds = [alpha * entry for entry in mu.mu]
-    remaining = set(range(n))
-    bundles: dict[int, frozenset[int]] = {}
-    trace: list[TraceEvent] = []
-    _grant_zero_estimates(mu.mu, remaining, bundles, trace)
+    # A zero estimate certifies a zero maximin share (m * nth_value = 0
+    # bounds it above), so the empty bundle already meets the guarantee.
+    trace = [
+        TraceEvent(ZERO_ESTIMATE, 0, pos, (), ZERO, ZERO)
+        for pos in range(n)
+        if mu.mu[pos] == 0
+    ]
+    roster = _Roster(
+        table.group_of, table.scale, thresholds, (pos for pos in range(n) if mu.mu[pos])
+    )
 
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction] = {}
+    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for size in (1, 2, 3):
-        _run_phase(table, pool, size, thresholds, remaining, trace, value_cache, None)
+        _run_phase(table, pool, size, roster, trace, value_cache, None)
 
-    while remaining:
+    while roster:
         counts = pool.counts()
-        if not _any_eligible(table, counts, remaining, thresholds):
+        if not _any_eligible(table, counts, roster):
             break
-        kept, removed, pick, value = _minimal_set_scan(
-            table, counts, pool.lo, remaining, thresholds
-        )
+        kept, removed, pick, value = _minimal_set_scan(table, counts, pool.lo, roster)
         bundle: list[int] = []
         for b in sorted(kept):
             if kept[b]:
@@ -653,11 +736,10 @@ def allocate_from_estimates(
                 thresholds[pick],
             )
         )
-        remaining.discard(pick)
+        roster.discard(pick)
 
-    for event in trace:
-        bundles.setdefault(event.agent, frozenset(event.bundle))
-    return Allocation(bundles, tuple(trace), frozenset(remaining))
+    bundles = {event.agent: frozenset(event.bundle) for event in trace}
+    return Allocation(bundles, tuple(trace), frozenset(roster.ascending))
 
 
 def allocate_naive(
@@ -684,21 +766,20 @@ def allocate_naive(
         )
     pool = _Pool(table)
     n = instance.n
-    thresholds = [alpha] * n
-    remaining = set(range(n))
+    roster = _Roster(table.group_of, table.scale, [alpha] * n, range(n))
     trace: list[TraceEvent] = []
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction] = {}
+    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     budget = [NAIVE_NODE_CAP]
 
     for size in range(1, instance.num_items + 1):
-        if not remaining or pool.total() < size:
+        if not roster or pool.total() < size:
             break
-        if not _any_eligible(table, pool.counts(), remaining, thresholds):
+        if not _any_eligible(table, pool.counts(), roster):
             break
-        _run_phase(table, pool, size, thresholds, remaining, trace, value_cache, budget)
+        _run_phase(table, pool, size, roster, trace, value_cache, budget)
 
     bundles = {event.agent: frozenset(event.bundle) for event in trace}
-    return Allocation(bundles, tuple(trace), frozenset(remaining))
+    return Allocation(bundles, tuple(trace), frozenset(roster.ascending))
 
 
 def fair_divide(

@@ -42,6 +42,7 @@ from .instances import (
     parse_allocation,
     parse_instance,
     random_instance,
+    require_every_agent,
     serialize_allocation,
     serialize_instance,
     table1_instance,
@@ -199,6 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_parameters(alpha=args.alpha, delta=args.delta)
     allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"))
     instance = _read_instance(args.instance)
+    require_every_agent(allocation, instance.n)
     floors: dict[int, Fraction] = {}
     if args.floor_mode == "mu":
         # Event thresholds are alpha * mu at allocation time; estimates of

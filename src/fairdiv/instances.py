@@ -254,10 +254,22 @@ def _load_json(text: str) -> Any:
         raise ParseError(exc.msg, location=f"line {exc.lineno} column {exc.colno}") from exc
 
 
-def _require(doc: dict[str, Any], key: str, where: str) -> Any:
+def _require(doc: Any, key: str, where: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object, got {type(doc).__name__}", location=where)
     if key not in doc:
         raise ParseError(f"missing field {key!r}", location=where)
     return doc[key]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value: Any, where: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise ParseError("expected a list of integers", location=where)
+    return value
 
 
 def _parse_values_row(entry: dict[str, Any], m: int, where: str) -> tuple[Fraction, ...]:
@@ -347,9 +359,9 @@ def parse_instance(text: str) -> Instance:
             )
         rows = []
         for i, entry in enumerate(val_docs):
-            if entry.get("agent") != i:
+            if _require(entry, "agent", f"valuations[{i}]") != i:
                 raise ParseError(
-                    f"valuation rows must be in agent order; row {i} is for {entry.get('agent')!r}",
+                    f"valuation rows must be in agent order; row {i} is for {entry['agent']!r}",
                     location=f"valuations[{i}]",
                 )
             rows.append(_parse_values_row(entry, m, f"valuations[{i}]"))
@@ -410,6 +422,8 @@ def parse_allocation(text: str) -> Allocation:
     if not isinstance(doc, dict):
         raise ParseError("allocation document must be a JSON object")
     raw_events = _require(doc, "events", "allocation")
+    if not isinstance(raw_events, list):
+        raise ParseError("events must be a list", location="events")
     events: list[TraceEvent] = []
     bundles: dict[int, frozenset[int]] = {}
     for idx, entry in enumerate(raw_events):
@@ -417,11 +431,14 @@ def parse_allocation(text: str) -> Allocation:
         kind = _require(entry, "kind", where)
         if kind not in _EVENT_KINDS:
             raise ParseError(f"unknown event kind {kind!r}", location=where)
+        agent = _require(entry, "agent", where)
+        if not _is_int(agent):
+            raise ParseError(f"agent must be an integer, got {agent!r}", location=f"{where}.agent")
         event = TraceEvent(
             kind=kind,
             phase=_require(entry, "phase", where),
-            agent=_require(entry, "agent", where),
-            bundle=tuple(_require(entry, "bundle", where)),
+            agent=agent,
+            bundle=tuple(_int_list(_require(entry, "bundle", where), f"{where}.bundle")),
             value=parse_rational(_require(entry, "value", where)),
             threshold=parse_rational(_require(entry, "threshold", where)),
         )
@@ -429,7 +446,9 @@ def parse_allocation(text: str) -> Allocation:
             raise ParseError(f"agent {event.agent!r} already has an event", location=where)
         bundles[event.agent] = frozenset(event.bundle)
         events.append(event)
-    unallocated = frozenset(_require(doc, "unallocated_agents", "allocation"))
+    unallocated = frozenset(
+        _int_list(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
+    )
     both = sorted(unallocated & bundles.keys())
     if both:
         raise ParseError(
@@ -437,3 +456,25 @@ def parse_allocation(text: str) -> Allocation:
             location="unallocated_agents",
         )
     return Allocation(bundles, tuple(events), unallocated)
+
+
+def require_every_agent(allocation: Allocation, n: int) -> None:
+    """Reject an allocation document that does not account for each agent
+    0..n-1 exactly once.  ``parse_allocation`` already rejects an agent
+    listed twice; this adds the checks that need the instance's n: no
+    agent id outside [0, n), and none left out of both the events and
+    ``unallocated_agents``."""
+    for idx, event in enumerate(allocation.trace):
+        if not 0 <= event.agent < n:
+            raise ParseError(
+                f"agent {event.agent} outside [0, {n})", location=f"events[{idx}].agent"
+            )
+    outside = sorted(a for a in allocation.unallocated_agents if not 0 <= a < n)
+    if outside:
+        raise ParseError(f"agents {outside} outside [0, {n})", location="unallocated_agents")
+    missing = sorted(set(range(n)) - allocation.bundles.keys() - allocation.unallocated_agents)
+    if missing:
+        raise ParseError(
+            f"agents {missing} appear in neither events nor unallocated_agents",
+            location="allocation",
+        )

@@ -134,6 +134,25 @@ def reference_allocate_naive(instance, alpha):
     return trace, agents
 
 
+def ratio_greater(v1, t1, v2, t2) -> bool:
+    """v1/t1 > v2/t2 by cross-multiplication; a zero threshold reads as
+    an infinite ratio, and value 0 over threshold 0 compares equal to
+    everything."""
+    return v1 * t2 > v2 * t1
+
+
+def reference_pick(values, thresholds, remaining) -> int:
+    """One-at-a-time agent pick: scan ascending indices and replace the
+    pick only on a strictly greater ratio."""
+    pick = None
+    for pos in sorted(remaining):
+        if pick is None or ratio_greater(
+            values[pos], thresholds[pos], values[pick], thresholds[pick]
+        ):
+            pick = pos
+    return pick
+
+
 def reference_minimal_set(spec, valuations, items, thresholds):
     """Literal one-item-at-a-time removal scan; no blocks, no batching."""
     from fairdiv import bundle_value
@@ -145,7 +164,7 @@ def reference_minimal_set(spec, valuations, items, thresholds):
         for agent in agents:
             v = bundle_value(spec, valuations[agent], current)
             t = thresholds[agent]
-            if pick is None or v * pick[2] > pick[1] * t:
+            if pick is None or ratio_greater(v, t, pick[1], pick[2]):
                 pick = (agent, v, t)
         agent, _, threshold = pick
         order = sorted(current, key=lambda j: (valuations[agent].values[j], j))

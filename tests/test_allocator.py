@@ -30,7 +30,7 @@ from fairdiv import (
     table1_instance,
     verify_allocation,
 )
-from fairdiv.allocator import _BlockTable
+from fairdiv.allocator import _BlockTable, _Roster
 from support import (
     FAMILIES,
     brute_bundle_value,
@@ -38,6 +38,7 @@ from support import (
     normalized_by_witnesses,
     reference_allocate_naive,
     reference_minimal_set,
+    reference_pick,
 )
 
 ALPHA = Fraction(11, 30)
@@ -177,8 +178,9 @@ def test_minimal_set_matches_literal_scan():
 @pytest.mark.parametrize("seed", range(4))
 def test_block_value_matches_brute_force_with_size_cap(seed):
     """Block-count evaluation, with and without a block's items taken
-    out, equals the best size-s sub-multiset of the pool by brute force;
-    every call costs exactly one query."""
+    out, equals the best size-s sub-multiset of the pool by brute force
+    once the integer sum is divided by the group's scale; every call
+    costs exactly one query."""
     rng = random.Random(seed)
     for trial in range(2 * len(FAMILIES)):
         # one agent with values in {1, 2} makes multi-item blocks, so
@@ -203,8 +205,73 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
                     combos = [pool] if size is None else combinations(pool, size)
                     best = max(brute_bundle_value(inst.spec, val.values, c) for c in combos)
                     before = val.query_count
-                    assert table.value(g, counts, minus_block=mb, minus=k, size=size) == best
+                    scaled = table.value(g, counts, minus_block=mb, minus=k, size=size)
+                    assert Fraction(scaled, table.scale[g]) == best
                     assert val.query_count == before + 1
+
+
+def test_group_pick_matches_one_at_a_time_scan():
+    """The per-group pick (first remaining agent plus each group's least
+    threshold member) equals the ratio scan over every remaining agent,
+    across zero values, zero thresholds and agents with both zero, while
+    agents leave one at a time."""
+    rng = random.Random(11)
+    both_zero_first = both_zero_later = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        num_groups = rng.randint(1, 4)
+        group_of = [rng.randrange(num_groups) for _ in range(n)]
+        scale = [rng.randint(1, 12) for _ in range(num_groups)]
+        thresholds = [Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 3)) for _ in range(n)]
+        remaining = [p for p in range(n) if rng.random() < 0.8] or [0]
+        roster = _Roster(group_of, scale, thresholds, remaining)
+        while roster:
+            group_vals = {g: rng.choice((0, rng.randint(1, 30))) for g in roster.groups()}
+            values = [
+                Fraction(group_vals.get(group_of[p], 0), scale[group_of[p]]) for p in range(n)
+            ]
+            expected = reference_pick(values, thresholds, roster.ascending)
+            assert roster.pick(group_vals) == expected
+            zeros = [p for p in roster.ascending if values[p] == thresholds[p] == 0]
+            if zeros:
+                if zeros[0] == roster.ascending[0]:
+                    both_zero_first += 1
+                else:
+                    both_zero_later += 1
+            roster.discard(rng.choice(roster.ascending))
+    assert both_zero_first >= 20 and both_zero_later >= 20
+
+
+def test_minimal_set_zero_value_zero_threshold_agent_keeps_the_pick():
+    """An agent with value 0 and threshold 0 that comes first is never
+    displaced, even by an agent with a far better ratio, and it shares
+    its group with a later member whose threshold is positive."""
+    spec = explicit_maximal(3, [{0, 1, 2}])
+    zero_row = Valuation([0, 0, 3])
+    rich = Valuation([1, 1, 0])
+    vals = {0: zero_row, 1: rich, 2: zero_row}
+    thresholds = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1, 2)}
+    expected = reference_minimal_set(spec, vals, [0, 1], thresholds)
+    assert expected == (frozenset(), 0)
+    assert minimal_set(spec, vals, [0, 1], thresholds) == expected
+
+
+@pytest.mark.parametrize("spec", [explicit_maximal(3, [{0, 1, 2}]), capacity(3, [({0, 1, 2}, 3)])])
+def test_minimal_set_threshold_equal_to_value_is_met(spec):
+    """Integer thresholds ceil(t * L) keep the comparison exact: a
+    threshold equal to a bundle's value qualifies, one a hair above it
+    does not, with denominators that differ within the row."""
+    val = Valuation([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
+    hair = Fraction(1, 10**12)
+    whole = Fraction(1, 3) + Fraction(2, 7) + Fraction(5, 11)
+    assert minimal_set(spec, {0: val}, range(3), {0: whole}) == (frozenset({0, 1, 2}), 0)
+    with pytest.raises(NoEligibleAgentError):
+        minimal_set(spec, {0: val}, range(3), {0: whole + hair})
+    # the scan tries item 1 (least value) first; dropping it lands
+    # exactly on the threshold, so it goes
+    rest = Fraction(1, 3) + Fraction(5, 11)
+    assert minimal_set(spec, {0: val}, range(3), {0: rest}) == (frozenset({0, 2}), 0)
+    assert minimal_set(spec, {0: val}, range(3), {0: rest + hair}) == (frozenset({0, 1, 2}), 0)
 
 
 def test_minimal_set_interleaved_equal_value_blocks():
@@ -267,6 +334,17 @@ def test_estimates_matches_naive_on_adversarial_instance(table1):
     assert set(naive.bundles) == set(fast.bundles)
     assert naive.unallocated_agents == fast.unallocated_agents
     assert len(fast.bundles) == 329
+
+
+def test_estimates_table1_at_n3300():
+    """Table 1 at ten times the base multiple strands exactly ten agents."""
+    inst = table1_instance(3300)
+    alloc = allocate_from_estimates(inst, EstimateVector((Fraction(1),) * inst.n), UPPER_ALPHA)
+    assert len(alloc.unallocated_agents) == 10
+    phase = Counter(e.phase for e in alloc.trace if e.kind == "phase")
+    minimal = Counter(e.phase for e in alloc.trace if e.kind == "minimal")
+    assert dict(phase) == {2: 1650, 3: 1100}
+    assert dict(minimal) == {5: 440, 11: 100}
 
 
 def test_estimates_matches_naive_when_all_bundles_small():

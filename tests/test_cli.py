@@ -180,15 +180,15 @@ def test_parameter_edges_are_usage_errors(solved, capsys, argv):
     assert "Traceback" not in err
 
 
-def _rewrite_allocation(alloc_path, edit):
-    doc = json.loads(alloc_path.read_text())
+def _rewrite_document(path, edit):
+    doc = json.loads(path.read_text())
     edit(doc)
-    alloc_path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
 
 
 def test_verify_rejects_agent_both_allocated_and_unallocated(solved, capsys):
     inst_path, alloc_path = solved
-    _rewrite_allocation(alloc_path, lambda doc: doc["unallocated_agents"].append(0))
+    _rewrite_document(alloc_path, lambda doc: doc["unallocated_agents"].append(0))
     code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
     assert code == 2
     assert err.startswith("error: unallocated_agents: ")
@@ -203,10 +203,68 @@ def test_verify_rejects_second_event_for_one_agent(solved, capsys):
         first = doc["events"][0]
         doc["events"].append(dict(first, bundle=[], value="0/1", threshold="0/1"))
 
-    _rewrite_allocation(alloc_path, add_empty_event)
+    _rewrite_document(alloc_path, add_empty_event)
     code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
     assert code == 2
     assert err.startswith("error: events[3]: ")
+
+
+def test_verify_rejects_agent_left_out(solved, capsys):
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, lambda doc: doc["events"].pop())
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith("error: allocation: ")
+    assert "neither events nor unallocated_agents" in err
+
+
+def test_verify_rejects_unallocated_agent_beyond_n(solved, capsys):
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, lambda doc: doc.update(unallocated_agents=[7]))
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith("error: unallocated_agents: ")
+
+
+def _set_event_field(field, value):
+    return lambda doc: doc["events"][0].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit, location",
+    [
+        (_set_event_field("bundle", 5), "events[0].bundle"),
+        (_set_event_field("bundle", ["1"]), "events[0].bundle"),
+        (_set_event_field("agent", [0]), "events[0].agent"),
+        (lambda doc: doc.update(unallocated_agents=5), "unallocated_agents"),
+        (lambda doc: doc.update(events={}), "events"),
+        (lambda doc: doc["events"].__setitem__(0, 5), "events[0]"),
+    ],
+    ids=["bundle-int", "bundle-strings", "agent-list", "unallocated-int", "events-object", "event-int"],
+)
+def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, edit)
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, location",
+    [
+        (lambda doc: doc.update(set_system=5), "set_system"),
+        (lambda doc: doc["valuations"].__setitem__(0, [1]), "valuations[0]"),
+    ],
+    ids=["set-system-int", "valuation-row-list"],
+)
+def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
+    inst_path, _ = solved
+    _rewrite_document(inst_path, edit)
+    code, _, err = run_cli(capsys, "solve", str(inst_path))
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+    assert "Traceback" not in err
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):
