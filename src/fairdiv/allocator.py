@@ -863,9 +863,28 @@ def verify_allocation(
     allocation: Allocation,
     floors: Mapping[int, Fraction],
 ) -> VerificationReport:
-    """Check disjointness, ground-set membership, and per-agent floors."""
+    """Check disjointness, ground-set membership, per-agent floors, and
+    that the trace agrees with itself.
+
+    An event's ``phase`` must equal its bundle's size (``phase-mismatch``),
+    and, for each agent with a floor, the event's recorded ``value`` must
+    equal the bundle's true value (``value-mismatch``).  The value check
+    reuses the floor check's ``bundle_value`` call, so verification
+    charges one query per floored agent and no more.
+    """
     violations: list[Violation] = []
     owner: dict[int, int] = {}
+    events = {event.agent: event for event in allocation.trace}
+    for event in allocation.trace:
+        if event.phase != len(event.bundle):
+            violations.append(
+                Violation(
+                    "phase-mismatch",
+                    event.agent,
+                    f"agent {event.agent} event phase {event.phase} "
+                    f"but bundle size {len(event.bundle)}",
+                )
+            )
     for agent in sorted(allocation.bundles):
         if not 0 <= agent < instance.n:
             violations.append(
@@ -897,6 +916,16 @@ def verify_allocation(
             j for j in allocation.bundles[agent] if 0 <= j < instance.num_items
         )
         value = bundle_value(instance.spec, instance.valuations[agent], bundle)
+        event = events.get(agent)
+        if event is not None and event.value != value:
+            violations.append(
+                Violation(
+                    "value-mismatch",
+                    agent,
+                    f"agent {agent} event value {format_rational(event.value)} "
+                    f"but bundle value {format_rational(value)}",
+                )
+            )
         if value < floor:
             violations.append(
                 Violation(

@@ -1,9 +1,11 @@
 """Command-line driver: generate instances, solve, verify, reproduce.
 
 Exit codes: 0 success, 1 verification/reproduction failure, 2 usage or
-input error, 3 desk-cap exceeded.  All numeric output is rendered as
-reduced fractions; ``--decimal`` adds float approximations for reading
-convenience but never feeds back into any computation.
+input error, 3 desk-cap exceeded, 4 internal error (a solver invariant
+failed, such as ``fair_divide`` not converging within its proven round
+bound).  All numeric output is rendered as reduced fractions;
+``--decimal`` adds float approximations for reading convenience but
+never feeds back into any computation.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_DESK_CAP = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_ALPHA = "11/30"
 DEFAULT_DELTA = "1/16"
@@ -296,8 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except FairdivError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

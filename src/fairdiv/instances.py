@@ -272,6 +272,14 @@ def _int_list(value: Any, where: str) -> list[int]:
     return value
 
 
+def _rational_field(entry: dict[str, Any], key: str, where: str) -> Fraction:
+    text = _require(entry, key, where)
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise ParseError(str(exc), location=f"{where}.{key}") from None
+
+
 def _parse_values_row(entry: dict[str, Any], m: int, where: str) -> tuple[Fraction, ...]:
     raw = _require(entry, "values", where)
     if not isinstance(raw, dict):
@@ -434,13 +442,18 @@ def parse_allocation(text: str) -> Allocation:
         agent = _require(entry, "agent", where)
         if not _is_int(agent):
             raise ParseError(f"agent must be an integer, got {agent!r}", location=f"{where}.agent")
+        phase = _require(entry, "phase", where)
+        if not _is_int(phase) or phase < 0:
+            raise ParseError(
+                f"phase must be a non-negative integer, got {phase!r}", location=f"{where}.phase"
+            )
         event = TraceEvent(
             kind=kind,
-            phase=_require(entry, "phase", where),
+            phase=phase,
             agent=agent,
             bundle=tuple(_int_list(_require(entry, "bundle", where), f"{where}.bundle")),
-            value=parse_rational(_require(entry, "value", where)),
-            threshold=parse_rational(_require(entry, "threshold", where)),
+            value=_rational_field(entry, "value", where),
+            threshold=_rational_field(entry, "threshold", where),
         )
         if event.agent in bundles:
             raise ParseError(f"agent {event.agent!r} already has an event", location=where)

@@ -7,19 +7,29 @@ canonically (item 0 opens part 0; each later item may open at most one
 new part) with branch-and-bound pruning, so it is only offered below a
 configurable item cap.  The bounds variant sandwiches the value between
 the n-th largest item value and m times that value.
+
+The exact search computes in integers.  Item values are scaled by L,
+the lcm of the row's denominators; a part is an ``int`` bitmask over
+the items, and its scaled value (capacity: per class, the top ``cap``
+values inside the part; explicit: the best sum over the part's
+intersection with a maximal set) is memoized on first use, so memory
+grows with the parts visited, not with 2^m.  A leaf replaces the best
+so far only when strictly better, so the witness is the first optimum
+in enumeration order.  ``Fraction(best, L)`` and the frozenset parts
+are built once, at return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Callable, Sequence
 
 from .errors import DeskCapError, InputError
-from .setsystem import SetSystemSpec
-from .valuation import Valuation, _value_of_subset, nth_value
+from .setsystem import Capacity, SetSystemSpec
+from .valuation import Valuation, nth_value
 
 DEFAULT_MMS_CAP = 12
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,73 @@ class MmsResult:
         return self.value is not None
 
 
+class _PartValues(dict):
+    """Memo ``mask -> scaled part value``, filled on first lookup."""
+
+    __slots__ = ("value_of",)
+
+    def __init__(self, value_of: Callable[[int], int]):
+        super().__init__()
+        self.value_of = value_of
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = self.value_of(mask)
+        return value
+
+
+def _part_values(spec: SetSystemSpec, values: Sequence[Fraction]) -> tuple[int, _PartValues]:
+    """Scale the row to integers and return ``(L, memo)``.
+
+    ``L`` is the lcm of the row's denominators, so ``values[j] * L`` is
+    an integer for every item.  ``memo[mask]`` is ``L`` times the value
+    of the part whose items are the set bits of ``mask`` (the value of
+    its best feasible subset); entries are computed on first lookup.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+
+    if isinstance(spec, Capacity):
+        # Per class: its item mask, its cap and its items by descending
+        # value; a part takes the first ``cap`` of them it holds.
+        classes = []
+        for members, cap in spec.classes:
+            if cap > 0:
+                ranked = sorted(members, key=lambda j: -scaled[j])
+                classes.append(
+                    (sum(1 << j for j in members), cap, [(1 << j, scaled[j]) for j in ranked])
+                )
+
+        def value_of(mask: int) -> int:
+            total = 0
+            for class_mask, cap, ranked in classes:
+                if mask & class_mask:
+                    taken = 0
+                    for bit, v in ranked:
+                        if mask & bit:
+                            total += v
+                            taken += 1
+                            if taken == cap:
+                                break
+            return total
+    else:
+        set_masks = [sum(1 << j for j in maximal) for maximal in spec.maximal_sets]
+
+        def value_of(mask: int) -> int:
+            best = 0
+            for set_mask in set_masks:
+                inside = mask & set_mask
+                total = 0
+                while inside:
+                    low = inside & -inside
+                    total += scaled[low.bit_length() - 1]
+                    inside ^= low
+                if total > best:
+                    best = total
+            return best
+
+    return scale, _PartValues(value_of)
+
+
 def mms_exact(
     spec: SetSystemSpec,
     valuation: Valuation,
@@ -52,11 +129,20 @@ def mms_exact(
 ) -> MmsResult:
     """Exhaustive maximin-share search with a witness partition.
 
-    Parts are unordered; the enumeration is canonicalized so the first
-    occupied part holds the smallest item, making the returned witness
-    the first optimum in enumeration order (bit-reproducible).  Parts may
-    be infeasible; their value is that of their best feasible subset.
-    Empty parts are permitted, so n > m simply yields value 0.
+    Parts are unordered; the enumeration is canonicalized (item 0 opens
+    part 0; each later item joins an open part, in opening order, or
+    opens the next one) and a branch whose upper bound does not beat the
+    best leaf so far is pruned.  A leaf replaces the best only when it
+    is strictly better, so the witness is the first optimum in
+    enumeration order (bit-reproducible).  Parts may be infeasible;
+    their value is that of their best feasible subset.  Empty parts are
+    permitted, so n > m simply yields value 0.
+
+    The search runs on integers: a part is a bitmask over the items, and
+    values are scaled by L, the lcm of the row's denominators, so part
+    values are exact integer sums.  The value ``best / L`` and the
+    frozenset parts are built once, on return.  No valuation query is
+    charged.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -68,58 +154,51 @@ def mms_exact(
     if m > max_items:
         raise DeskCapError(f"mms_exact capped at {max_items} items, instance has {m}")
 
-    values = valuation.values
-    memo: dict[frozenset[int], Fraction] = {}
+    scale, part_value = _part_values(spec, valuation.values)
+    # suffixes[k]: the items k..m-1 not yet placed at depth k.
+    suffixes = [(1 << m) - (1 << k) for k in range(m + 1)]
+    parts: list[int] = []
+    best = -1
+    best_parts: tuple[int, ...] = ()
 
-    def val_of(s: frozenset[int]) -> Fraction:
-        cached = memo.get(s)
-        if cached is None:
-            cached = _value_of_subset(spec, values, s)
-            memo[s] = cached
-        return cached
-
-    suffixes = [frozenset(range(k, m)) for k in range(m + 1)]
-    best: Fraction | None = None
-    best_parts: tuple[frozenset[int], ...] | None = None
-
-    def search(k: int, parts: list[frozenset[int]]) -> None:
+    def search(k: int) -> None:
         nonlocal best, best_parts
         if k == m:
             if len(parts) < n:
-                candidate = ZERO
+                candidate = 0
             else:
-                candidate = min(val_of(p) for p in parts)
-            if best is None or candidate > best:
+                candidate = min([part_value[p] for p in parts])
+            if candidate > best:
                 best = candidate
                 best_parts = tuple(parts)
             return
         rest = suffixes[k]
         # Upper bound: each open part can at best absorb all remaining
         # items; a part not yet opened can at best become all of `rest`.
-        bound = None
+        # With all n parts open, start above `best` so that only the
+        # open parts' bounds can prune.
+        opening = len(parts) < n
+        bound = part_value[rest] if opening else best + 1
         for p in parts:
-            pb = val_of(p | rest)
-            if bound is None or pb < bound:
+            pb = part_value[p | rest]
+            if pb < bound:
                 bound = pb
-        if len(parts) < n:
-            rb = val_of(rest)
-            if bound is None or rb < bound:
-                bound = rb
-        if best is not None and bound is not None and bound <= best:
+        if bound <= best:
             return
+        bit = 1 << k
         for i in range(len(parts)):
-            parts[i] = parts[i] | {k}
-            search(k + 1, parts)
-            parts[i] = parts[i] - {k}
-        if len(parts) < n:
-            parts.append(frozenset((k,)))
-            search(k + 1, parts)
+            parts[i] |= bit
+            search(k + 1)
+            parts[i] ^= bit
+        if opening:
+            parts.append(bit)
+            search(k + 1)
             parts.pop()
 
-    search(0, [])
-    assert best is not None and best_parts is not None
-    padded = best_parts + (frozenset(),) * (n - len(best_parts))
-    return MmsResult(value=best, witness=Partition(padded))
+    search(0)
+    witness = tuple(frozenset(j for j in range(m) if p >> j & 1) for p in best_parts)
+    padded = witness + (frozenset(),) * (n - len(witness))
+    return MmsResult(value=Fraction(best, scale), witness=Partition(padded))
 
 
 def mms_bounds(valuation: Valuation, n: int, m: int) -> MmsResult:

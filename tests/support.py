@@ -18,6 +18,7 @@ from fairdiv import (
     normalize_to_partition,
     random_instance,
 )
+from fairdiv.valuation import _value_of_subset
 
 FAMILIES = ("capacity", "explicit-antichain", "free")
 
@@ -59,6 +60,65 @@ def brute_mms(spec, values, n) -> Fraction:
 
     walk(0)
     return best
+
+
+def reference_mms_exact(spec, valuation, n):
+    """The frozenset/Fraction partition search ``mms_exact`` replaced.
+
+    Same canonical enumeration (item 0 opens part 0; each later item
+    joins an open part or opens the next one), the same ``bound <= best``
+    prune and the same ``candidate > best`` rule, over exact rationals.
+    Returns ``(value, parts)`` with the parts padded to ``n``.
+    """
+    m = spec.num_items
+    values = valuation.values
+    memo: dict[frozenset[int], Fraction] = {}
+
+    def val_of(s: frozenset[int]) -> Fraction:
+        cached = memo.get(s)
+        if cached is None:
+            cached = _value_of_subset(spec, values, s)
+            memo[s] = cached
+        return cached
+
+    suffixes = [frozenset(range(k, m)) for k in range(m + 1)]
+    best = None
+    best_parts = None
+
+    def search(k: int, parts: list[frozenset[int]]) -> None:
+        nonlocal best, best_parts
+        if k == m:
+            if len(parts) < n:
+                candidate = Fraction(0)
+            else:
+                candidate = min(val_of(p) for p in parts)
+            if best is None or candidate > best:
+                best = candidate
+                best_parts = tuple(parts)
+            return
+        rest = suffixes[k]
+        bound = None
+        for p in parts:
+            pb = val_of(p | rest)
+            if bound is None or pb < bound:
+                bound = pb
+        if len(parts) < n:
+            rb = val_of(rest)
+            if bound is None or rb < bound:
+                bound = rb
+        if best is not None and bound is not None and bound <= best:
+            return
+        for i in range(len(parts)):
+            parts[i] = parts[i] | {k}
+            search(k + 1, parts)
+            parts[i] = parts[i] - {k}
+        if len(parts) < n:
+            parts.append(frozenset((k,)))
+            search(k + 1, parts)
+            parts.pop()
+
+    search(0, [])
+    return best, best_parts + (frozenset(),) * (n - len(best_parts))
 
 
 def suite_instance(i: int, base_seed: int) -> Instance:

@@ -239,8 +239,25 @@ def _set_event_field(field, value):
         (lambda doc: doc.update(unallocated_agents=5), "unallocated_agents"),
         (lambda doc: doc.update(events={}), "events"),
         (lambda doc: doc["events"].__setitem__(0, 5), "events[0]"),
+        (_set_event_field("value", "x"), "events[0].value"),
+        (_set_event_field("threshold", "1/0"), "events[0].threshold"),
+        (_set_event_field("phase", "x"), "events[0].phase"),
+        (_set_event_field("phase", True), "events[0].phase"),
+        (_set_event_field("phase", -1), "events[0].phase"),
     ],
-    ids=["bundle-int", "bundle-strings", "agent-list", "unallocated-int", "events-object", "event-int"],
+    ids=[
+        "bundle-int",
+        "bundle-strings",
+        "agent-list",
+        "unallocated-int",
+        "events-object",
+        "event-int",
+        "value-string",
+        "threshold-zero-denominator",
+        "phase-string",
+        "phase-bool",
+        "phase-negative",
+    ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
     inst_path, alloc_path = solved
@@ -248,6 +265,37 @@ def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, locatio
     code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
     assert code == 2
     assert err.startswith(f"error: {location}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, kind",
+    [
+        (_set_event_field("value", "1000/1"), "value-mismatch"),
+        (lambda doc: doc["events"][0].update(phase=doc["events"][0]["phase"] + 1), "phase-mismatch"),
+    ],
+    ids=["value", "phase"],
+)
+def test_verify_rejects_events_inconsistent_with_their_bundles(solved, capsys, edit, kind):
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, edit)
+    code, out, _ = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert [(v["kind"], v["agent"]) for v in violations] == [
+        (kind, json.loads(alloc_path.read_text())["events"][0]["agent"])
+    ]
+
+
+def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monkeypatch):
+    # the fixture's instance needs several rounds of fair_divide
+    import fairdiv.allocator
+
+    inst_path, _ = solved
+    monkeypatch.setattr(fairdiv.allocator, "iteration_bound", lambda n, m, delta: 1)
+    code, _, err = run_cli(capsys, "solve", str(inst_path))
+    assert code == 4
+    assert err.startswith("internal error: ")
+    assert "did not converge" in err
 
 
 @pytest.mark.parametrize(

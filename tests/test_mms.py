@@ -1,18 +1,28 @@
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from fairdiv import (
     DeskCapError,
     Valuation,
     bundle_value,
+    capacity,
     explicit_maximal,
     footnote_instance,
+    format_rational,
     mms_bounds,
     mms_exact,
     normalize_to_partition,
     random_instance,
 )
-from support import brute_mms, iter_suite
+from support import brute_mms, iter_suite, reference_mms_exact
+
+# sha256 over (value, witness) of mms_exact on iter_suite(60, base_seed=7000),
+# every agent, n and n + 1 parts; recorded with the frozenset/Fraction
+# search that reference_mms_exact keeps.
+MMS_SUITE_DIGEST = "d669fe06035258c15014207ee1da797f86ded31746b1a38a0863778b41dca2e7"
 
 
 def test_free_system_three_items():
@@ -105,3 +115,60 @@ def test_normalization_fixed_point():
             normalized = normalize_to_partition(val, parts, inst.spec)
             for part in parts:
                 assert bundle_value(inst.spec, normalized, part) == 1
+
+
+def assert_matches_reference(spec, val, n, **kwargs):
+    result = mms_exact(spec, val, n, **kwargs)
+    value, parts = reference_mms_exact(spec, val, n)
+    assert type(result.value) is Fraction
+    assert result.value == value
+    assert result.witness.parts == parts
+
+
+@pytest.mark.parametrize("family", ["capacity", "explicit-antichain"])
+def test_matches_reference_search_on_suite(family):
+    for inst in iter_suite(60, base_seed=6000):
+        if inst.name.startswith(f"random-{family}-"):
+            for val in inst.valuations:
+                for n in (1, inst.n, inst.n + 1):
+                    assert_matches_reference(inst.spec, val, n)
+
+
+def test_matches_reference_search_on_edge_cases():
+    values = Valuation([Fraction(3, 4), 0, Fraction(5, 6), 2, 0, Fraction(1, 7)])
+    # a class with cap 0 contributes nothing, whatever it holds
+    spec = capacity(6, [({0, 2}, 0), ({1, 3, 5}, 2), ({4}, 1)])
+    for n in (1, 2, 3):
+        assert_matches_reference(spec, values, n)
+    # zero-valued items only: every partition ties at 0
+    zeros = Valuation([0] * 5)
+    assert_matches_reference(explicit_maximal(5, [{0, 1}, {2, 3, 4}]), zeros, 2)
+    # more parts than items
+    assert_matches_reference(explicit_maximal(3, [{0, 2}, {1}]), Valuation([1, 2, 3]), 5)
+    # a single maximal set, and the empty ground set
+    assert_matches_reference(explicit_maximal(6, [{1, 2, 4}]), values, 2)
+    assert_matches_reference(explicit_maximal(0, []), Valuation([]), 2)
+
+
+@pytest.mark.parametrize("family", ["capacity", "explicit-antichain", "free"])
+def test_matches_reference_search_above_the_default_cap(family):
+    inst = random_instance(7, 13, 3, family)
+    assert_matches_reference(inst.spec, inst.valuations[0], 3, max_items=13)
+
+
+def test_pinned_suite_digest():
+    digest = hashlib.sha256()
+    for inst in iter_suite(60, base_seed=7000):
+        for val in inst.valuations:
+            for n in (inst.n, inst.n + 1):
+                result = mms_exact(inst.spec, val, n)
+                parts = [sorted(p) for p in result.witness.parts]
+                digest.update(f"{format_rational(result.value)} {parts}\n".encode())
+    assert digest.hexdigest() == MMS_SUITE_DIGEST
+
+
+def test_charges_no_queries():
+    inst = random_instance(3, 9, 3, "capacity")
+    val = inst.valuations[0]
+    mms_exact(inst.spec, val, 3)
+    assert val.query_count == 0
