@@ -4,7 +4,10 @@
 repeatedly hands the first qualifying size-tau set to the first
 qualifying agent.  ``allocate_from_estimates`` runs sizes 1..3 the same
 way against per-agent thresholds alpha * mu_i, then repeatedly strips a
-minimal qualifying bundle out of the remaining pool (``minimal_set``).
+1-minimal qualifying bundle out of the remaining pool until no remaining
+agent values the pool at its threshold.  That removal scan
+(``_minimal_set_scan``) is the one minimal-bundle path; ``minimal_set``
+runs it once on a given item set.
 ``fair_divide`` drives it with shrinking share estimates mu, multiplying
 the estimate of every unallocated agent by (1 - delta) between rounds.
 
@@ -151,12 +154,10 @@ class _BlockTable:
         self,
         spec: SetSystemSpec,
         valuations: Sequence[Valuation],
-        agent_ids: Sequence[int] | None = None,
         items: Iterable[int] | None = None,
     ):
         self.spec = spec
         self.valuations = list(valuations)
-        self.agents = tuple(agent_ids) if agent_ids is not None else tuple(range(len(self.valuations)))
 
         self.group_of: list[int] = []
         self.group_reps: list[int] = []
@@ -215,9 +216,6 @@ class _BlockTable:
     def num_groups(self) -> int:
         return len(self.group_reps)
 
-    def _count(self, group: int) -> None:
-        self.valuations[self.group_reps[group]]._count_query()
-
     def value(
         self,
         group: int,
@@ -229,7 +227,7 @@ class _BlockTable:
         """Scaled bundle value of the multiset ``counts``, optionally
         minus ``minus`` items of one block and capped at ``size`` items.
         Costs one query."""
-        self._count(group)
+        self.valuations[self.group_reps[group]]._count_query()
         vrow = self.val[group]
         limit = self.spec.num_items if size is None else size
         if isinstance(self.spec, Capacity):
@@ -304,10 +302,8 @@ class _Pool:
     def front(self, b: int, k: int) -> tuple[int, ...]:
         return self.table.block_items[b][self.lo[b] : self.lo[b] + k]
 
-    def take_front(self, b: int, k: int) -> tuple[int, ...]:
-        items = self.front(b, k)
+    def take_front(self, b: int, k: int) -> None:
         self.lo[b] += k
-        return items
 
     def take_back(self, b: int, k: int) -> tuple[int, ...]:
         items = self.table.block_items[b][self.hi[b] - k : self.hi[b]]
@@ -377,6 +373,11 @@ class _Roster:
         """Groups with a remaining member, ascending."""
         return [g for g in range(len(self._head)) if self.leader(g) >= 0]
 
+    def any_meets(self, group_vals: Mapping[int, int]) -> bool:
+        """Whether some remaining agent's group value meets its threshold;
+        a group's leader has the group's least threshold."""
+        return any(s >= self.need[self.leader(g)] for g, s in group_vals.items())
+
     def pick(self, group_vals: Mapping[int, int]) -> int:
         """The agent with the highest value-to-threshold ratio, ties by index.
 
@@ -432,17 +433,20 @@ def _run_phase(
     size: int,
     roster: _Roster,
     trace: list[TraceEvent],
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int],
     budget: list[int] | None,
 ) -> None:
-    """Repeatedly allocate the first qualifying size-``size`` bundle.
+    """Repeatedly allocate the first qualifying size-``size`` bundle,
+    appending one trace event per allocation and discarding its agent
+    from ``roster``.
 
     One enumeration pass computes the value of every realizable multiset
-    per group.  Within the phase, values and thresholds never change and
-    removals only shrink the pool, so a multiset that failed to qualify
-    can never start qualifying; the allocation loop just re-picks the
-    lexicographically smallest realization among surviving candidates.
-    Each candidate lists its qualifying agents in descending index, so
+    per group; no multiset repeats within a phase, so each value is
+    queried once.  Within the phase, values and thresholds never change
+    and removals only shrink the pool, so a multiset that failed to
+    qualify can never start qualifying; the allocation loop just re-picks
+    the lexicographically smallest realization among surviving
+    candidates.  Each candidate keeps its per-group values for the trace
+    event and lists its qualifying agents in descending index, so
     departed agents pop off the end and the first remaining one is last.
     """
     if not roster or pool.total() < size:
@@ -451,10 +455,8 @@ def _run_phase(
     groups = roster.groups()
 
     # Existence short-circuit: skip the enumeration when even the best
-    # size-`size` bundle misses every remaining agent's threshold (a
-    # group's leader has its least threshold).
-    best = {g: table.value(g, counts0, size=size) for g in groups}
-    if not any(best[g] >= roster.need[roster.leader(g)] for g in groups):
+    # size-`size` bundle misses every remaining agent's threshold.
+    if not roster.any_meets({g: table.value(g, counts0, size=size) for g in groups}):
         return
 
     avail = sorted(counts0)
@@ -463,26 +465,19 @@ def _run_phase(
         suffix[i] = suffix[i + 1] + counts0[avail[i]]
 
     descending = roster.ascending[::-1]
-    candidates: list[tuple[tuple[tuple[int, int], ...], list[int]]] = []
+    Candidate = tuple[tuple[tuple[int, int], ...], list[int], dict[int, int]]
+    candidates: list[Candidate] = []
     chosen: list[tuple[int, int]] = []
 
     def emit() -> None:
         ms = tuple(chosen)
-        val_by_group: dict[int, int] = {}
-        for g in groups:
-            key = (g, ms)
-            v = value_cache.get(key)
-            if v is None:
-                v = table.value(g, dict(ms))
-                value_cache[key] = v
-            val_by_group[g] = v
+        counts = dict(ms)
+        vals = {g: table.value(g, counts) for g in groups}
         quals = [
-            pos
-            for pos in descending
-            if val_by_group[table.group_of[pos]] >= roster.need[pos]
+            pos for pos in descending if vals[table.group_of[pos]] >= roster.need[pos]
         ]
         if quals:
-            candidates.append((ms, quals))
+            candidates.append((ms, quals, vals))
 
     def enumerate_multisets(i: int, left: int) -> None:
         if budget is not None:
@@ -506,61 +501,57 @@ def _run_phase(
     enumerate_multisets(0, size)
 
     while candidates:
-        alive: list[tuple[tuple[tuple[int, int], ...], list[int]]] = []
+        alive: list[Candidate] = []
         best_key: tuple[int, ...] | None = None
-        best_ms: tuple[tuple[int, int], ...] | None = None
-        best_agent = -1
-        for ms, quals in candidates:
+        best: Candidate | None = None
+        for candidate in candidates:
+            ms, quals, _vals = candidate
             if any(pool.count(b) < k for b, k in ms):
                 continue
             while quals and quals[-1] not in roster:
                 quals.pop()
             if not quals:
                 continue
-            alive.append((ms, quals))
+            alive.append(candidate)
             realization: list[int] = []
             for b, k in ms:
                 realization.extend(pool.front(b, k))
             realization.sort()
             key = tuple(realization)
             if best_key is None or key < best_key:
-                best_key, best_ms, best_agent = key, ms, quals[-1]
+                best_key, best = key, candidate
         candidates = alive
-        if best_ms is None:
+        if best is None:
             return
-        for b, k in best_ms:
+        ms, quals, vals = best
+        for b, k in ms:
             pool.take_front(b, k)
-        g = table.group_of[best_agent]
-        trace.append(
-            TraceEvent(
-                PHASE,
-                size,
-                table.agents[best_agent],
-                best_key,
-                Fraction(value_cache[(g, best_ms)], table.scale[g]),
-                roster.thresholds[best_agent],
-            )
-        )
-        roster.discard(best_agent)
+        agent = quals[-1]
+        g = table.group_of[agent]
+        value = Fraction(vals[g], table.scale[g])
+        trace.append(TraceEvent(PHASE, size, agent, best_key, value, roster.thresholds[agent]))
+        roster.discard(agent)
 
 
 def _minimal_set_scan(
     table: _BlockTable,
-    counts: Mapping[int, int],
-    base_lo: Sequence[int],
+    pool: _Pool,
     roster: _Roster,
-) -> tuple[dict[int, int], dict[int, int], int, Fraction]:
-    """Strip removable items off the candidate set until it is 1-minimal.
+) -> tuple[tuple[int, ...], int, Fraction] | None:
+    """Strip removable items off the whole pool until it is 1-minimal.
 
-    Each round re-picks the agent with the highest value-to-threshold
-    ratio (``_Roster.pick``: cross-multiplied in integers, ties by index,
-    over the first remaining agent and each group's least-threshold
-    member), then removes the first item in ascending (value for that
-    agent, item index) order whose removal keeps the agent's scaled value
-    at or above ceil(threshold * L_g).  Within a block all items are
-    interchangeable, so removability is tested once per block and the
-    front (smallest-index) item is the one removed.  The roster does not
-    change during a scan, so the groups in play are fixed up front.
+    The first step values the pool once per group in play.  If no
+    remaining agent's group value meets its threshold, the scan returns
+    None and the pool is untouched.  Each round re-picks the agent with
+    the highest value-to-threshold ratio (``_Roster.pick``: cross-
+    multiplied in integers, ties by index, over the first remaining agent
+    and each group's least-threshold member), then removes the first item
+    in ascending (value for that agent, item index) order whose removal
+    keeps the agent's scaled value at or above ceil(threshold * L_g).
+    Within a block all items are interchangeable, so removability is
+    tested once per block and the front (smallest-index) item is the one
+    removed.  The roster does not change during a scan, so the groups in
+    play are fixed up front.
 
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
@@ -570,18 +561,21 @@ def _minimal_set_scan(
     other currently removable block of equal item value, so the scan
     order cannot switch mid-batch.
 
-    Returns (kept counts, removed-from-front counts, chosen agent
-    position, final value for that agent as a fraction).
+    Removals come off each block's front, so the kept items are the back
+    of its window; the scan takes them off the pool and returns (bundle
+    in ascending item order, chosen agent position, that agent's value
+    for the bundle as a fraction).
     """
-    local = {b: c for b, c in counts.items() if c > 0}
-    removed: dict[int, int] = {}
+    local = pool.counts()
     groups = roster.groups()
 
-    def min_index(b: int) -> int:
-        return table.block_items[b][base_lo[b] + removed.get(b, 0)]
+    def front(b: int) -> int:
+        return table.block_items[b][pool.hi[b] - local[b]]
 
+    group_vals = {g: table.value(g, local) for g in groups}
+    if not roster.any_meets(group_vals):
+        return None
     while True:
-        group_vals = {g: table.value(g, local) for g in groups}
         pick = roster.pick(group_vals)
         gj = table.group_of[pick]
         vrow = table.val[gj]
@@ -593,17 +587,15 @@ def _minimal_set_scan(
             if table.value(gj, local, minus_block=b, minus=1) >= need
         ]
         if not removable:
-            return local, removed, pick, Fraction(group_vals[gj], table.scale[gj])
+            break
 
-        bstar = min(removable, key=lambda b: (vrow[b], min_index(b)))
+        bstar = min(removable, key=lambda b: (vrow[b], front(b)))
         k_bound = local[bstar]
         vb = vrow[bstar]
-        same_value_fronts = [
-            min_index(b) for b in removable if b != bstar and vrow[b] == vb
-        ]
+        same_value_fronts = [front(b) for b in removable if b != bstar and vrow[b] == vb]
         if same_value_fronts:
             nxt = min(same_value_fronts)
-            start = base_lo[bstar] + removed.get(bstar, 0)
+            start = pool.hi[bstar] - local[bstar]
             block = table.block_items[bstar]
             below = 0
             while below < k_bound and block[start + below] < nxt:
@@ -612,25 +604,25 @@ def _minimal_set_scan(
 
         k = 1
         if k_bound > 1:
-            def unchanged(step: int) -> bool:
-                return all(
-                    table.value(g, local, minus_block=bstar, minus=step) == group_vals[g]
-                    for g in group_vals
-                )
-
             lo_k, hi_k = 0, k_bound
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
-                if unchanged(mid):
+                if all(
+                    table.value(g, local, minus_block=bstar, minus=mid) == s
+                    for g, s in group_vals.items()
+                ):
                     lo_k = mid
                 else:
                     hi_k = mid - 1
             k = max(1, lo_k)
 
-        removed[bstar] = removed.get(bstar, 0) + k
         local[bstar] -= k
         if not local[bstar]:
             del local[bstar]
+        group_vals = {g: table.value(g, local) for g in groups}
+
+    bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
+    return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])
 
 
 def minimal_set(
@@ -655,25 +647,17 @@ def minimal_set(
     if any(thresholds[a] < 0 for a in agent_ids):
         raise InputError("thresholds must be nonnegative")
     table = _BlockTable(
-        spec,
-        [valuations[a] for a in agent_ids],
-        agent_ids=agent_ids,
-        items=coerce_items(spec, items),
+        spec, [valuations[a] for a in agent_ids], items=coerce_items(spec, items)
     )
-    counts = {b: len(block) for b, block in enumerate(table.block_items)}
     thr = [thresholds[a] for a in agent_ids]
     roster = _Roster(table.group_of, table.scale, thr, range(len(agent_ids)))
-    if not _any_eligible(table, counts, roster):
+    found = _minimal_set_scan(table, _Pool(table), roster)
+    if found is None:
         raise NoEligibleAgentError(
             "no remaining agent values the remaining items at its threshold"
         )
-    base_lo = [0] * table.num_blocks
-    kept, removed, pick, _value = _minimal_set_scan(table, counts, base_lo, roster)
-    bundle: list[int] = []
-    for b, keep in kept.items():
-        start = removed.get(b, 0)
-        bundle.extend(table.block_items[b][start : start + keep])
-    return frozenset(bundle), table.agents[pick]
+    bundle, pick, _value = found
+    return frozenset(bundle), agent_ids[pick]
 
 
 def allocate_from_estimates(
@@ -712,30 +696,15 @@ def allocate_from_estimates(
         table.group_of, table.scale, thresholds, (pos for pos in range(n) if mu.mu[pos])
     )
 
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for size in (1, 2, 3):
-        _run_phase(table, pool, size, roster, trace, value_cache, None)
+        _run_phase(table, pool, size, roster, trace, None)
 
     while roster:
-        counts = pool.counts()
-        if not _any_eligible(table, counts, roster):
+        found = _minimal_set_scan(table, pool, roster)
+        if found is None:
             break
-        kept, removed, pick, value = _minimal_set_scan(table, counts, pool.lo, roster)
-        bundle: list[int] = []
-        for b in sorted(kept):
-            if kept[b]:
-                bundle.extend(pool.take_back(b, kept[b]))
-        bundle.sort()
-        trace.append(
-            TraceEvent(
-                MINIMAL,
-                len(bundle),
-                table.agents[pick],
-                tuple(bundle),
-                value,
-                thresholds[pick],
-            )
-        )
+        bundle, pick, value = found
+        trace.append(TraceEvent(MINIMAL, len(bundle), pick, bundle, value, thresholds[pick]))
         roster.discard(pick)
 
     bundles = {event.agent: frozenset(event.bundle) for event in trace}
@@ -768,15 +737,12 @@ def allocate_naive(
     n = instance.n
     roster = _Roster(table.group_of, table.scale, [alpha] * n, range(n))
     trace: list[TraceEvent] = []
-    value_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     budget = [NAIVE_NODE_CAP]
 
     for size in range(1, instance.num_items + 1):
-        if not roster or pool.total() < size:
+        if not roster or pool.total() < size or not _any_eligible(table, pool.counts(), roster):
             break
-        if not _any_eligible(table, pool.counts(), roster):
-            break
-        _run_phase(table, pool, size, roster, trace, value_cache, budget)
+        _run_phase(table, pool, size, roster, trace, budget)
 
     bundles = {event.agent: frozenset(event.bundle) for event in trace}
     return Allocation(bundles, tuple(trace), frozenset(roster.ascending))

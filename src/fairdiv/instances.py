@@ -298,6 +298,10 @@ def _parse_values_row(entry: dict[str, Any], m: int, where: str) -> tuple[Fracti
             value = parse_rational(text)
         except ParseError as exc:
             raise ParseError(str(exc), location=f"{where}.values.{key}") from None
+        if value < 0:
+            raise ParseError(
+                f"item values must be nonnegative, got {text!r}", location=f"{where}.values.{key}"
+            )
         row[j] = value
     missing = [j for j in range(m) if row[j] is None]
     if missing:
@@ -311,7 +315,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("instance document must be a JSON object")
     name = _require(doc, "name", "instance")
     n = _require(doc, "n", "instance")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}", location="n")
     items = _require(doc, "items", "instance")
     if not isinstance(items, list):
@@ -447,11 +451,14 @@ def parse_allocation(text: str) -> Allocation:
             raise ParseError(
                 f"phase must be a non-negative integer, got {phase!r}", location=f"{where}.phase"
             )
+        bundle = _int_list(_require(entry, "bundle", where), f"{where}.bundle")
+        if len(set(bundle)) != len(bundle):
+            raise ParseError("bundle lists an item more than once", location=f"{where}.bundle")
         event = TraceEvent(
             kind=kind,
             phase=phase,
             agent=agent,
-            bundle=tuple(_int_list(_require(entry, "bundle", where), f"{where}.bundle")),
+            bundle=tuple(bundle),
             value=_rational_field(entry, "value", where),
             threshold=_rational_field(entry, "threshold", where),
         )

@@ -76,8 +76,8 @@ def capacity(num_items: int, classes: Iterable[tuple[Iterable[int], int]]) -> Ca
     class_of = [-1] * num_items
     for idx, (members, cap) in enumerate(classes):
         ms = frozenset(members)
-        if cap < 0:
-            raise InputError(f"class {idx}: capacity must be >= 0, got {cap}")
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            raise InputError(f"class {idx}: capacity must be an integer >= 0, got {cap!r}")
         for j in ms:
             if not isinstance(j, int) or not 0 <= j < num_items:
                 raise InputError(f"item {j!r} outside ground set [0, {num_items})")

@@ -336,6 +336,22 @@ def test_estimates_matches_naive_on_adversarial_instance(table1):
     assert len(fast.bundles) == 329
 
 
+def test_table1_query_counts_are_pinned(table1):
+    """The cost model on Table 1 at n=330, pinned so that any change to
+    either count is a deliberate edit.  The minimal-bundle tail values
+    the pool once per bundle, in the removal scan's first step; the
+    reference path keeps its lazy per-size eligibility check."""
+
+    def queries(run):
+        before = sum(val.query_count for val in table1.valuations)
+        run()
+        return sum(val.query_count for val in table1.valuations) - before
+
+    mu = EstimateVector((Fraction(1),) * table1.n)
+    assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 20694
+    assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 112
+
+
 def test_estimates_table1_at_n3300():
     """Table 1 at ten times the base multiple strands exactly ten agents."""
     inst = table1_instance(3300)

@@ -1,9 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fairdiv
 from fairdiv import footnote_instance, parse_instance, serialize_instance, table1_instance
 from fairdiv.cli import main
 
@@ -244,6 +249,8 @@ def _set_event_field(field, value):
         (_set_event_field("phase", "x"), "events[0].phase"),
         (_set_event_field("phase", True), "events[0].phase"),
         (_set_event_field("phase", -1), "events[0].phase"),
+        # events[0] gives item 3 alone; its value stays that of {3}
+        (lambda doc: doc["events"][0].update(bundle=[3, 3], phase=2), "events[0].bundle"),
     ],
     ids=[
         "bundle-int",
@@ -257,6 +264,7 @@ def _set_event_field(field, value):
         "phase-string",
         "phase-bool",
         "phase-negative",
+        "bundle-repeats-item",
     ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
@@ -303,8 +311,19 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
     [
         (lambda doc: doc.update(set_system=5), "set_system"),
         (lambda doc: doc["valuations"].__setitem__(0, [1]), "valuations[0]"),
+        (lambda doc: doc["valuations"][0]["values"].update({"3": "-5"}), "valuations[0].values.3"),
+        (lambda doc: doc.update(n=True), "n"),
+        (lambda doc: doc["set_system"]["classes"][0].update(capacity=1.5), "set_system"),
+        (lambda doc: doc["set_system"]["classes"][0].update(capacity=True), "set_system"),
     ],
-    ids=["set-system-int", "valuation-row-list"],
+    ids=[
+        "set-system-int",
+        "valuation-row-list",
+        "value-negative",
+        "n-bool",
+        "capacity-float",
+        "capacity-bool",
+    ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
     inst_path, _ = solved
@@ -313,6 +332,85 @@ def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit,
     assert code == 2
     assert err.startswith(f"error: {location}: ")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def solved_documents(tmp_path_factory):
+    """The parsed instance and allocation documents of the ``solved`` pair."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst_path, alloc_path = root / "inst.json", root / "alloc.json"
+    argv = ("gen", "random", "--seed", "21", "--m", "7", "--n", "3", "-o", str(inst_path))
+    assert main(list(argv)) == 0
+    assert main(["solve", str(inst_path), "-o", str(alloc_path)]) == 0
+    return json.loads(inst_path.read_text()), json.loads(alloc_path.read_text())
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(doc, prefix=()):
+    """Every path into a JSON document, the root first."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _json_paths(value, prefix + (index,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_one_replaced_field_never_escapes_the_exit_codes(
+    solved_documents, tmp_path, capsys, data
+):
+    """Replace one field of the instance or the allocation document with
+    an arbitrary JSON value: every command returns an exit code, never a
+    traceback.  ``solve`` and ``mms`` end in 0 (the edit was harmless), 2
+    (input error) or 3 (desk cap); ``verify`` may also fail its check
+    (1)."""
+    documents = dict(zip(("instance", "allocation"), solved_documents))
+    which = data.draw(st.sampled_from(sorted(documents)), label="document")
+    path = data.draw(st.sampled_from(list(_json_paths(documents[which]))), label="path")
+    documents[which] = _replaced(documents[which], path, data.draw(_JSON_VALUES, label="value"))
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(json.dumps(documents["instance"]))
+    alloc_path.write_text(json.dumps(documents["allocation"]))
+
+    runs = [
+        (("verify", str(alloc_path), str(inst_path), "--floor-mode", mode), {0, 1, 2, 3})
+        for mode in ("mu", "exact-mms")
+    ]
+    if which == "instance":
+        runs += [(("solve", str(inst_path)), {0, 2, 3}), (("mms", str(inst_path)), {0, 2, 3})]
+    for argv, allowed in runs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code in allowed, (argv[0], code, err)
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):
@@ -345,10 +443,14 @@ def test_repro_epsilon_zero_breaks_the_trace(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same fairdiv as this process, installed or not
+    paths = [str(Path(fairdiv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "fairdiv", "gen", "footnote"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert parse_instance(proc.stdout) == footnote_instance()
