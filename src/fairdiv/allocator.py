@@ -36,7 +36,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .rationals import format_rational
 from .setsystem import Capacity, SetSystemSpec, coerce_items, equivalence_classes
-from .valuation import Valuation, bundle_value, nth_value
+from .valuation import Valuation, bundle_value, nth_value, scale_row
 
 if TYPE_CHECKING:
     from .instances import Instance
@@ -183,10 +182,11 @@ class _BlockTable:
         self.scale: list[int] = []
         self.val: list[tuple[int, ...]] = []
         for rep in self.group_reps:
-            row = [self.valuations[rep].values[block[0]] for block in self.block_items]
-            scale = lcm(*(v.denominator for v in row))
+            scale, row = scale_row(
+                [self.valuations[rep].values[block[0]] for block in self.block_items]
+            )
             self.scale.append(scale)
-            self.val.append(tuple(v.numerator * (scale // v.denominator) for v in row))
+            self.val.append(row)
 
         if isinstance(spec, Capacity):
             self.caps = tuple(cap for _, cap in spec.classes)

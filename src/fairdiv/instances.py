@@ -154,8 +154,10 @@ def random_instance(
         raise InputError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
     if family not in RANDOM_FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {RANDOM_FAMILIES}")
-    rng = random.Random(seed)
     max_num, max_den = value_range
+    if max_num < 1 or max_den < 1:
+        raise InputError(f"value bounds must be >= 1, got {max_num} and {max_den}")
+    rng = random.Random(seed)
     valuations = tuple(
         Valuation._wrap(
             tuple(
@@ -323,15 +325,22 @@ def parse_instance(text: str) -> Instance:
     m = len(items)
     labels: list[str] | None = None
     for idx, entry in enumerate(items):
-        if not isinstance(entry, dict) or entry.get("id") != idx:
+        ident = entry.get("id") if isinstance(entry, dict) else None
+        # true == 1 and 1.0 == 1, so compare the type as well
+        if type(ident) is not int or ident != idx:
             raise ParseError(
                 f"items must carry dense ids in order; entry {idx} is {entry!r}",
                 location=f"items[{idx}]",
             )
         if "class" in entry:
+            label = entry["class"]
+            if not isinstance(label, str):
+                raise ParseError(
+                    f"class must be a string, got {label!r}", location=f"items[{idx}].class"
+                )
             if labels is None:
                 labels = [""] * m
-            labels[idx] = entry["class"]
+            labels[idx] = label
 
     ss = _require(doc, "set_system", "instance")
     sstype = _require(ss, "type", "set_system")
@@ -352,7 +361,15 @@ def parse_instance(text: str) -> Instance:
     except (InputError, KeyError, TypeError) as exc:
         raise ParseError(f"bad set system: {exc}", location="set_system") from exc
 
-    identical = bool(doc.get("identical_agents", False))
+    identical = doc.get("identical_agents", False)
+    if not isinstance(identical, bool):
+        raise ParseError(
+            f"identical_agents must be true or false, got {identical!r}",
+            location="identical_agents",
+        )
+    seed = doc.get("seed")
+    if "seed" in doc and not _is_int(seed):
+        raise ParseError(f"seed must be an integer, got {seed!r}", location="seed")
     val_docs = _require(doc, "valuations", "instance")
     if not isinstance(val_docs, list) or not val_docs:
         raise ParseError("valuations must be a non-empty list", location="valuations")
@@ -371,9 +388,10 @@ def parse_instance(text: str) -> Instance:
             )
         rows = []
         for i, entry in enumerate(val_docs):
-            if _require(entry, "agent", f"valuations[{i}]") != i:
+            agent = _require(entry, "agent", f"valuations[{i}]")
+            if not _is_int(agent) or agent != i:
                 raise ParseError(
-                    f"valuation rows must be in agent order; row {i} is for {entry['agent']!r}",
+                    f"valuation rows must be in agent order; row {i} is for {agent!r}",
                     location=f"valuations[{i}]",
                 )
             rows.append(_parse_values_row(entry, m, f"valuations[{i}]"))
@@ -386,7 +404,7 @@ def parse_instance(text: str) -> Instance:
         valuations=valuations,
         identical_agents=identical,
         item_classes=tuple(labels) if labels is not None else None,
-        seed=doc.get("seed"),
+        seed=seed,
     )
 
 

@@ -8,26 +8,22 @@ new part) with branch-and-bound pruning, so it is only offered below a
 configurable item cap.  The bounds variant sandwiches the value between
 the n-th largest item value and m times that value.
 
-The exact search computes in integers.  Item values are scaled by L,
-the lcm of the row's denominators; a part is an ``int`` bitmask over
-the items, and its scaled value (capacity: per class, the top ``cap``
-values inside the part; explicit: the best sum over the part's
-intersection with a maximal set) is memoized on first use, so memory
-grows with the parts visited, not with 2^m.  A leaf replaces the best
-so far only when strictly better, so the witness is the first optimum
-in enumeration order.  ``Fraction(best, L)`` and the frozenset parts
-are built once, at return.
+The exact search computes in integers: a part is an ``int`` bitmask
+over the items, valued by ``valuation.item_set_evaluator`` and memoized
+on first use, so memory grows with the parts visited, not with 2^m.  A
+leaf replaces the best so far only when strictly better, so the witness
+is the first optimum in enumeration order.  ``Fraction(best, L)`` and
+the frozenset parts are built once, at return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DeskCapError, InputError
-from .setsystem import Capacity, SetSystemSpec
-from .valuation import Valuation, nth_value
+from .setsystem import SetSystemSpec
+from .valuation import Valuation, item_set_evaluator, nth_value
 
 DEFAULT_MMS_CAP = 12
 
@@ -67,59 +63,6 @@ class _PartValues(dict):
         return value
 
 
-def _part_values(spec: SetSystemSpec, values: Sequence[Fraction]) -> tuple[int, _PartValues]:
-    """Scale the row to integers and return ``(L, memo)``.
-
-    ``L`` is the lcm of the row's denominators, so ``values[j] * L`` is
-    an integer for every item.  ``memo[mask]`` is ``L`` times the value
-    of the part whose items are the set bits of ``mask`` (the value of
-    its best feasible subset); entries are computed on first lookup.
-    """
-    scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-
-    if isinstance(spec, Capacity):
-        # Per class: its item mask, its cap and its items by descending
-        # value; a part takes the first ``cap`` of them it holds.
-        classes = []
-        for members, cap in spec.classes:
-            if cap > 0:
-                ranked = sorted(members, key=lambda j: -scaled[j])
-                classes.append(
-                    (sum(1 << j for j in members), cap, [(1 << j, scaled[j]) for j in ranked])
-                )
-
-        def value_of(mask: int) -> int:
-            total = 0
-            for class_mask, cap, ranked in classes:
-                if mask & class_mask:
-                    taken = 0
-                    for bit, v in ranked:
-                        if mask & bit:
-                            total += v
-                            taken += 1
-                            if taken == cap:
-                                break
-            return total
-    else:
-        set_masks = [sum(1 << j for j in maximal) for maximal in spec.maximal_sets]
-
-        def value_of(mask: int) -> int:
-            best = 0
-            for set_mask in set_masks:
-                inside = mask & set_mask
-                total = 0
-                while inside:
-                    low = inside & -inside
-                    total += scaled[low.bit_length() - 1]
-                    inside ^= low
-                if total > best:
-                    best = total
-            return best
-
-    return scale, _PartValues(value_of)
-
-
 def mms_exact(
     spec: SetSystemSpec,
     valuation: Valuation,
@@ -138,23 +81,18 @@ def mms_exact(
     their value is that of their best feasible subset.  Empty parts are
     permitted, so n > m simply yields value 0.
 
-    The search runs on integers: a part is a bitmask over the items, and
-    values are scaled by L, the lcm of the row's denominators, so part
-    values are exact integer sums.  The value ``best / L`` and the
-    frozenset parts are built once, on return.  No valuation query is
-    charged.
+    Parts are integer bitmasks valued by ``item_set_evaluator``, which
+    scales every value by L; the value ``best / L`` and the frozenset
+    parts are built once, on return.  No valuation query is charged.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if valuation.num_items != spec.num_items:
-        raise InputError(
-            f"valuation covers {valuation.num_items} items, spec has {spec.num_items}"
-        )
     m = spec.num_items
     if m > max_items:
         raise DeskCapError(f"mms_exact capped at {max_items} items, instance has {m}")
 
-    scale, part_value = _part_values(spec, valuation.values)
+    scale, value_of = item_set_evaluator(spec, valuation, range(m))
+    part_value = _PartValues(value_of)
     # suffixes[k]: the items k..m-1 not yet placed at depth k.
     suffixes = [(1 << m) - (1 << k) for k in range(m + 1)]
     parts: list[int] = []

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DeskCapError, InputError
-
-EXPLICIT_EXPANSION_CAP = 200_000
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,7 @@ def explicit_maximal(num_items: int, maximal_sets: Iterable[Iterable[int]]) -> E
     """
     if num_items < 0:
         raise InputError(f"num_items must be >= 0, got {num_items}")
-    sets = []
-    for raw in maximal_sets:
-        s = frozenset(raw)
-        for j in s:
-            if not isinstance(j, int) or not 0 <= j < num_items:
-                raise InputError(f"item {j!r} outside ground set [0, {num_items})")
-        sets.append(s)
+    sets = [_item_set(raw, num_items) for raw in maximal_sets]
     kept: list[frozenset[int]] = []
     for s in sorted(sets, key=len, reverse=True):
         if not any(s <= other for other in kept):
@@ -75,12 +67,10 @@ def capacity(num_items: int, classes: Iterable[tuple[Iterable[int], int]]) -> Ca
     norm: list[tuple[frozenset[int], int]] = []
     class_of = [-1] * num_items
     for idx, (members, cap) in enumerate(classes):
-        ms = frozenset(members)
+        ms = _item_set(members, num_items)
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise InputError(f"class {idx}: capacity must be an integer >= 0, got {cap!r}")
         for j in ms:
-            if not isinstance(j, int) or not 0 <= j < num_items:
-                raise InputError(f"item {j!r} outside ground set [0, {num_items})")
             if class_of[j] != -1:
                 raise InputError(f"item {j} appears in more than one class")
             class_of[j] = idx
@@ -91,13 +81,19 @@ def capacity(num_items: int, classes: Iterable[tuple[Iterable[int], int]]) -> Ca
     return Capacity(num_items, tuple(norm), tuple(class_of))
 
 
-def coerce_items(spec: SetSystemSpec, items: Iterable[int]) -> frozenset[int]:
-    """Validate item ids against the ground set and freeze them."""
+def _item_set(items: Iterable[int], num_items: int) -> frozenset[int]:
+    """Freeze item ids, rejecting any that is not an int in [0, num_items).
+    The exact type test also rejects bools, though ``True == 1``."""
     s = frozenset(items)
     for j in s:
-        if not isinstance(j, int) or not 0 <= j < spec.num_items:
-            raise InputError(f"item {j!r} outside ground set [0, {spec.num_items})")
+        if type(j) is not int or not 0 <= j < num_items:
+            raise InputError(f"item {j!r} outside ground set [0, {num_items})")
     return s
+
+
+def coerce_items(spec: SetSystemSpec, items: Iterable[int]) -> frozenset[int]:
+    """Validate item ids against the ground set and freeze them."""
+    return _item_set(items, spec.num_items)
 
 
 def is_feasible(spec: SetSystemSpec, items: Iterable[int]) -> bool:
@@ -161,30 +157,3 @@ def equivalence_classes(
         groups.setdefault(key, []).append(j)
     blocks = sorted(groups.values(), key=lambda b: b[0])
     return tuple(frozenset(b) for b in blocks)
-
-
-def capacity_as_explicit(spec: Capacity) -> ExplicitMaximal:
-    """Expand a capacity spec into its explicit maximal-set family.
-
-    Maximal sets take exactly min(capacity, class size) items from every
-    class.  Intended as a desk-scale cross-check oracle; the expansion is
-    refused beyond ``EXPLICIT_EXPANSION_CAP`` sets.
-    """
-    from itertools import combinations
-
-    per_class: list[list[tuple[int, ...]]] = []
-    total = 1
-    for members, cap in spec.classes:
-        take = min(cap, len(members))
-        combos = list(combinations(sorted(members), take))
-        total *= len(combos)
-        if total > EXPLICIT_EXPANSION_CAP:
-            raise DeskCapError(
-                f"explicit expansion would exceed {EXPLICIT_EXPANSION_CAP} maximal sets"
-            )
-        per_class.append(combos)
-
-    sets: list[frozenset[int]] = [frozenset()]
-    for combos in per_class:
-        sets = [s | frozenset(c) for s in sets for c in combos]
-    return explicit_maximal(spec.num_items, sets)

@@ -4,11 +4,17 @@ An agent has a nonnegative exact-rational value for each item, additive
 on feasible sets.  The value of an arbitrary set is the value of its best
 feasible subset, which makes the valuation fractionally subadditive (a
 pointwise maximum of additive functions, one per maximal feasible set).
+
+``item_set_evaluator`` is the package's one item-set valuation kernel:
+``bundle_value`` runs it on a bundle's own items and charges one query;
+``mms.mms_exact`` runs it on all items behind a memo and charges none.
+``scale_row`` is the row scaling it shares with the allocator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateInputError, InputError
 from .rationals import parse_rational
@@ -76,50 +82,91 @@ class Valuation:
         return f"Valuation({len(self._values)} items)"
 
 
-def _value_of_subset(spec: SetSystemSpec, values: Sequence[Fraction], s: frozenset[int]) -> Fraction:
-    """Max over feasible subsets of ``s`` of the value sum (no counting)."""
-    if not s:
-        return ZERO
-    if isinstance(spec, Capacity):
-        buckets: dict[int, list[Fraction]] = {}
-        for j in s:
-            buckets.setdefault(spec.class_of[j], []).append(values[j])
-        total = ZERO
-        for c, vals in buckets.items():
-            cap = spec.classes[c][1]
-            if cap <= 0:
-                continue
-            if len(vals) > cap:
-                vals.sort(reverse=True)
-                vals = vals[:cap]
-            for v in vals:
-                total += v
-        return total
-    best = ZERO
-    for maximal in spec.maximal_sets:
-        acc = ZERO
-        for j in s & maximal:
-            acc += values[j]
-        if acc > best:
-            best = acc
-    return best
+def scale_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(L, row * L)``: L is the lcm of the values' denominators, so every
+    scaled value is an integer.  An empty row has L = 1."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def bundle_value(spec: SetSystemSpec, valuation: Valuation, items: Iterable[int]) -> Fraction:
-    """Value of a set: the best feasible subset's value sum.
+def item_set_evaluator(
+    spec: SetSystemSpec, valuation: Valuation, items: Sequence[int]
+) -> tuple[int, Callable[[int], int]]:
+    """``(L, value_of)``: the subsets of ``items`` valued in integers.
 
-    Capacity specs keep, per class, the largest values up to the class
-    capacity (classes are independent constraints).  Explicit specs take
-    the best intersection with a maximal set, which by heredity dominates
-    every feasible subset.  Increments the valuation's query counter.
+    Bit b of a mask stands for ``items[b]``; ``value_of(mask)`` is L times
+    the value of the mask's best feasible subset, where L is the lcm of
+    the listed items' denominators.  Capacity specs take, per class, the
+    ``cap`` largest values in the mask; explicit specs take the best sum
+    over the mask's intersection with a maximal set, which by heredity
+    dominates every feasible subset.  Classes and maximal sets are cut
+    down to the listed items, so setup costs O(|items|) per class or
+    maximal set, not O(m).  Charges no query.
     """
     if valuation.num_items != spec.num_items:
         raise InputError(
             f"valuation covers {valuation.num_items} items, spec has {spec.num_items}"
         )
-    s = coerce_items(spec, items)
+    scale, scaled = scale_row([valuation.values[j] for j in items])
+
+    if isinstance(spec, Capacity):
+        # Per class: its mask, its cap and its bits by descending value;
+        # a mask takes the first ``cap`` of them it holds.
+        by_class: dict[int, list[int]] = {}
+        for b, j in enumerate(items):
+            by_class.setdefault(spec.class_of[j], []).append(b)
+        classes = []
+        for c, bits in by_class.items():
+            cap = spec.classes[c][1]
+            if cap > 0:
+                ranked = sorted(bits, key=scaled.__getitem__, reverse=True)
+                classes.append(
+                    (sum(1 << b for b in bits), cap, [(1 << b, scaled[b]) for b in ranked])
+                )
+
+        def value_of(mask: int) -> int:
+            total = 0
+            for class_mask, cap, ranked in classes:
+                if mask & class_mask:
+                    taken = 0
+                    for bit, v in ranked:
+                        if mask & bit:
+                            total += v
+                            taken += 1
+                            if taken == cap:
+                                break
+            return total
+    else:
+        set_masks = [
+            sum(1 << b for b, j in enumerate(items) if j in maximal)
+            for maximal in spec.maximal_sets
+        ]
+
+        def value_of(mask: int) -> int:
+            best = 0
+            for set_mask in set_masks:
+                inside = mask & set_mask
+                total = 0
+                while inside:
+                    low = inside & -inside
+                    total += scaled[low.bit_length() - 1]
+                    inside ^= low
+                if total > best:
+                    best = total
+            return best
+
+    return scale, value_of
+
+
+def bundle_value(spec: SetSystemSpec, valuation: Valuation, items: Iterable[int]) -> Fraction:
+    """Value of a set: the best feasible subset's value sum, computed by
+    ``item_set_evaluator`` on the set's own items.  An item listed twice
+    counts once.  Increments the valuation's query counter.
+    """
+    listed = tuple(coerce_items(spec, items))
+    scale, value_of = item_set_evaluator(spec, valuation, listed)
     valuation._count_query()
-    return _value_of_subset(spec, valuation.values, s)
+    return Fraction(value_of((1 << len(listed)) - 1), scale)
 
 
 def nth_value(valuation: Valuation, n: int) -> Fraction:

@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the production evaluation paths:
 ``brute_bundle_value`` enumerates every subset and filters through the
-feasibility query, and ``brute_mms`` enumerates labeled part assignments
-directly.  They exist to cross-check the fast implementations.
+feasibility query, ``brute_mms`` enumerates labeled part assignments
+directly, and ``value_of_subset`` values item sets in ``Fraction``s
+without the package's integer evaluator.  They exist to cross-check the
+fast implementations.
 """
 from __future__ import annotations
 
@@ -12,15 +14,77 @@ from fractions import Fraction
 from itertools import combinations
 
 from fairdiv import (
+    Capacity,
+    DeskCapError,
+    ExplicitMaximal,
     Instance,
+    explicit_maximal,
     is_feasible,
     mms_exact,
     normalize_to_partition,
     random_instance,
 )
-from fairdiv.valuation import _value_of_subset
 
 FAMILIES = ("capacity", "explicit-antichain", "free")
+EXPLICIT_EXPANSION_CAP = 200_000
+ZERO = Fraction(0)
+
+
+def value_of_subset(spec, values, s: frozenset[int]) -> Fraction:
+    """Max over feasible subsets of ``s`` of the value sum, in ``Fraction``s
+    over item sets: per class the ``cap`` largest values, or the best
+    intersection with a maximal set.  Independent of the package's integer
+    evaluator, which it cross-checks; charges no query."""
+    if not s:
+        return ZERO
+    if isinstance(spec, Capacity):
+        buckets: dict[int, list[Fraction]] = {}
+        for j in s:
+            buckets.setdefault(spec.class_of[j], []).append(values[j])
+        total = ZERO
+        for c, vals in buckets.items():
+            cap = spec.classes[c][1]
+            if cap <= 0:
+                continue
+            if len(vals) > cap:
+                vals.sort(reverse=True)
+                vals = vals[:cap]
+            for v in vals:
+                total += v
+        return total
+    best = ZERO
+    for maximal in spec.maximal_sets:
+        acc = ZERO
+        for j in s & maximal:
+            acc += values[j]
+        if acc > best:
+            best = acc
+    return best
+
+
+def capacity_as_explicit(spec: Capacity) -> ExplicitMaximal:
+    """Expand a capacity spec into its explicit maximal-set family.
+
+    Maximal sets take exactly min(capacity, class size) items from every
+    class.  A desk-scale cross-check oracle; the expansion is refused
+    beyond ``EXPLICIT_EXPANSION_CAP`` sets.
+    """
+    per_class: list[list[tuple[int, ...]]] = []
+    total = 1
+    for members, cap in spec.classes:
+        take = min(cap, len(members))
+        combos = list(combinations(sorted(members), take))
+        total *= len(combos)
+        if total > EXPLICIT_EXPANSION_CAP:
+            raise DeskCapError(
+                f"explicit expansion would exceed {EXPLICIT_EXPANSION_CAP} maximal sets"
+            )
+        per_class.append(combos)
+
+    sets: list[frozenset[int]] = [frozenset()]
+    for combos in per_class:
+        sets = [s | frozenset(c) for s in sets for c in combos]
+    return explicit_maximal(spec.num_items, sets)
 
 
 def brute_bundle_value(spec, values, items) -> Fraction:
@@ -77,7 +141,7 @@ def reference_mms_exact(spec, valuation, n):
     def val_of(s: frozenset[int]) -> Fraction:
         cached = memo.get(s)
         if cached is None:
-            cached = _value_of_subset(spec, values, s)
+            cached = value_of_subset(spec, values, s)
             memo[s] = cached
         return cached
 

@@ -39,6 +39,7 @@ from support import (
     reference_allocate_naive,
     reference_minimal_set,
     reference_pick,
+    value_of_subset,
 )
 
 ALPHA = Fraction(11, 30)
@@ -350,6 +351,19 @@ def test_table1_query_counts_are_pinned(table1):
     mu = EstimateVector((Fraction(1),) * table1.n)
     assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 20694
     assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 112
+
+
+def test_table1_event_values_match_both_item_set_evaluators(table1):
+    """Block-count values in the trace agree with the integer item-set
+    evaluator and the ``Fraction`` oracle on 14190 items, far beyond
+    what a brute-force test can reach."""
+    mu = EstimateVector((Fraction(1),) * table1.n)
+    alloc = allocate_from_estimates(table1, mu, UPPER_ALPHA)
+    assert len(alloc.trace) == 329
+    for event in alloc.trace:
+        val = table1.valuations[event.agent]
+        assert event.value == bundle_value(table1.spec, val, event.bundle)
+        assert event.value == value_of_subset(table1.spec, val.values, frozenset(event.bundle))
 
 
 def test_estimates_table1_at_n3300():

@@ -38,6 +38,14 @@ def test_gen_table1_bad_n(capsys):
     assert "330" in err
 
 
+@pytest.mark.parametrize("bound", ["--max-num", "--max-den"])
+def test_gen_random_value_bound_below_one_is_a_usage_error(capsys, bound):
+    argv = ("gen", "random", "--seed", "1", "--m", "3", "--n", "2", bound, "0")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_gen_random_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "gen", "random", "--seed", "9", "--m", "5", "--n", "2")
     code2, out2, _ = run_cli(capsys, "gen", "random", "--seed", "9", "--m", "5", "--n", "2")
@@ -315,6 +323,15 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
         (lambda doc: doc.update(n=True), "n"),
         (lambda doc: doc["set_system"]["classes"][0].update(capacity=1.5), "set_system"),
         (lambda doc: doc["set_system"]["classes"][0].update(capacity=True), "set_system"),
+        (lambda doc: doc["set_system"]["classes"][0]["items"].__setitem__(1, True), "set_system"),
+        (lambda doc: doc["items"][1].update(id=True), "items[1]"),
+        (lambda doc: doc["valuations"][1].update(agent=True), "valuations[1]"),
+        (
+            lambda doc: doc.update(identical_agents="false", valuations=doc["valuations"][:1]),
+            "identical_agents",
+        ),
+        (lambda doc: doc.update(seed="21"), "seed"),
+        (lambda doc: doc["items"][0].update({"class": 5}), "items[0].class"),
     ],
     ids=[
         "set-system-int",
@@ -323,6 +340,12 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
         "n-bool",
         "capacity-float",
         "capacity-bool",
+        "class-item-bool",
+        "item-id-bool",
+        "agent-bool",
+        "identical-agents-string",
+        "seed-string",
+        "class-label-int",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):

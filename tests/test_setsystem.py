@@ -8,7 +8,6 @@ from fairdiv import (
     DeskCapError,
     InputError,
     capacity,
-    capacity_as_explicit,
     equivalence_classes,
     explicit_maximal,
     footnote_instance,
@@ -16,7 +15,7 @@ from fairdiv import (
     random_instance,
     table1_instance,
 )
-from support import random_subset
+from support import capacity_as_explicit, random_subset
 
 
 def test_footnote_maximal_sets():

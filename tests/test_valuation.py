@@ -16,7 +16,7 @@ from fairdiv import (
     random_instance,
     table1_instance,
 )
-from support import brute_bundle_value, random_subset
+from support import FAMILIES, brute_bundle_value, random_subset, value_of_subset
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +85,10 @@ def test_query_counter_counts_bundle_value_only(footnote):
     bundle_value(footnote.spec, val, {0})
     bundle_value(footnote.spec, val, {0})
     assert val.query_count == 2
+    bundle_value(footnote.spec, val, set())
+    assert val.query_count == 3
     nth_value(val, 1)
-    assert val.query_count == 2
+    assert val.query_count == 3
 
 
 def test_negative_values_rejected():
@@ -97,6 +99,16 @@ def test_negative_values_rejected():
 def test_unknown_item_rejected(footnote):
     with pytest.raises(InputError):
         bundle_value(footnote.spec, footnote.valuations[0], {9})
+
+
+def test_bool_item_ids_rejected(footnote):
+    # True == 1, so without a bool check it would be read as item 1
+    with pytest.raises(InputError):
+        explicit_maximal(3, [[0, True]])
+    with pytest.raises(InputError):
+        capacity(3, [([0, True, 2], 1)])
+    with pytest.raises(InputError):
+        bundle_value(footnote.spec, footnote.valuations[0], [0, True])
 
 
 def test_normalize_footnote(footnote):
@@ -161,6 +173,36 @@ def test_bundle_value_matches_brute_force(seed):
         assert bundle_value(inst.spec, val, subset) == brute_bundle_value(
             inst.spec, val.values, subset
         )
+
+
+def _edge_specs():
+    """Capacity specs with a cap-0 class and explicit specs, each paired
+    with a row holding zero values."""
+    row = [Fraction(0), Fraction(3, 4), Fraction(0), Fraction(5, 6), Fraction(2, 9), Fraction(1)]
+    yield capacity(6, [({0, 1}, 0), ({2, 3, 4}, 2), ({5}, 1)]), row
+    yield explicit_maximal(6, [{0, 1, 2}, {2, 3, 4, 5}]), row
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bundle_value_matches_fraction_oracle(seed):
+    family = FAMILIES[seed % 3]
+    inst = random_instance(seed, m=30, n=2, family=family)
+    val = inst.valuations[seed % 2]
+    rng = random.Random(7100 + seed)
+    for _ in range(40):
+        subset = random_subset(rng, 30)
+        assert bundle_value(inst.spec, val, subset) == value_of_subset(
+            inst.spec, val.values, frozenset(subset)
+        )
+    for spec, row in _edge_specs():
+        edge = Valuation(row)
+        for _ in range(20):
+            subset = random_subset(rng, 6)
+            listed = subset + subset[:2]  # an item listed twice counts once
+            assert bundle_value(spec, edge, listed) == value_of_subset(
+                spec, edge.values, frozenset(subset)
+            )
+        assert bundle_value(spec, edge, []) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
