@@ -22,6 +22,10 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
+Every valuation query is one ``_BlockTable.value(group, counts, size)``
+call on such a multiset of block counts: the phase enumeration, the
+eligibility tests and the removal scan's probes all pass the counts they
+mean to value.
 
 The searches compute in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -140,9 +144,11 @@ class _BlockTable:
     ``value`` returns the integer sum S, so the true bundle value is
     S / L_g.  No fraction arithmetic happens per call.
 
-    ``value`` optionally caps the bundle at ``size`` items, giving the
-    best value any size-``size`` subset of the pool reaches (padding
-    with surplus items is free since values are monotone).  Both families
+    ``value(group, counts, size=None)`` is the one query shape: a
+    caller valuing a smaller multiset passes the smaller counts.  It
+    optionally caps the bundle at ``size`` items, giving the best value
+    any size-``size`` subset of the pool reaches (padding with surplus
+    items is free since values are monotone).  Both families
     take items greedily in descending value: capacity systems in one
     global order under per-class caps (a truncated partition matroid,
     where greedy is optimal), explicit systems in one order per maximal
@@ -216,17 +222,10 @@ class _BlockTable:
     def num_groups(self) -> int:
         return len(self.group_reps)
 
-    def value(
-        self,
-        group: int,
-        counts: Mapping[int, int],
-        minus_block: int = -1,
-        minus: int = 0,
-        size: int | None = None,
-    ) -> int:
-        """Scaled bundle value of the multiset ``counts``, optionally
-        minus ``minus`` items of one block and capped at ``size`` items.
-        Costs one query."""
+    def value(self, group: int, counts: Mapping[int, int], size: int | None = None) -> int:
+        """Scaled bundle value of the multiset ``counts`` (a count of 0
+        reads as absent), optionally capped at ``size`` items.  Costs one
+        query."""
         self.valuations[self.group_reps[group]]._count_query()
         vrow = self.val[group]
         limit = self.spec.num_items if size is None else size
@@ -236,9 +235,7 @@ class _BlockTable:
             cap_left = list(self.caps)
             for b in self.greedy_orders[group]:
                 k = counts.get(b, 0)
-                if b == minus_block:
-                    k -= minus
-                if k <= 0:
+                if not k:
                     continue
                 c = self.block_class[b]
                 room = cap_left[c]
@@ -258,9 +255,7 @@ class _BlockTable:
             left = limit
             for b in order:
                 k = counts.get(b, 0)
-                if b == minus_block:
-                    k -= minus
-                if k <= 0:
+                if not k:
                     continue
                 if k >= left:
                     acc += vrow[b] * left
@@ -408,25 +403,6 @@ class _Roster:
         return best
 
 
-def _any_eligible(
-    table: _BlockTable,
-    counts: Mapping[int, int],
-    roster: _Roster,
-) -> bool:
-    # Agent by agent in index order, valuing each group when first met:
-    # the scan stops at the first qualifying agent, which fixes how many
-    # groups are queried.
-    group_vals: dict[int, int] = {}
-    for pos in roster.ascending:
-        g = table.group_of[pos]
-        s = group_vals.get(g)
-        if s is None:
-            s = group_vals[g] = table.value(g, counts)
-        if s >= roster.need[pos]:
-            return True
-    return False
-
-
 def _run_phase(
     table: _BlockTable,
     pool: _Pool,
@@ -551,7 +527,9 @@ def _minimal_set_scan(
     Within a block all items are interchangeable, so removability is
     tested once per block and the front (smallest-index) item is the one
     removed.  The roster does not change during a scan, so the groups in
-    play are fixed up front.
+    play are fixed up front.  The scan keeps the pool's block counts in
+    ``local``; a removability test or batch probe lowers one block's
+    count there, makes its query and restores the count.
 
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
@@ -581,39 +559,37 @@ def _minimal_set_scan(
         vrow = table.val[gj]
         need = roster.need[pick]
 
-        removable = [
-            b
-            for b in sorted(local)
-            if table.value(gj, local, minus_block=b, minus=1) >= need
-        ]
+        removable = []
+        for b in sorted(local):
+            have = local[b]
+            local[b] = have - 1
+            if table.value(gj, local) >= need:
+                removable.append(b)
+            local[b] = have
         if not removable:
             break
 
         bstar = min(removable, key=lambda b: (vrow[b], front(b)))
-        k_bound = local[bstar]
+        have = k_bound = local[bstar]
         vb = vrow[bstar]
         same_value_fronts = [front(b) for b in removable if b != bstar and vrow[b] == vb]
         if same_value_fronts:
-            nxt = min(same_value_fronts)
-            start = pool.hi[bstar] - local[bstar]
+            start = pool.hi[bstar] - have
             block = table.block_items[bstar]
-            below = 0
-            while below < k_bound and block[start + below] < nxt:
-                below += 1
-            k_bound = below  # >= 1: bstar's front precedes nxt by choice of bstar
+            # >= 1: bstar's front precedes the least such front by choice of bstar
+            k_bound = bisect_left(block, min(same_value_fronts), start, start + have) - start
 
         k = 1
         if k_bound > 1:
             lo_k, hi_k = 0, k_bound
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
-                if all(
-                    table.value(g, local, minus_block=bstar, minus=mid) == s
-                    for g, s in group_vals.items()
-                ):
+                local[bstar] = have - mid
+                if all(table.value(g, local) == s for g, s in group_vals.items()):
                     lo_k = mid
                 else:
                     hi_k = mid - 1
+            local[bstar] = have
             k = max(1, lo_k)
 
         local[bstar] -= k
@@ -722,9 +698,10 @@ def allocate_naive(
     Exponential in general, so it refuses instances where both the item
     count and the number of equivalence blocks exceed ``max_items``;
     block-level enumeration admits large instances whose items collapse
-    into few blocks.  The size loop stops early once no remaining agent
-    values the whole remaining pool at alpha (values are monotone, so
-    nothing can qualify afterwards).
+    into few blocks.  Before each size the pool is valued once per
+    remaining value group, and the loop stops once no remaining agent
+    values the whole pool at alpha (values are monotone, so nothing can
+    qualify afterwards).
     """
     check_parameters(alpha=alpha)
     table = _BlockTable(instance.spec, instance.valuations)
@@ -740,7 +717,10 @@ def allocate_naive(
     budget = [NAIVE_NODE_CAP]
 
     for size in range(1, instance.num_items + 1):
-        if not roster or pool.total() < size or not _any_eligible(table, pool.counts(), roster):
+        if pool.total() < size:
+            break
+        counts = pool.counts()
+        if not roster.any_meets({g: table.value(g, counts) for g in roster.groups()}):
             break
         _run_phase(table, pool, size, roster, trace, budget)
 

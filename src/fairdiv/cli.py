@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification/reproduction failure, 2 usage or
 input error, 3 desk-cap exceeded, 4 internal error (a solver invariant
 failed, such as ``fair_divide`` not converging within its proven round
-bound).  All numeric output is rendered as reduced fractions;
-``--decimal`` adds float approximations for reading convenience but
-never feeds back into any computation.
+bound).  All numeric output is rendered as reduced fractions; ``mms``
+and ``repro-upper-bound`` take ``--decimal`` to add float approximations
+for reading convenience, which never feed back into any computation.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .instances import (
     parse_allocation,
     parse_instance,
     random_instance,
-    require_every_agent,
+    require_fits_instance,
     serialize_allocation,
     serialize_instance,
     table1_instance,
@@ -101,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--naive-cap", type=int, default=DEFAULT_NAIVE_CAP)
     solve.add_argument("--trace", help="write trace records to this path")
     solve.add_argument("-o", "--output", default="-")
-    solve.add_argument("--decimal", action="store_true")
 
     mms = sub.add_parser("mms", help="maximin share of one agent")
     mms.add_argument("instance")
@@ -203,7 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_parameters(alpha=args.alpha, delta=args.delta)
     allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"))
     instance = _read_instance(args.instance)
-    require_every_agent(allocation, instance.n)
+    require_fits_instance(allocation, instance)
     floors: dict[int, Fraction] = {}
     if args.floor_mode == "mu":
         # Event thresholds are alpha * mu at allocation time; estimates of

@@ -282,20 +282,24 @@ def _rational_field(entry: dict[str, Any], key: str, where: str) -> Fraction:
         raise ParseError(str(exc), location=f"{where}.{key}") from None
 
 
-def _parse_values_row(entry: dict[str, Any], m: int, where: str) -> tuple[Fraction, ...]:
+def _parse_values_row(
+    entry: dict[str, Any], item_of_key: dict[str, int], where: str
+) -> tuple[Fraction, ...]:
+    """One agent's values; ``item_of_key`` maps each canonical key str(j)
+    to its item j, so a key such as "01" or " 1" is rejected, and since
+    JSON object keys arrive distinct no item can get two values."""
     raw = _require(entry, "values", where)
     if not isinstance(raw, dict):
         raise ParseError("values must be an object keyed by item id", location=where)
+    m = len(item_of_key)
     row: list[Fraction | None] = [None] * m
     for key, text in raw.items():
-        try:
-            j = int(key)
-        except ValueError:
-            raise ParseError(f"bad item id {key!r}", location=f"{where}.values") from None
-        if not 0 <= j < m:
-            raise ParseError(f"item id {j} outside [0, {m})", location=f"{where}.values")
-        if row[j] is not None:
-            raise ParseError(f"duplicate value for item {j}", location=f"{where}.values")
+        j = item_of_key.get(key)
+        if j is None:
+            raise ParseError(
+                f"bad item id {key!r}: expected a decimal id in [0, {m}) with no leading zeros",
+                location=f"{where}.values",
+            )
         try:
             value = parse_rational(text)
         except ParseError as exc:
@@ -305,8 +309,8 @@ def _parse_values_row(entry: dict[str, Any], m: int, where: str) -> tuple[Fracti
                 f"item values must be nonnegative, got {text!r}", location=f"{where}.values.{key}"
             )
         row[j] = value
-    missing = [j for j in range(m) if row[j] is None]
-    if missing:
+    if len(raw) < m:
+        missing = [j for j in range(m) if row[j] is None]
         raise ParseError(f"missing values for items {missing}", location=f"{where}.values")
     return tuple(row)  # type: ignore[arg-type]
 
@@ -316,6 +320,8 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     name = _require(doc, "name", "instance")
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}", location="name")
     n = _require(doc, "n", "instance")
     if not _is_int(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}", location="n")
@@ -370,6 +376,7 @@ def parse_instance(text: str) -> Instance:
     seed = doc.get("seed")
     if "seed" in doc and not _is_int(seed):
         raise ParseError(f"seed must be an integer, got {seed!r}", location="seed")
+    item_of_key = {str(j): j for j in range(m)}
     val_docs = _require(doc, "valuations", "instance")
     if not isinstance(val_docs, list) or not val_docs:
         raise ParseError("valuations must be a non-empty list", location="valuations")
@@ -379,7 +386,7 @@ def parse_instance(text: str) -> Instance:
                 "identical_agents instances carry exactly one valuation row",
                 location="valuations",
             )
-        row = _parse_values_row(val_docs[0], m, "valuations[0]")
+        row = _parse_values_row(val_docs[0], item_of_key, "valuations[0]")
         valuations = tuple(Valuation._wrap(row) for _ in range(n))
     else:
         if len(val_docs) != n:
@@ -394,11 +401,11 @@ def parse_instance(text: str) -> Instance:
                     f"valuation rows must be in agent order; row {i} is for {agent!r}",
                     location=f"valuations[{i}]",
                 )
-            rows.append(_parse_values_row(entry, m, f"valuations[{i}]"))
+            rows.append(_parse_values_row(entry, item_of_key, f"valuations[{i}]"))
         valuations = tuple(Valuation._wrap(row) for row in rows)
 
     return Instance(
-        name=str(name),
+        name=name,
         n=n,
         spec=spec,
         valuations=valuations,
@@ -496,16 +503,23 @@ def parse_allocation(text: str) -> Allocation:
     return Allocation(bundles, tuple(events), unallocated)
 
 
-def require_every_agent(allocation: Allocation, n: int) -> None:
-    """Reject an allocation document that does not account for each agent
-    0..n-1 exactly once.  ``parse_allocation`` already rejects an agent
-    listed twice; this adds the checks that need the instance's n: no
-    agent id outside [0, n), and none left out of both the events and
-    ``unallocated_agents``."""
+def require_fits_instance(allocation: Allocation, instance: Instance) -> None:
+    """Reject an allocation document that names an agent or item the
+    instance lacks, or that does not account for each agent 0..n-1
+    exactly once.  ``parse_allocation`` already rejects an agent listed
+    twice; this adds the checks that need the instance: no agent id
+    outside [0, n), no bundle item outside [0, m), and no agent left out
+    of both the events and ``unallocated_agents``."""
+    n, m = instance.n, instance.num_items
     for idx, event in enumerate(allocation.trace):
         if not 0 <= event.agent < n:
             raise ParseError(
                 f"agent {event.agent} outside [0, {n})", location=f"events[{idx}].agent"
+            )
+        outside = [j for j in event.bundle if not 0 <= j < m]
+        if outside:
+            raise ParseError(
+                f"items {outside} outside [0, {m})", location=f"events[{idx}].bundle"
             )
     outside = sorted(a for a in allocation.unallocated_agents if not 0 <= a < n)
     if outside:

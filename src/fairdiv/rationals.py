@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -22,6 +23,13 @@ def parse_rational(value: str | int) -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise ParseError(f"not a rational: {value!r}")
+    return _parse_text(value)
+
+
+@lru_cache(maxsize=4096)
+def _parse_text(value: str) -> Fraction:
+    # Value rows repeat few distinct strings (table1's 42570 items carry
+    # six), so most parses are cache hits.
     match = _RATIONAL_RE.match(value.strip())
     if match is None:
         raise ParseError(f"not a rational: {value!r}")

@@ -30,7 +30,7 @@ class Valuation:
     mutable state and only ever increases.  Equality ignores the counter.
     """
 
-    __slots__ = ("_values", "_queries", "_sorted")
+    __slots__ = ("_values", "_queries")
 
     def __init__(self, values: Iterable[Fraction | int | str]):
         vals = []
@@ -41,7 +41,6 @@ class Valuation:
             vals.append(f)
         self._values: tuple[Fraction, ...] = tuple(vals)
         self._queries = 0
-        self._sorted: tuple[Fraction, ...] | None = None
 
     @classmethod
     def _wrap(cls, canonical: tuple[Fraction, ...]) -> "Valuation":
@@ -50,7 +49,6 @@ class Valuation:
         val = cls.__new__(cls)
         val._values = canonical
         val._queries = 0
-        val._sorted = None
         return val
 
     @property
@@ -67,11 +65,6 @@ class Valuation:
 
     def _count_query(self) -> None:
         self._queries += 1
-
-    def _sorted_desc(self) -> tuple[Fraction, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._values, reverse=True))
-        return self._sorted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Valuation):
@@ -173,10 +166,9 @@ def nth_value(valuation: Valuation, n: int) -> Fraction:
     """The ``n``-th largest item value (order statistic); 0 when n > m."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    ranked = valuation._sorted_desc()
-    if n > len(ranked):
+    if n > valuation.num_items:
         return ZERO
-    return ranked[n - 1]
+    return sorted(valuation.values, reverse=True)[n - 1]
 
 
 def normalize_to_partition(

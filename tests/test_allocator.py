@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 
 from fairdiv import (
+    Allocation,
     ConfigError,
     DeskCapError,
     EstimateVector,
+    InputError,
     Instance,
     NoEligibleAgentError,
     RunStats,
@@ -30,6 +32,7 @@ from fairdiv import (
     table1_instance,
     verify_allocation,
 )
+import fairdiv.allocator
 from fairdiv.allocator import _BlockTable, _Roster
 from support import (
     FAMILIES,
@@ -96,6 +99,12 @@ def test_naive_desk_cap():
     allocate_naive(table1_instance(330), UPPER_ALPHA)
 
 
+def test_naive_node_budget_is_a_desk_cap(footnote2, monkeypatch):
+    monkeypatch.setattr(fairdiv.allocator, "NAIVE_NODE_CAP", 2)
+    with pytest.raises(DeskCapError, match="node budget"):
+        allocate_naive(footnote2, Fraction(1))
+
+
 def test_minimal_set_spec_states(table1):
     labels = table1.item_classes
     vals = {i: table1.valuations[i] for i in range(4)}
@@ -122,6 +131,26 @@ def test_minimal_set_requires_eligible_agent():
     val = Valuation([Fraction(1, 5)])
     with pytest.raises(NoEligibleAgentError):
         minimal_set(spec, {0: val}, [0], {0: Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "valuations, thresholds, error, message",
+    [
+        ({}, {}, NoEligibleAgentError, "no agents"),
+        (
+            {0: Valuation([1]), 1: Valuation([1])},
+            {0: Fraction(1)},
+            InputError,
+            r"without thresholds: \[1\]",
+        ),
+        ({0: Valuation([1])}, {0: Fraction(-1)}, InputError, "nonnegative"),
+    ],
+    ids=["no-agents", "missing-threshold", "negative-threshold"],
+)
+def test_minimal_set_rejects_bad_agents(valuations, thresholds, error, message):
+    spec = explicit_maximal(1, [{0}])
+    with pytest.raises(error, match=message):
+        minimal_set(spec, valuations, [0], thresholds)
 
 
 def test_minimal_set_is_one_minimal():
@@ -178,10 +207,10 @@ def test_minimal_set_matches_literal_scan():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_block_value_matches_brute_force_with_size_cap(seed):
-    """Block-count evaluation, with and without a block's items taken
-    out, equals the best size-s sub-multiset of the pool by brute force
-    once the integer sum is divided by the group's scale; every call
-    costs exactly one query."""
+    """Block-count evaluation, on the counts and on the counts with some
+    of one block's items taken out, equals the best size-s sub-multiset
+    of the pool by brute force once the integer sum is divided by the
+    group's scale; every call costs exactly one query."""
     rng = random.Random(seed)
     for trial in range(2 * len(FAMILIES)):
         # one agent with values in {1, 2} makes multi-item blocks, so
@@ -192,21 +221,19 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
         table = _BlockTable(inst.spec, inst.valuations)
         counts = {b: rng.randint(0, len(block)) for b, block in enumerate(table.block_items)}
         nonempty = [b for b, c in counts.items() if c]
-        minus_block = rng.choice(nonempty) if nonempty else -1
-        minus = rng.randint(1, counts[minus_block]) if nonempty else 0
-        for mb, k in ((-1, 0), (minus_block, minus)):
-            pool = [
-                j
-                for b, c in counts.items()
-                for j in table.block_items[b][: c - (k if b == mb else 0)]
-            ]
+        reduced = dict(counts)
+        if nonempty:
+            taken = rng.choice(nonempty)
+            reduced[taken] -= rng.randint(1, counts[taken])
+        for query in (counts, reduced):
+            pool = [j for b, c in query.items() for j in table.block_items[b][:c]]
             for g in range(table.num_groups):
                 val = table.valuations[table.group_reps[g]]
                 for size in [None, *range(len(pool) + 1)]:
                     combos = [pool] if size is None else combinations(pool, size)
                     best = max(brute_bundle_value(inst.spec, val.values, c) for c in combos)
                     before = val.query_count
-                    scaled = table.value(g, counts, minus_block=mb, minus=k, size=size)
+                    scaled = table.value(g, query, size=size)
                     assert Fraction(scaled, table.scale[g]) == best
                     assert val.query_count == before + 1
 
@@ -307,6 +334,19 @@ def test_estimates_no_items():
     alloc = allocate_from_estimates(inst, EstimateVector((Fraction(1), Fraction(1))), ALPHA)
     assert alloc.unallocated_agents == frozenset({0, 1})
     assert alloc.trace == ()
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        ((Fraction(1),), "has 1 entries, expected 2"),
+        ((Fraction(1), Fraction(-1)), "agent 1 is negative"),
+    ],
+    ids=["wrong-length", "negative"],
+)
+def test_estimates_reject_bad_estimate_vectors(footnote2, mu, message):
+    with pytest.raises(InputError, match=message):
+        allocate_from_estimates(footnote2, EstimateVector(mu), ALPHA)
 
 
 def test_estimates_thresholds_vary_within_identical_agents(footnote2):
@@ -567,8 +607,6 @@ def test_verify_allocation_passes_on_driver_output(footnote2):
 
 
 def test_verify_allocation_reports_overlap(footnote2):
-    from fairdiv import Allocation
-
     alloc, _ = fair_divide(footnote2, ALPHA, DELTA)
     bundles = dict(alloc.bundles)
     bundles[1] = bundles[1] | bundles[0]
@@ -583,3 +621,14 @@ def test_verify_allocation_reports_floor_violation(footnote2):
     report = verify_allocation(footnote2, alloc, floors)
     kinds = [v.kind for v in report.violations]
     assert kinds.count("below-floor") == len(alloc.bundles)
+
+
+def test_verify_allocation_reports_unknown_agents_and_items(footnote2):
+    """A hand-built allocation naming agent 5 of 2 and item 7 of 3; the
+    out-of-range item is also left out of the floor check's bundle."""
+    bad = Allocation({0: frozenset({0, 7}), 5: frozenset({1})}, (), frozenset({1}))
+    report = verify_allocation(footnote2, bad, {0: Fraction(3)})
+    assert [(v.kind, v.agent) for v in report.violations] == [
+        ("unknown-item", 0),
+        ("unknown-agent", 5),
+    ]

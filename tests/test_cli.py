@@ -163,6 +163,13 @@ def test_usage_errors(tmp_path, capsys):
     assert main([]) == 2
 
 
+def test_solve_has_no_decimal_option(solved, capsys):
+    inst_path, _ = solved
+    code, _, err = run_cli(capsys, "solve", str(inst_path), "--decimal")
+    assert code == 2
+    assert "unrecognized arguments: --decimal" in err
+
+
 @pytest.fixture
 def solved(tmp_path, capsys):
     """Paths of a small random instance and its solved allocation."""
@@ -237,6 +244,14 @@ def test_verify_rejects_unallocated_agent_beyond_n(solved, capsys):
     code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
     assert code == 2
     assert err.startswith("error: unallocated_agents: ")
+
+
+def test_verify_rejects_bundle_item_beyond_m(solved, capsys):
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, lambda doc: doc["events"][0].update(bundle=[99], phase=1))
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err.startswith("error: events[0].bundle: ")
 
 
 def _set_event_field(field, value):
@@ -314,6 +329,11 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
     assert "did not converge" in err
 
 
+def _rename_value_key(doc, old, new):
+    values = doc["valuations"][0]["values"]
+    values[new] = values.pop(old)
+
+
 @pytest.mark.parametrize(
     "edit, location",
     [
@@ -332,6 +352,8 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
         ),
         (lambda doc: doc.update(seed="21"), "seed"),
         (lambda doc: doc["items"][0].update({"class": 5}), "items[0].class"),
+        (lambda doc: doc.update(name=None), "name"),
+        (lambda doc: _rename_value_key(doc, "1", "01"), "valuations[0].values"),
     ],
     ids=[
         "set-system-int",
@@ -346,6 +368,8 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
         "identical-agents-string",
         "seed-string",
         "class-label-int",
+        "name-null",
+        "value-key-leading-zero",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
