@@ -22,10 +22,16 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
-Every valuation query is one ``_BlockTable.value(group, counts, size)``
-call on such a multiset of block counts: the phase enumeration, the
-eligibility tests and the removal scan's probes all pass the counts they
-mean to value.
+Every valuation query values one multiset of block counts for one value
+group and is charged as one query on that group's representative.
+``_BlockTable.value(group, counts, size=None)`` answers a query from
+scratch; it is the brute-force-tested oracle and serves the phases'
+size-capped existence check and ``allocate_naive``'s per-size gate.
+The phase enumeration and the removal scan change their multiset one
+block at a time, so they answer their queries from ``_RunningValues``,
+which keeps every group's value of the multiset up to date and charges
+nothing itself; each read is charged where it is made, so the query
+counts are those of valuing every multiset from scratch.
 
 The searches compute in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -40,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -144,15 +151,21 @@ class _BlockTable:
     ``value`` returns the integer sum S, so the true bundle value is
     S / L_g.  No fraction arithmetic happens per call.
 
-    ``value(group, counts, size=None)`` is the one query shape: a
-    caller valuing a smaller multiset passes the smaller counts.  It
-    optionally caps the bundle at ``size`` items, giving the best value
-    any size-``size`` subset of the pool reaches (padding with surplus
-    items is free since values are monotone).  Both families
-    take items greedily in descending value: capacity systems in one
-    global order under per-class caps (a truncated partition matroid,
-    where greedy is optimal), explicit systems in one order per maximal
-    set.
+    ``value(group, counts, size=None)`` values a multiset from scratch
+    and charges one query.  It optionally caps the bundle at ``size``
+    items, giving the best value any size-``size`` subset of the pool
+    reaches (padding with surplus items is free since values are
+    monotone).  Both families take items greedily in descending value:
+    capacity systems in one global order under per-class caps (a
+    truncated partition matroid, where greedy is optimal), explicit
+    systems in one order per maximal set.  It is the oracle that
+    ``_RunningValues`` is tested against, and it answers the queries no
+    running state serves: the size-capped existence check of each phase
+    and ``allocate_naive``'s gate.  ``charge`` counts a query answered
+    elsewhere.
+
+    The table depends only on the set system and the valuations, so one
+    table serves every round of a ``fair_divide`` run.
     """
 
     def __init__(
@@ -203,6 +216,19 @@ class _BlockTable:
                 sorted(range(nb), key=lambda b: (-self.val[g][b], b))
                 for g in range(num_groups)
             ]
+            # per group: each class's blocks in greedy order, and each
+            # block's place in its class's order
+            self.class_orders: list[list[list[int]]] = []
+            self.class_rank: list[list[int]] = []
+            for order in self.greedy_orders:
+                by_class: list[list[int]] = [[] for _ in self.caps]
+                rank = [0] * nb
+                for b in order:
+                    members = by_class[self.block_class[b]]
+                    rank[b] = len(members)
+                    members.append(b)
+                self.class_orders.append(by_class)
+                self.class_rank.append(rank)
         else:
             member_of = {block[0]: b for b, block in enumerate(self.block_items)}
             set_blocks = [
@@ -213,6 +239,13 @@ class _BlockTable:
                 [sorted(bs, key=lambda b: (-self.val[g][b], b)) for bs in set_blocks]
                 for g in range(num_groups)
             ]
+            self.num_sets = len(set_blocks)
+            sets_of: list[list[int]] = [[] for _ in range(nb)]
+            for t, bs in enumerate(set_blocks):
+                for b in bs:
+                    sets_of[b].append(t)
+            self.sets_of = tuple(tuple(ts) for ts in sets_of)
+            self.set_mask = tuple(sum(1 << t for t in ts) for ts in sets_of)
 
     @property
     def num_blocks(self) -> int:
@@ -222,11 +255,15 @@ class _BlockTable:
     def num_groups(self) -> int:
         return len(self.group_reps)
 
+    def charge(self, group: int) -> None:
+        """Count one query on the group's representative valuation."""
+        self.valuations[self.group_reps[group]]._count_query()
+
     def value(self, group: int, counts: Mapping[int, int], size: int | None = None) -> int:
         """Scaled bundle value of the multiset ``counts`` (a count of 0
         reads as absent), optionally capped at ``size`` items.  Costs one
         query."""
-        self.valuations[self.group_reps[group]]._count_query()
+        self.charge(group)
         vrow = self.val[group]
         limit = self.spec.num_items if size is None else size
         if isinstance(self.spec, Capacity):
@@ -265,6 +302,175 @@ class _BlockTable:
             if acc > best:
                 best = acc
         return best
+
+
+class _RunningValues:
+    """Scaled values of one changing multiset of block counts, for every
+    group in play.
+
+    ``change(b, k)`` adds k items of block b (k < 0 removes them);
+    ``value(g)`` is group g's value of the current multiset, and
+    ``without(g, b, k)`` its value were k of b's items gone, with nothing
+    changed.  Each answer equals ``_BlockTable.value(g, counts)`` on
+    ``counts``, the current multiset, but the state charges no query:
+    whoever reads a value charges it with ``_BlockTable.charge``.
+
+    Capacity values separate by class, each class giving its best ``cap``
+    items.  The state keeps per (group, class) that best value and the
+    class's plain sum, plus each group's total.  A class holding at most
+    ``cap`` items is worth its plain sum.  A class over its cap is walked
+    greedily over its own blocks when it changes, and the walk records
+    where the cap fills: the fill block's place in the class order and
+    how many of its items are taken.  ``without`` then only looks past
+    that point, for the items that would move up into the freed places.
+
+    Explicit systems keep a running sum per (group, maximal set); a value
+    is the largest sum.
+    """
+
+    def __init__(self, table: _BlockTable, groups: Sequence[int], counts: Mapping[int, int]):
+        self.table = table
+        self.groups = groups
+        self.counts = {b: k for b, k in counts.items() if k}
+        self.capacity = isinstance(table.spec, Capacity)
+        num_groups = table.num_groups
+        if self.capacity:
+            num_classes = len(table.caps)
+            self.class_count = [0] * num_classes
+            self.plain = [[0] * num_classes for _ in range(num_groups)]
+            self.best = [[0] * num_classes for _ in range(num_groups)]
+            self.fill = [[0] * num_classes for _ in range(num_groups)]
+            self.used = [[0] * num_classes for _ in range(num_groups)]
+            self.total = [0] * num_groups
+            for b, k in self.counts.items():
+                c = table.block_class[b]
+                self.class_count[c] += k
+                for g in groups:
+                    self.plain[g][c] += table.val[g][b] * k
+            for g in groups:
+                best = self.best[g]
+                for c in range(num_classes):
+                    over = self.class_count[c] > table.caps[c]
+                    best[c] = self._settle(g, c) if over else self.plain[g][c]
+                self.total[g] = sum(best)
+        else:
+            self.sums = [[0] * table.num_sets for _ in range(num_groups)]
+            self.ranked: list[list[int] | None] = [None] * num_groups
+            for b, k in self.counts.items():
+                for g in groups:
+                    d = table.val[g][b] * k
+                    sums = self.sums[g]
+                    for t in table.sets_of[b]:
+                        sums[t] += d
+
+    def _settle(self, g: int, c: int) -> int:
+        """Class c's best ``cap`` items for group g; records where the cap
+        fills, which it does in every class over its cap."""
+        table = self.table
+        vrow = table.val[g]
+        room = table.caps[c]
+        acc = 0
+        for i, b in enumerate(table.class_orders[g][c]):
+            k = self.counts.get(b, 0)
+            if k:
+                if k >= room:
+                    self.fill[g][c] = i
+                    self.used[g][c] = room
+                    return acc + vrow[b] * room
+                acc += vrow[b] * k
+                room -= k
+        return acc
+
+    def _refill(self, g: int, order: list[int], start: int, places: int) -> int:
+        """Value for group g of the first ``places`` items present in
+        ``order`` from ``start`` on."""
+        vrow = self.table.val[g]
+        acc = 0
+        for b in islice(order, start, None):
+            k = self.counts.get(b, 0)
+            if k:
+                if k >= places:
+                    return acc + vrow[b] * places
+                acc += vrow[b] * k
+                places -= k
+        return acc
+
+    def change(self, b: int, k: int) -> None:
+        table = self.table
+        left = self.counts.get(b, 0) + k
+        if left:
+            self.counts[b] = left
+        else:
+            del self.counts[b]
+        if self.capacity:
+            c = table.block_class[b]
+            in_class = self.class_count[c] + k
+            self.class_count[c] = in_class
+            over = in_class > table.caps[c]
+            for g in self.groups:
+                plain = self.plain[g]
+                plain[c] += table.val[g][b] * k
+                v = self._settle(g, c) if over else plain[c]
+                best = self.best[g]
+                self.total[g] += v - best[c]
+                best[c] = v
+        else:
+            sets = table.sets_of[b]
+            for g in self.groups:
+                d = table.val[g][b] * k
+                sums = self.sums[g]
+                for t in sets:
+                    sums[t] += d
+                self.ranked[g] = None
+
+    def value(self, g: int) -> int:
+        if self.capacity:
+            return self.total[g]
+        return max(self.sums[g], default=0)
+
+    def without(self, g: int, b: int, k: int) -> int:
+        table = self.table
+        vrow = table.val[g]
+        if self.capacity:
+            c = table.block_class[b]
+            total = self.total[g]
+            if self.class_count[c] - k <= table.caps[c]:
+                return total - self.best[g][c] + self.plain[g][c] - vrow[b] * k
+            fill = self.fill[g][c]
+            rank = table.class_rank[g][b]
+            if rank > fill:
+                return total  # none of b's items is among the best
+            order = table.class_orders[g][c]
+            spare = self.counts[order[fill]] - self.used[g][c]
+            if rank == fill:
+                # b's untaken items go first
+                lost = k - spare
+                if lost <= 0:
+                    return total
+                return total - vrow[b] * lost + self._refill(g, order, fill + 1, lost)
+            # b is fully taken; the fill block's spare items move up first
+            gain = vrow[order[fill]] * min(k, spare)
+            if k > spare:
+                gain += self._refill(g, order, fill + 1, k - spare)
+            return total - vrow[b] * k + gain
+        # Walk the sets by descending sum: the first set holding b is the
+        # best of those, less b's share; the first set without b ends it.
+        sums = self.sums[g]
+        ranked = self.ranked[g]
+        if ranked is None:
+            ranked = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
+            self.ranked[g] = ranked
+        holds = table.set_mask[b]
+        hit = -1
+        for t in ranked:
+            s = sums[t]
+            if s <= hit:
+                return hit
+            if not holds >> t & 1:
+                return s
+            if hit < 0:
+                hit = s - vrow[b] * k
+        return max(hit, 0)
 
 
 class _Pool:
@@ -417,7 +623,12 @@ def _run_phase(
 
     One enumeration pass computes the value of every realizable multiset
     per group; no multiset repeats within a phase, so each value is
-    queried once.  Within the phase, values and thresholds never change
+    queried once.  The depth-first enumeration adds and removes one
+    block's items at a time in a ``_RunningValues`` state, and each
+    multiset it reaches reads every group's value from that state,
+    charging one query per group.  The existence check before the
+    enumeration is a size-capped ``_BlockTable.value`` call per group.
+    Within the phase, values and thresholds never change
     and removals only shrink the pool, so a multiset that failed to
     qualify can never start qualifying; the allocation loop just re-picks
     the lexicographically smallest realization among surviving
@@ -444,16 +655,18 @@ def _run_phase(
     Candidate = tuple[tuple[tuple[int, int], ...], list[int], dict[int, int]]
     candidates: list[Candidate] = []
     chosen: list[tuple[int, int]] = []
+    state = _RunningValues(table, groups, {})
 
     def emit() -> None:
-        ms = tuple(chosen)
-        counts = dict(ms)
-        vals = {g: table.value(g, counts) for g in groups}
+        vals = {}
+        for g in groups:
+            table.charge(g)
+            vals[g] = state.value(g)
         quals = [
             pos for pos in descending if vals[table.group_of[pos]] >= roster.need[pos]
         ]
         if quals:
-            candidates.append((ms, quals, vals))
+            candidates.append((tuple(chosen), quals, vals))
 
     def enumerate_multisets(i: int, left: int) -> None:
         if budget is not None:
@@ -467,12 +680,15 @@ def _run_phase(
             return
         b = avail[i]
         top = min(counts0[b], left)
-        for k in range(top, -1, -1):
-            if k:
-                chosen.append((b, k))
+        # k = top, ..., 1 items of b, then none: one step down each time
+        if top:
+            state.change(b, top)
+        for k in range(top, 0, -1):
+            chosen.append((b, k))
             enumerate_multisets(i + 1, left - k)
-            if k:
-                chosen.pop()
+            chosen.pop()
+            state.change(b, -1)
+        enumerate_multisets(i + 1, left)
 
     enumerate_multisets(0, size)
 
@@ -527,9 +743,12 @@ def _minimal_set_scan(
     Within a block all items are interchangeable, so removability is
     tested once per block and the front (smallest-index) item is the one
     removed.  The roster does not change during a scan, so the groups in
-    play are fixed up front.  The scan keeps the pool's block counts in
-    ``local``; a removability test or batch probe lowers one block's
-    count there, makes its query and restores the count.
+    play are fixed up front.  One ``_RunningValues`` state holds the
+    scan's pool and answers every query: the first valuation of the
+    pool, each removability test and batch probe (``without``: the value
+    were k items of one block gone) and the re-valuation after each
+    removal.  Each answer read is charged as one query, exactly as if it
+    had been valued from scratch.
 
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
@@ -544,13 +763,22 @@ def _minimal_set_scan(
     in ascending item order, chosen agent position, that agent's value
     for the bundle as a fraction).
     """
-    local = pool.counts()
     groups = roster.groups()
+    state = _RunningValues(table, groups, pool.counts())
+    local = state.counts
 
     def front(b: int) -> int:
         return table.block_items[b][pool.hi[b] - local[b]]
 
-    group_vals = {g: table.value(g, local) for g in groups}
+    def read(g: int) -> int:
+        table.charge(g)
+        return state.value(g)
+
+    def probe(g: int, b: int, k: int) -> int:
+        table.charge(g)
+        return state.without(g, b, k)
+
+    group_vals = {g: read(g) for g in groups}
     if not roster.any_meets(group_vals):
         return None
     while True:
@@ -559,13 +787,7 @@ def _minimal_set_scan(
         vrow = table.val[gj]
         need = roster.need[pick]
 
-        removable = []
-        for b in sorted(local):
-            have = local[b]
-            local[b] = have - 1
-            if table.value(gj, local) >= need:
-                removable.append(b)
-            local[b] = have
+        removable = [b for b in sorted(local) if probe(gj, b, 1) >= need]
         if not removable:
             break
 
@@ -584,18 +806,14 @@ def _minimal_set_scan(
             lo_k, hi_k = 0, k_bound
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
-                local[bstar] = have - mid
-                if all(table.value(g, local) == s for g, s in group_vals.items()):
+                if all(probe(g, bstar, mid) == s for g, s in group_vals.items()):
                     lo_k = mid
                 else:
                     hi_k = mid - 1
-            local[bstar] = have
             k = max(1, lo_k)
 
-        local[bstar] -= k
-        if not local[bstar]:
-            del local[bstar]
-        group_vals = {g: table.value(g, local) for g in groups}
+        state.change(bstar, -k)
+        group_vals = {g: read(g) for g in groups}
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
     return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])
@@ -640,6 +858,8 @@ def allocate_from_estimates(
     instance: "Instance",
     mu: EstimateVector,
     alpha: Fraction,
+    *,
+    _table: _BlockTable | None = None,
 ) -> Allocation:
     """Allocate against per-agent thresholds alpha * mu_i.
 
@@ -649,6 +869,9 @@ def allocate_from_estimates(
     it over.  Agents with mu_i = 0 receive the empty bundle up front.
     Thresholds are formed by multiplication, so a zero estimate never
     forces a division.
+
+    The block table depends only on the instance; ``fair_divide`` builds
+    it once per run and hands it to every round as ``_table``.
     """
     check_parameters(alpha=alpha)
     n = instance.n
@@ -658,7 +881,7 @@ def allocate_from_estimates(
         if entry < 0:
             raise InputError(f"estimate for agent {i} is negative: {entry}")
 
-    table = _BlockTable(instance.spec, instance.valuations)
+    table = _BlockTable(instance.spec, instance.valuations) if _table is None else _table
     pool = _Pool(table)
     thresholds = [alpha * entry for entry in mu.mu]
     # A zero estimate certifies a zero maximin share (m * nth_value = 0
@@ -739,7 +962,8 @@ def fair_divide(
 
     Estimates start at m * (n-th largest item value), a certified upper
     bound on each agent's maximin share.  Each round reruns the
-    allocation from scratch; if everyone is allocated it returns,
+    allocation from scratch on one block table built for the whole run
+    (it depends only on the instance); if everyone is allocated it returns,
     otherwise every unallocated agent's estimate shrinks by (1 - delta).
     An agent whose estimate has dropped to its maximin share or below is
     always allocated, so the loop ends within
@@ -752,10 +976,11 @@ def fair_divide(
     mu = [m * nth_value(val, n) for val in instance.valuations]
     shrink = ONE - delta
     allowed = iteration_bound(n, m, delta)
+    table = _BlockTable(instance.spec, instance.valuations)
 
     for _ in range(allowed):
         estimates = EstimateVector(tuple(mu))
-        allocation = allocate_from_estimates(instance, estimates, alpha)
+        allocation = allocate_from_estimates(instance, estimates, alpha, _table=table)
         if stats is not None:
             stats.iterations += 1
             stats.rounds.append((estimates.mu, allocation.unallocated_agents))

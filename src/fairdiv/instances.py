@@ -274,12 +274,15 @@ def _int_list(value: Any, where: str) -> list[int]:
     return value
 
 
-def _rational_field(entry: dict[str, Any], key: str, where: str) -> Fraction:
+def _nonnegative_field(entry: dict[str, Any], key: str, where: str) -> Fraction:
     text = _require(entry, key, where)
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ParseError as exc:
         raise ParseError(str(exc), location=f"{where}.{key}") from None
+    if value < 0:
+        raise ParseError(f"{key} must be nonnegative, got {text!r}", location=f"{where}.{key}")
+    return value
 
 
 def _parse_values_row(
@@ -484,8 +487,8 @@ def parse_allocation(text: str) -> Allocation:
             phase=phase,
             agent=agent,
             bundle=tuple(bundle),
-            value=_rational_field(entry, "value", where),
-            threshold=_rational_field(entry, "threshold", where),
+            value=_nonnegative_field(entry, "value", where),
+            threshold=_nonnegative_field(entry, "threshold", where),
         )
         if event.agent in bundles:
             raise ParseError(f"agent {event.agent!r} already has an event", location=where)

@@ -1,8 +1,12 @@
 """Wire format for exact rational values.
 
 Rationals travel as "num/den" strings in canonical reduced form; bare
-integers are accepted as shorthand on input.  Decimal notation is
-rejected so that no value can silently lose exactness.
+integers are accepted as shorthand on input.  Input must already be
+canonical: an optional "-" on the numerator only, no leading zeros, no
+whitespace, a positive denominator, and numerator and denominator
+coprime.  So every value has exactly one spelling ("1/2", never "2/4",
+"1/-2" or " 1/2"), and decimal notation is rejected so that no value can
+silently lose exactness.
 """
 from __future__ import annotations
 
@@ -12,11 +16,12 @@ from functools import lru_cache
 
 from .errors import ParseError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(value: str | int) -> Fraction:
-    """Parse "num/den" or an integer (int or digit string) into a Fraction."""
+    """Parse canonical "num/den" or an integer (int or canonical digit
+    string) into a Fraction."""
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -30,16 +35,16 @@ def parse_rational(value: str | int) -> Fraction:
 def _parse_text(value: str) -> Fraction:
     # Value rows repeat few distinct strings (table1's 42570 items carry
     # six), so most parses are cache hits.
-    match = _RATIONAL_RE.match(value.strip())
+    match = _RATIONAL_RE.fullmatch(value)
     if match is None:
-        raise ParseError(f"not a rational: {value!r}")
-    num = int(match.group(1))
-    den = match.group(2)
+        raise ParseError(f"not a canonical rational: {value!r}")
+    num, den = match.groups()
     if den is None:
-        return Fraction(num)
-    if int(den) == 0:
-        raise ParseError(f"zero denominator: {value!r}")
-    return Fraction(num, int(den))
+        return Fraction(int(num))
+    result = Fraction(int(num), int(den))
+    if result.denominator != int(den):
+        raise ParseError(f"not in lowest terms: {value!r}")
+    return result
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fairdiv import (
     verify_allocation,
 )
 import fairdiv.allocator
-from fairdiv.allocator import _BlockTable, _Roster
+from fairdiv.allocator import _BlockTable, _Roster, _RunningValues
 from support import (
     FAMILIES,
     brute_bundle_value,
@@ -238,6 +239,51 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
                     assert val.query_count == before + 1
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(4))
+def test_running_values_match_block_value_oracle(family, seed):
+    """Along random add/remove sequences the running state's ``value`` and
+    ``without`` equal ``_BlockTable.value`` on the same counts, for every
+    group it follows; the state itself charges no query."""
+    rng = random.Random(f"{family}-{seed}")
+    for trial in range(6):
+        # value range (2, 1) makes multi-item blocks that overrun caps
+        n, value_range = (rng.randint(2, 3), (8, 4)) if trial % 2 else (1, (2, 1))
+        inst = random_instance(rng.randrange(10**9), rng.randint(1, 14), n, family, value_range)
+        table = _BlockTable(inst.spec, inst.valuations)
+        if not table.num_blocks:
+            continue
+        groups = sorted(rng.sample(range(table.num_groups), rng.randint(1, table.num_groups)))
+        start = {b: rng.randint(0, len(block)) for b, block in enumerate(table.block_items)}
+        state = _RunningValues(table, groups, start)
+        counts = {b: k for b, k in start.items() if k}
+
+        def queries():
+            return sum(val.query_count for val in inst.valuations)
+
+        for _ in range(25):
+            b = rng.randrange(table.num_blocks)
+            have, room = counts.get(b, 0), len(table.block_items[b])
+            k = rng.choice([d for d in range(-have, room - have + 1) if d])
+            before = queries()
+            state.change(b, k)
+            assert queries() == before
+            counts[b] = have + k
+            if not counts[b]:
+                del counts[b]
+            assert state.counts == counts
+            for g in groups:
+                before = queries()
+                got = state.value(g)
+                got_without = {
+                    (c, j): state.without(g, c, j) for c, kc in counts.items() for j in range(1, kc + 1)
+                }
+                assert queries() == before
+                assert got == table.value(g, counts)
+                for (c, j), v in got_without.items():
+                    assert v == table.value(g, {**counts, c: counts[c] - j})
+
+
 def test_group_pick_matches_one_at_a_time_scan():
     """The per-group pick (first remaining agent plus each group's least
     threshold member) equals the ratio scan over every remaining agent,
@@ -404,6 +450,28 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
         val = table1.valuations[event.agent]
         assert event.value == bundle_value(table1.spec, val, event.bundle)
         assert event.value == value_of_subset(table1.spec, val.values, frozenset(event.bundle))
+
+
+@pytest.mark.parametrize(
+    "family, queries, digest",
+    [
+        ("capacity", 218549, "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8"),
+        (
+            "explicit-antichain",
+            214976,
+            "624e70b5e304ef010c3f66b9af7b337e6a8d8fb9ac65e39c6e3a7b8748f18ca7",
+        ),
+    ],
+    ids=["capacity", "explicit-antichain"],
+)
+def test_fair_divide_cost_model_is_pinned_at_m60(family, queries, digest):
+    """The queries and the trace of one run well beyond the benchmark's
+    m <= 24, where the removal scan dominates, pinned so that any change
+    to either is a deliberate edit."""
+    inst = random_instance(0, 60, 8, family)
+    alloc, _ = fair_divide(inst, ALPHA, DELTA)
+    assert sum(val.query_count for val in inst.valuations) == queries
+    assert hashlib.sha256("\n".join(alloc.trace_records()).encode()).hexdigest() == digest
 
 
 def test_estimates_table1_at_n3300():

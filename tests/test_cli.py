@@ -269,6 +269,12 @@ def _set_event_field(field, value):
         (lambda doc: doc["events"].__setitem__(0, 5), "events[0]"),
         (_set_event_field("value", "x"), "events[0].value"),
         (_set_event_field("threshold", "1/0"), "events[0].threshold"),
+        (_set_event_field("threshold", "-1/2"), "events[0].threshold"),
+        (_set_event_field("threshold", "1/-2"), "events[0].threshold"),
+        (_set_event_field("value", "-1/2"), "events[0].value"),
+        (_set_event_field("value", "2/4"), "events[0].value"),
+        (_set_event_field("value", " 3 "), "events[0].value"),
+        (_set_event_field("value", "007/1"), "events[0].value"),
         (_set_event_field("phase", "x"), "events[0].phase"),
         (_set_event_field("phase", True), "events[0].phase"),
         (_set_event_field("phase", -1), "events[0].phase"),
@@ -284,6 +290,12 @@ def _set_event_field(field, value):
         "event-int",
         "value-string",
         "threshold-zero-denominator",
+        "threshold-negative",
+        "threshold-negative-denominator",
+        "value-negative",
+        "value-not-reduced",
+        "value-padded",
+        "value-leading-zeros",
         "phase-string",
         "phase-bool",
         "phase-negative",
@@ -296,6 +308,15 @@ def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, locatio
     code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
     assert code == 2
     assert err.startswith(f"error: {location}: ")
+
+
+def test_verify_floor_mode_mu_rejects_a_negative_threshold(solved, capsys):
+    # a threshold of -1/2 would be a floor every bundle meets
+    inst_path, alloc_path = solved
+    _rewrite_document(alloc_path, _set_event_field("threshold", "-1/2"))
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "mu")
+    assert code == 2
+    assert err.startswith("error: events[0].threshold: ")
 
 
 @pytest.mark.parametrize(

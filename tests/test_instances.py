@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -154,13 +155,37 @@ def test_allocation_round_trip(table1):
 
 def test_rational_wire_format():
     assert parse_rational("40/107") == Fraction(40, 107)
-    assert parse_rational("80/214") == Fraction(40, 107)
+    assert parse_rational("-40/107") == Fraction(-40, 107)
     assert parse_rational("3") == 3
+    assert parse_rational("3/1") == 3
+    assert parse_rational("0") == parse_rational("0/1") == 0
     assert parse_rational(3) == 3
     with pytest.raises(ParseError):
         parse_rational("0.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["80/214", "0/5", "1/-2", "-1/-2", "-0", "007/1", "1/02", " 3 ", "3\n", "+3", "\u0663"],
+)
+def test_rational_wire_format_is_canonical_only(text):
+    """Each value has one spelling: reduced, positive denominator, no
+    leading zeros, padding, plus sign or non-ASCII digits."""
+    with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("field", ["value", "threshold"])
+def test_parse_allocation_rejects_negative_event_rationals(field):
+    inst = random_instance(2, m=4, n=2, family="free")
+    alloc, _ = fair_divide(inst, Fraction(11, 30), Fraction(1, 16))
+    doc = json.loads(serialize_allocation(alloc))
+    doc["events"][0][field] = "-1/2"
+    with pytest.raises(ParseError) as info:
+        parse_allocation(json.dumps(doc))
+    assert info.value.location == f"events[0].{field}"
 
 
 def test_parse_errors_carry_location():
