@@ -22,18 +22,17 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
-Every valuation query values one multiset of block counts for one value
-group and is charged as one query on that group's representative.
-``_BlockTable.value(group, counts, size=None)`` answers a query from
-scratch; it is the brute-force-tested oracle and serves the phases'
-size-capped existence check and ``allocate_naive``'s per-size gate.
-The phase enumeration and the removal scan change their multiset one
-block at a time, so they answer their queries from ``_RunningValues``,
-which keeps every group's value of the multiset up to date and charges
-nothing itself; each read is charged where it is made, so the query
-counts are those of valuing every multiset from scratch.
+This module never looks at how a set system is represented: every
+valuation query values one multiset of block counts for one value group
+through ``valuation``'s block-count kernel and is charged as one query
+on that group's representative.  The phases' size-capped existence
+check and ``allocate_naive``'s per-size gate value from scratch with
+``BlockTable.value``.  The phase enumeration and the removal scan change
+their multiset one block at a time and read a ``RunningValues`` state,
+which charges nothing; each read is charged where it is made, so the
+query counts are those of valuing every multiset from scratch.
 
-The searches compute in integers.  Agents sharing one value row form a
+The kernel computes in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
 denominators, so every bundle value is an integer sum S.  Each run
 converts an agent's threshold t once to ceil(t * L_g); S meets t exactly
@@ -46,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -57,8 +55,8 @@ from .errors import (
     NoEligibleAgentError,
 )
 from .rationals import format_rational
-from .setsystem import Capacity, SetSystemSpec, coerce_items, equivalence_classes
-from .valuation import Valuation, bundle_value, nth_value, scale_row
+from .setsystem import SetSystemSpec, coerce_items, equivalence_classes
+from .valuation import BlockTable, RunningValues, Valuation, bundle_value, nth_value
 
 if TYPE_CHECKING:
     from .instances import Instance
@@ -137,340 +135,17 @@ def check_parameters(
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
 
 
-class _BlockTable:
-    """Item-equivalence blocks with values evaluated on block counts.
-
-    Counts-based evaluation matches ``bundle_value`` exactly because
-    items in one block carry identical value for every agent and an
-    identical feasibility role.  Agents sharing one value row form a
-    group; each value evaluated here costs one query on the group's
-    representative valuation.
-
-    ``val[g]`` holds group g's block values as integers over the group's
-    scale ``scale[g]`` (L_g, the lcm of the row's denominators), and
-    ``value`` returns the integer sum S, so the true bundle value is
-    S / L_g.  No fraction arithmetic happens per call.
-
-    ``value(group, counts, size=None)`` values a multiset from scratch
-    and charges one query.  It optionally caps the bundle at ``size``
-    items, giving the best value any size-``size`` subset of the pool
-    reaches (padding with surplus items is free since values are
-    monotone).  Both families take items greedily in descending value:
-    capacity systems in one global order under per-class caps (a
-    truncated partition matroid, where greedy is optimal), explicit
-    systems in one order per maximal set.  It is the oracle that
-    ``_RunningValues`` is tested against, and it answers the queries no
-    running state serves: the size-capped existence check of each phase
-    and ``allocate_naive``'s gate.  ``charge`` counts a query answered
-    elsewhere.
-
-    The table depends only on the set system and the valuations, so one
-    table serves every round of a ``fair_divide`` run.
-    """
-
-    def __init__(
-        self,
-        spec: SetSystemSpec,
-        valuations: Sequence[Valuation],
-        items: Iterable[int] | None = None,
-    ):
-        self.spec = spec
-        self.valuations = list(valuations)
-
-        self.group_of: list[int] = []
-        self.group_reps: list[int] = []
-        seen: dict[int, int] = {}
-        for pos, val in enumerate(self.valuations):
-            g = seen.get(id(val.values))
-            if g is None:
-                g = len(self.group_reps)
-                seen[id(val.values)] = g
-                self.group_reps.append(pos)
-            self.group_of.append(g)
-        num_groups = len(self.group_reps)
-
-        rows = [val.values for val in self.valuations]
-        blocks = equivalence_classes(spec, rows)
-        if items is not None:
-            allowed = frozenset(items)
-            blocks = tuple(b & allowed for b in blocks)
-        self.block_items: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(b)) for b in blocks if b
-        )
-        nb = len(self.block_items)
-        self.scale: list[int] = []
-        self.val: list[tuple[int, ...]] = []
-        for rep in self.group_reps:
-            scale, row = scale_row(
-                [self.valuations[rep].values[block[0]] for block in self.block_items]
-            )
-            self.scale.append(scale)
-            self.val.append(row)
-
-        if isinstance(spec, Capacity):
-            self.caps = tuple(cap for _, cap in spec.classes)
-            self.block_class = tuple(
-                spec.class_of[block[0]] for block in self.block_items
-            )
-            self.greedy_orders: list[list[int]] = [
-                sorted(range(nb), key=lambda b: (-self.val[g][b], b))
-                for g in range(num_groups)
-            ]
-            # per group: each class's blocks in greedy order, and each
-            # block's place in its class's order
-            self.class_orders: list[list[list[int]]] = []
-            self.class_rank: list[list[int]] = []
-            for order in self.greedy_orders:
-                by_class: list[list[int]] = [[] for _ in self.caps]
-                rank = [0] * nb
-                for b in order:
-                    members = by_class[self.block_class[b]]
-                    rank[b] = len(members)
-                    members.append(b)
-                self.class_orders.append(by_class)
-                self.class_rank.append(rank)
-        else:
-            member_of = {block[0]: b for b, block in enumerate(self.block_items)}
-            set_blocks = [
-                [member_of[j] for j in maximal if j in member_of]
-                for maximal in spec.maximal_sets
-            ]
-            self.set_orders: list[list[list[int]]] = [
-                [sorted(bs, key=lambda b: (-self.val[g][b], b)) for bs in set_blocks]
-                for g in range(num_groups)
-            ]
-            self.num_sets = len(set_blocks)
-            sets_of: list[list[int]] = [[] for _ in range(nb)]
-            for t, bs in enumerate(set_blocks):
-                for b in bs:
-                    sets_of[b].append(t)
-            self.sets_of = tuple(tuple(ts) for ts in sets_of)
-            self.set_mask = tuple(sum(1 << t for t in ts) for ts in sets_of)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_items)
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.group_reps)
-
-    def charge(self, group: int) -> None:
-        """Count one query on the group's representative valuation."""
-        self.valuations[self.group_reps[group]]._count_query()
-
-    def value(self, group: int, counts: Mapping[int, int], size: int | None = None) -> int:
-        """Scaled bundle value of the multiset ``counts`` (a count of 0
-        reads as absent), optionally capped at ``size`` items.  Costs one
-        query."""
-        self.charge(group)
-        vrow = self.val[group]
-        limit = self.spec.num_items if size is None else size
-        if isinstance(self.spec, Capacity):
-            total = 0
-            left = limit
-            cap_left = list(self.caps)
-            for b in self.greedy_orders[group]:
-                k = counts.get(b, 0)
-                if not k:
-                    continue
-                c = self.block_class[b]
-                room = cap_left[c]
-                if not room:
-                    continue
-                if k > room:
-                    k = room
-                if k >= left:
-                    return total + vrow[b] * left
-                total += vrow[b] * k
-                cap_left[c] = room - k
-                left -= k
-            return total
-        best = 0
-        for order in self.set_orders[group]:
-            acc = 0
-            left = limit
-            for b in order:
-                k = counts.get(b, 0)
-                if not k:
-                    continue
-                if k >= left:
-                    acc += vrow[b] * left
-                    break
-                acc += vrow[b] * k
-                left -= k
-            if acc > best:
-                best = acc
-        return best
-
-
-class _RunningValues:
-    """Scaled values of one changing multiset of block counts, for every
-    group in play.
-
-    ``change(b, k)`` adds k items of block b (k < 0 removes them);
-    ``value(g)`` is group g's value of the current multiset, and
-    ``without(g, b, k)`` its value were k of b's items gone, with nothing
-    changed.  Each answer equals ``_BlockTable.value(g, counts)`` on
-    ``counts``, the current multiset, but the state charges no query:
-    whoever reads a value charges it with ``_BlockTable.charge``.
-
-    Capacity values separate by class, each class giving its best ``cap``
-    items.  The state keeps per (group, class) that best value and the
-    class's plain sum, plus each group's total.  A class holding at most
-    ``cap`` items is worth its plain sum.  A class over its cap is walked
-    greedily over its own blocks when it changes, and the walk records
-    where the cap fills: the fill block's place in the class order and
-    how many of its items are taken.  ``without`` then only looks past
-    that point, for the items that would move up into the freed places.
-
-    Explicit systems keep a running sum per (group, maximal set); a value
-    is the largest sum.
-    """
-
-    def __init__(self, table: _BlockTable, groups: Sequence[int], counts: Mapping[int, int]):
-        self.table = table
-        self.groups = groups
-        self.counts = {b: k for b, k in counts.items() if k}
-        self.capacity = isinstance(table.spec, Capacity)
-        num_groups = table.num_groups
-        if self.capacity:
-            num_classes = len(table.caps)
-            self.class_count = [0] * num_classes
-            self.plain = [[0] * num_classes for _ in range(num_groups)]
-            self.best = [[0] * num_classes for _ in range(num_groups)]
-            self.fill = [[0] * num_classes for _ in range(num_groups)]
-            self.used = [[0] * num_classes for _ in range(num_groups)]
-            self.total = [0] * num_groups
-            for b, k in self.counts.items():
-                c = table.block_class[b]
-                self.class_count[c] += k
-                for g in groups:
-                    self.plain[g][c] += table.val[g][b] * k
-            for g in groups:
-                best = self.best[g]
-                for c in range(num_classes):
-                    over = self.class_count[c] > table.caps[c]
-                    best[c] = self._settle(g, c) if over else self.plain[g][c]
-                self.total[g] = sum(best)
-        else:
-            self.sums = [[0] * table.num_sets for _ in range(num_groups)]
-            self.ranked: list[list[int] | None] = [None] * num_groups
-            for b, k in self.counts.items():
-                for g in groups:
-                    d = table.val[g][b] * k
-                    sums = self.sums[g]
-                    for t in table.sets_of[b]:
-                        sums[t] += d
-
-    def _settle(self, g: int, c: int) -> int:
-        """Class c's best ``cap`` items for group g; records where the cap
-        fills, which it does in every class over its cap."""
-        table = self.table
-        vrow = table.val[g]
-        room = table.caps[c]
-        acc = 0
-        for i, b in enumerate(table.class_orders[g][c]):
-            k = self.counts.get(b, 0)
-            if k:
-                if k >= room:
-                    self.fill[g][c] = i
-                    self.used[g][c] = room
-                    return acc + vrow[b] * room
-                acc += vrow[b] * k
-                room -= k
-        return acc
-
-    def _refill(self, g: int, order: list[int], start: int, places: int) -> int:
-        """Value for group g of the first ``places`` items present in
-        ``order`` from ``start`` on."""
-        vrow = self.table.val[g]
-        acc = 0
-        for b in islice(order, start, None):
-            k = self.counts.get(b, 0)
-            if k:
-                if k >= places:
-                    return acc + vrow[b] * places
-                acc += vrow[b] * k
-                places -= k
-        return acc
-
-    def change(self, b: int, k: int) -> None:
-        table = self.table
-        left = self.counts.get(b, 0) + k
-        if left:
-            self.counts[b] = left
-        else:
-            del self.counts[b]
-        if self.capacity:
-            c = table.block_class[b]
-            in_class = self.class_count[c] + k
-            self.class_count[c] = in_class
-            over = in_class > table.caps[c]
-            for g in self.groups:
-                plain = self.plain[g]
-                plain[c] += table.val[g][b] * k
-                v = self._settle(g, c) if over else plain[c]
-                best = self.best[g]
-                self.total[g] += v - best[c]
-                best[c] = v
-        else:
-            sets = table.sets_of[b]
-            for g in self.groups:
-                d = table.val[g][b] * k
-                sums = self.sums[g]
-                for t in sets:
-                    sums[t] += d
-                self.ranked[g] = None
-
-    def value(self, g: int) -> int:
-        if self.capacity:
-            return self.total[g]
-        return max(self.sums[g], default=0)
-
-    def without(self, g: int, b: int, k: int) -> int:
-        table = self.table
-        vrow = table.val[g]
-        if self.capacity:
-            c = table.block_class[b]
-            total = self.total[g]
-            if self.class_count[c] - k <= table.caps[c]:
-                return total - self.best[g][c] + self.plain[g][c] - vrow[b] * k
-            fill = self.fill[g][c]
-            rank = table.class_rank[g][b]
-            if rank > fill:
-                return total  # none of b's items is among the best
-            order = table.class_orders[g][c]
-            spare = self.counts[order[fill]] - self.used[g][c]
-            if rank == fill:
-                # b's untaken items go first
-                lost = k - spare
-                if lost <= 0:
-                    return total
-                return total - vrow[b] * lost + self._refill(g, order, fill + 1, lost)
-            # b is fully taken; the fill block's spare items move up first
-            gain = vrow[order[fill]] * min(k, spare)
-            if k > spare:
-                gain += self._refill(g, order, fill + 1, k - spare)
-            return total - vrow[b] * k + gain
-        # Walk the sets by descending sum: the first set holding b is the
-        # best of those, less b's share; the first set without b ends it.
-        sums = self.sums[g]
-        ranked = self.ranked[g]
-        if ranked is None:
-            ranked = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
-            self.ranked[g] = ranked
-        holds = table.set_mask[b]
-        hit = -1
-        for t in ranked:
-            s = sums[t]
-            if s <= hit:
-                return hit
-            if not holds >> t & 1:
-                return s
-            if hit < 0:
-                hit = s - vrow[b] * k
-        return max(hit, 0)
+def _block_table(
+    spec: SetSystemSpec, valuations: Sequence[Valuation], items: frozenset[int] | None = None
+) -> BlockTable:
+    """The block-count table of ``valuations`` over the item-equivalence
+    blocks of ``spec``, cut down to ``items`` when given.  The table
+    depends only on the set system and the valuations, so one table
+    serves every round of a ``fair_divide`` run."""
+    blocks = equivalence_classes(spec, [val.values for val in valuations])
+    if items is not None:
+        blocks = tuple(b & items for b in blocks)
+    return BlockTable(spec, valuations, blocks)
 
 
 class _Pool:
@@ -482,7 +157,7 @@ class _Pool:
     contiguous for the whole run.
     """
 
-    def __init__(self, table: _BlockTable):
+    def __init__(self, table: BlockTable):
         self.table = table
         self.lo = [0] * table.num_blocks
         self.hi = [len(block) for block in table.block_items]
@@ -610,7 +285,7 @@ class _Roster:
 
 
 def _run_phase(
-    table: _BlockTable,
+    table: BlockTable,
     pool: _Pool,
     size: int,
     roster: _Roster,
@@ -624,10 +299,10 @@ def _run_phase(
     One enumeration pass computes the value of every realizable multiset
     per group; no multiset repeats within a phase, so each value is
     queried once.  The depth-first enumeration adds and removes one
-    block's items at a time in a ``_RunningValues`` state, and each
+    block's items at a time in a ``RunningValues`` state, and each
     multiset it reaches reads every group's value from that state,
     charging one query per group.  The existence check before the
-    enumeration is a size-capped ``_BlockTable.value`` call per group.
+    enumeration is a size-capped ``BlockTable.value`` call per group.
     Within the phase, values and thresholds never change
     and removals only shrink the pool, so a multiset that failed to
     qualify can never start qualifying; the allocation loop just re-picks
@@ -655,7 +330,7 @@ def _run_phase(
     Candidate = tuple[tuple[tuple[int, int], ...], list[int], dict[int, int]]
     candidates: list[Candidate] = []
     chosen: list[tuple[int, int]] = []
-    state = _RunningValues(table, groups, {})
+    state = RunningValues(table, groups, {})
 
     def emit() -> None:
         vals = {}
@@ -726,7 +401,7 @@ def _run_phase(
 
 
 def _minimal_set_scan(
-    table: _BlockTable,
+    table: BlockTable,
     pool: _Pool,
     roster: _Roster,
 ) -> tuple[tuple[int, ...], int, Fraction] | None:
@@ -743,7 +418,7 @@ def _minimal_set_scan(
     Within a block all items are interchangeable, so removability is
     tested once per block and the front (smallest-index) item is the one
     removed.  The roster does not change during a scan, so the groups in
-    play are fixed up front.  One ``_RunningValues`` state holds the
+    play are fixed up front.  One ``RunningValues`` state holds the
     scan's pool and answers every query: the first valuation of the
     pool, each removability test and batch probe (``without``: the value
     were k items of one block gone) and the re-valuation after each
@@ -764,7 +439,7 @@ def _minimal_set_scan(
     for the bundle as a fraction).
     """
     groups = roster.groups()
-    state = _RunningValues(table, groups, pool.counts())
+    state = RunningValues(table, groups, pool.counts())
     local = state.counts
 
     def front(b: int) -> int:
@@ -840,7 +515,7 @@ def minimal_set(
         raise InputError(f"agents without thresholds: {missing}")
     if any(thresholds[a] < 0 for a in agent_ids):
         raise InputError("thresholds must be nonnegative")
-    table = _BlockTable(
+    table = _block_table(
         spec, [valuations[a] for a in agent_ids], items=coerce_items(spec, items)
     )
     thr = [thresholds[a] for a in agent_ids]
@@ -859,7 +534,7 @@ def allocate_from_estimates(
     mu: EstimateVector,
     alpha: Fraction,
     *,
-    _table: _BlockTable | None = None,
+    _table: BlockTable | None = None,
 ) -> Allocation:
     """Allocate against per-agent thresholds alpha * mu_i.
 
@@ -881,7 +556,7 @@ def allocate_from_estimates(
         if entry < 0:
             raise InputError(f"estimate for agent {i} is negative: {entry}")
 
-    table = _BlockTable(instance.spec, instance.valuations) if _table is None else _table
+    table = _block_table(instance.spec, instance.valuations) if _table is None else _table
     pool = _Pool(table)
     thresholds = [alpha * entry for entry in mu.mu]
     # A zero estimate certifies a zero maximin share (m * nth_value = 0
@@ -927,7 +602,7 @@ def allocate_naive(
     qualify afterwards).
     """
     check_parameters(alpha=alpha)
-    table = _BlockTable(instance.spec, instance.valuations)
+    table = _block_table(instance.spec, instance.valuations)
     if instance.num_items > max_items and table.num_blocks > max_items:
         raise DeskCapError(
             f"allocate_naive capped at {max_items} items or equivalence blocks; "
@@ -976,7 +651,7 @@ def fair_divide(
     mu = [m * nth_value(val, n) for val in instance.valuations]
     shrink = ONE - delta
     allowed = iteration_bound(n, m, delta)
-    table = _BlockTable(instance.spec, instance.valuations)
+    table = _block_table(instance.spec, instance.valuations)
 
     for _ in range(allowed):
         estimates = EstimateVector(tuple(mu))

@@ -1,11 +1,12 @@
 """Command-line driver: generate instances, solve, verify, reproduce.
 
-Exit codes: 0 success, 1 verification/reproduction failure, 2 usage or
-input error, 3 desk-cap exceeded, 4 internal error (a solver invariant
-failed, such as ``fair_divide`` not converging within its proven round
-bound).  All numeric output is rendered as reduced fractions; ``mms``
-and ``repro-upper-bound`` take ``--decimal`` to add float approximations
-for reading convenience, which never feed back into any computation.
+Exit codes: 0 success, 1 verification/reproduction failure, 2 usage,
+input or file error, 3 desk-cap exceeded, 4 internal error (a solver
+invariant failed, such as ``fair_divide`` not converging within its
+proven round bound).  All numeric output is rendered as reduced
+fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add
+float approximations for reading convenience, which never feed back into
+any computation.
 """
 from __future__ import annotations
 
@@ -136,8 +137,15 @@ def _write_output(text: str, target: str) -> None:
         Path(target).write_text(text, encoding="utf-8")
 
 
+def _read_document(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", location=path) from None
+
+
 def _read_instance(path: str):
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_document(path))
 
 
 def _write_trace(allocation: Allocation, path: str | None) -> None:
@@ -200,7 +208,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     check_parameters(alpha=args.alpha, delta=args.delta)
-    allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"))
+    allocation = parse_allocation(_read_document(args.allocation))
     instance = _read_instance(args.instance)
     require_fits_instance(allocation, instance)
     floors: dict[int, Fraction] = {}
@@ -291,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except DeskCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DESK_CAP
-    except (InputError, ConfigError, ParseError, NoEligibleAgentError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (InputError, ConfigError, ParseError, NoEligibleAgentError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except FairdivError as exc:

@@ -250,10 +250,19 @@ def _valuation_to_doc(agent: int, val: Valuation) -> dict[str, Any]:
 
 
 def _load_json(text: str) -> Any:
+    """The JSON document ``text``; a ``ParseError`` where it is not JSON,
+    or where Python cannot read it: an integer literal longer than
+    ``sys.get_int_max_str_digits()`` digits, or nesting deeper than the
+    recursion limit.  Neither has a line and column, so both are located
+    at the whole document."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, location=f"line {exc.lineno} column {exc.colno}") from exc
+    except ValueError:
+        raise ParseError("an integer literal has too many digits", location="document") from None
+    except RecursionError:
+        raise ParseError("lists and objects nested too deeply", location="document") from None
 
 
 def _require(doc: Any, key: str, where: str) -> Any:

@@ -38,11 +38,12 @@ def _parse_text(value: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(value)
     if match is None:
         raise ParseError(f"not a canonical rational: {value!r}")
-    num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
-    result = Fraction(int(num), int(den))
-    if result.denominator != int(den):
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ParseError(f"a rational of {len(value)} characters has too many digits") from None
+    result = Fraction(num, den)
+    if result.denominator != den:
         raise ParseError(f"not in lowest terms: {value!r}")
     return result
 

@@ -1,24 +1,38 @@
-"""Per-agent valuations over item sets.
+"""Per-agent valuations, and the package's two valuation kernels.
 
 An agent has a nonnegative exact-rational value for each item, additive
 on feasible sets.  The value of an arbitrary set is the value of its best
 feasible subset, which makes the valuation fractionally subadditive (a
 pointwise maximum of additive functions, one per maximal feasible set).
 
-``item_set_evaluator`` is the package's one item-set valuation kernel:
-``bundle_value`` runs it on a bundle's own items and charges one query;
-``mms.mms_exact`` runs it on all items behind a memo and charges none.
-``scale_row`` is the row scaling it shares with the allocator.
+This module is the only one that applies that rule to a set-system
+family.  Both kernels compute in integers, each value row scaled by the
+lcm of its denominators (``scale_row``):
+
+* ``item_set_evaluator`` values subsets of an item list as bitmasks.
+  ``bundle_value`` runs it on a bundle's own items and charges one query;
+  ``mms.mms_exact`` runs it on all items behind a memo and charges none.
+* The block-count kernel values multisets of item-equivalence blocks
+  for the allocator's searches: ``BlockTable.value`` from scratch,
+  optionally capped at a size, charging one query, and
+  ``RunningValues`` for one multiset changed a block at a time, charging
+  nothing (its readers charge with ``BlockTable.charge``).
+
+Both kernels prepare a family the same way, with a unit standing for an
+item (a bit) or for a block: capacity systems list each class's units by
+descending value (``_by_class``), explicit systems each maximal set's
+units (``_set_members``).  Both take a class's or a set's best items
+greedily along such an order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateInputError, InputError
 from .rationals import parse_rational
-from .setsystem import Capacity, SetSystemSpec, coerce_items
+from .setsystem import Capacity, ExplicitMaximal, SetSystemSpec, coerce_items
 
 ZERO = Fraction(0)
 
@@ -82,6 +96,40 @@ def scale_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
+def _by_class(spec: Capacity, firsts: Sequence[int], row: Sequence[int]) -> list[list[int]]:
+    """Per class of ``spec``, its units by descending ``row`` value, ties
+    by unit; unit u stands for item ``firsts[u]``."""
+    by_class: list[list[int]] = [[] for _ in spec.classes]
+    for u in sorted(range(len(firsts)), key=row.__getitem__, reverse=True):
+        by_class[spec.class_of[firsts[u]]].append(u)
+    return by_class
+
+
+def _set_members(spec: ExplicitMaximal, firsts: Sequence[int]) -> list[list[int]]:
+    """Per maximal set of ``spec``, its units in ascending order; unit u
+    stands for item ``firsts[u]``."""
+    return [[u for u, j in enumerate(firsts) if j in maximal] for maximal in spec.maximal_sets]
+
+
+def _take(
+    order: Sequence[int], start: int, places: int, counts: Mapping[int, int], row: Sequence[int]
+) -> tuple[int, int, int]:
+    """Value of the first ``places`` items that ``counts`` holds along
+    ``order[start:]``, and where the walk stopped: the place in ``order``
+    of the block that filled the last place and how many of its items
+    were taken, or (-1, 0) when the items ran out first."""
+    acc = 0
+    for i in range(start, len(order)):
+        b = order[i]
+        k = counts.get(b, 0)
+        if k:
+            if k >= places:
+                return acc + row[b] * places, i, places
+            acc += row[b] * k
+            places -= k
+    return acc, -1, 0
+
+
 def item_set_evaluator(
     spec: SetSystemSpec, valuation: Valuation, items: Sequence[int]
 ) -> tuple[int, Callable[[int], int]]:
@@ -105,17 +153,11 @@ def item_set_evaluator(
     if isinstance(spec, Capacity):
         # Per class: its mask, its cap and its bits by descending value;
         # a mask takes the first ``cap`` of them it holds.
-        by_class: dict[int, list[int]] = {}
-        for b, j in enumerate(items):
-            by_class.setdefault(spec.class_of[j], []).append(b)
-        classes = []
-        for c, bits in by_class.items():
-            cap = spec.classes[c][1]
-            if cap > 0:
-                ranked = sorted(bits, key=scaled.__getitem__, reverse=True)
-                classes.append(
-                    (sum(1 << b for b in bits), cap, [(1 << b, scaled[b]) for b in ranked])
-                )
+        classes = [
+            (sum(1 << b for b in bits), cap, [(1 << b, scaled[b]) for b in bits])
+            for bits, (_, cap) in zip(_by_class(spec, items, scaled), spec.classes)
+            if bits and cap
+        ]
 
         def value_of(mask: int) -> int:
             total = 0
@@ -130,10 +172,7 @@ def item_set_evaluator(
                                 break
             return total
     else:
-        set_masks = [
-            sum(1 << b for b, j in enumerate(items) if j in maximal)
-            for maximal in spec.maximal_sets
-        ]
+        set_masks = [sum(1 << b for b in bits) for bits in _set_members(spec, items)]
 
         def value_of(mask: int) -> int:
             best = 0
@@ -160,6 +199,274 @@ def bundle_value(spec: SetSystemSpec, valuation: Valuation, items: Iterable[int]
     scale, value_of = item_set_evaluator(spec, valuation, listed)
     valuation._count_query()
     return Fraction(value_of((1 << len(listed)) - 1), scale)
+
+
+class BlockTable:
+    """Values of multisets of block counts, per value group.
+
+    ``blocks`` are item-equivalence blocks (``setsystem.
+    equivalence_classes`` of the spec and the valuations' rows, possibly
+    cut down to some items; empty ones are dropped).  Items in one block
+    carry identical value for every agent and an identical feasibility
+    role, so a multiset of block counts is worth what ``bundle_value``
+    gives any set realizing it.  Agents sharing one value row form a
+    group; each value evaluated here costs one query on the group's
+    representative valuation.
+
+    ``val[g]`` holds group g's block values as integers over the group's
+    scale ``scale[g]`` (L_g, the lcm of the row's denominators), and
+    ``value`` returns the integer sum S, so the true bundle value is
+    S / L_g.  No fraction arithmetic happens per call.
+
+    ``value(group, counts, size=None)`` values a multiset from scratch
+    and charges one query.  It optionally caps the bundle at ``size``
+    items, giving the best value any size-``size`` subset of the pool
+    reaches (padding with surplus items is free since values are
+    monotone).  Both families take items greedily in descending value:
+    capacity systems in one global order under per-class caps (a
+    truncated partition matroid, where greedy is optimal), explicit
+    systems in one order per maximal set.  It is the oracle that
+    ``RunningValues`` is tested against.  ``charge`` counts a query
+    answered elsewhere.
+    """
+
+    def __init__(
+        self,
+        spec: SetSystemSpec,
+        valuations: Sequence[Valuation],
+        blocks: Iterable[frozenset[int]],
+    ):
+        self.num_items = spec.num_items
+        self.valuations = list(valuations)
+
+        self.group_of: list[int] = []
+        self.group_reps: list[int] = []
+        seen: dict[int, int] = {}
+        for pos, val in enumerate(self.valuations):
+            g = seen.get(id(val.values))
+            if g is None:
+                g = len(self.group_reps)
+                seen[id(val.values)] = g
+                self.group_reps.append(pos)
+            self.group_of.append(g)
+
+        self.block_items: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(b)) for b in blocks if b
+        )
+        nb = len(self.block_items)
+        firsts = [block[0] for block in self.block_items]
+        self.scale: list[int] = []
+        self.val: list[tuple[int, ...]] = []
+        for rep in self.group_reps:
+            scale, row = scale_row([self.valuations[rep].values[j] for j in firsts])
+            self.scale.append(scale)
+            self.val.append(row)
+
+        self.capacity = isinstance(spec, Capacity)
+        if self.capacity:
+            self.caps = tuple(cap for _, cap in spec.classes)
+            self.block_class = tuple(spec.class_of[j] for j in firsts)
+            self.greedy_orders = [
+                sorted(range(nb), key=row.__getitem__, reverse=True) for row in self.val
+            ]
+            # per group: each class's blocks in greedy order, and each
+            # block's place in its class's order
+            self.class_orders = [_by_class(spec, firsts, row) for row in self.val]
+            self.class_rank: list[list[int]] = []
+            for by_class in self.class_orders:
+                rank = [0] * nb
+                for order in by_class:
+                    for i, b in enumerate(order):
+                        rank[b] = i
+                self.class_rank.append(rank)
+        else:
+            set_blocks = _set_members(spec, firsts)
+            self.set_orders = [
+                [sorted(bs, key=row.__getitem__, reverse=True) for bs in set_blocks]
+                for row in self.val
+            ]
+            self.num_sets = len(set_blocks)
+            sets_of: list[list[int]] = [[] for _ in range(nb)]
+            for t, bs in enumerate(set_blocks):
+                for b in bs:
+                    sets_of[b].append(t)
+            self.sets_of = tuple(tuple(ts) for ts in sets_of)
+            self.set_mask = tuple(sum(1 << t for t in ts) for ts in sets_of)
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_items)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.group_reps)
+
+    def charge(self, group: int) -> None:
+        """Count one query on the group's representative valuation."""
+        self.valuations[self.group_reps[group]]._count_query()
+
+    def value(self, group: int, counts: Mapping[int, int], size: int | None = None) -> int:
+        """Scaled bundle value of the multiset ``counts`` (a count of 0
+        reads as absent), optionally capped at ``size`` items.  Costs one
+        query."""
+        self.charge(group)
+        vrow = self.val[group]
+        left = self.num_items if size is None else size
+        total = 0
+        if not self.capacity:
+            for order in self.set_orders[group]:
+                acc = _take(order, 0, left, counts, vrow)[0]
+                if acc > total:
+                    total = acc
+            return total
+        cap_left = list(self.caps)
+        for b in self.greedy_orders[group]:
+            k = counts.get(b, 0)
+            if not k:
+                continue
+            c = self.block_class[b]
+            room = cap_left[c]
+            if not room:
+                continue
+            if k > room:
+                k = room
+            if k >= left:
+                return total + vrow[b] * left
+            total += vrow[b] * k
+            cap_left[c] = room - k
+            left -= k
+        return total
+
+
+class RunningValues:
+    """Scaled values of one changing multiset of block counts, for every
+    group in play.
+
+    ``change(b, k)`` adds k items of block b (k < 0 removes them);
+    ``value(g)`` is group g's value of the current multiset, and
+    ``without(g, b, k)`` its value were k of b's items gone, with nothing
+    changed.  Each answer equals ``BlockTable.value(g, counts)`` on
+    ``counts``, the current multiset, but the state charges no query:
+    whoever reads a value charges it with ``BlockTable.charge``.  The
+    state starts empty and adds the given counts one block at a time.
+
+    Capacity values separate by class, each class giving its best ``cap``
+    items.  The state keeps per (group, class) that best value and the
+    class's plain sum, plus each group's total.  A class holding at most
+    ``cap`` items is worth its plain sum.  A class over its cap is walked
+    greedily over its own blocks when it changes, and the walk records
+    where the cap fills: the fill block's place in the class order and
+    how many of its items are taken.  ``without`` then only looks past
+    that point, for the items that would move up into the freed places.
+
+    Explicit systems keep a running sum per (group, maximal set); a value
+    is the largest sum.
+    """
+
+    def __init__(self, table: BlockTable, groups: Sequence[int], counts: Mapping[int, int]):
+        self.table = table
+        self.groups = groups
+        self.counts: dict[int, int] = {}
+        self.capacity = table.capacity
+        num_groups = table.num_groups
+        if self.capacity:
+            num_classes = len(table.caps)
+            self.class_count = [0] * num_classes
+            self.plain = [[0] * num_classes for _ in range(num_groups)]
+            self.best = [[0] * num_classes for _ in range(num_groups)]
+            self.fill = [[0] * num_classes for _ in range(num_groups)]
+            self.used = [[0] * num_classes for _ in range(num_groups)]
+            self.total = [0] * num_groups
+        else:
+            self.sums = [[0] * table.num_sets for _ in range(num_groups)]
+            self.ranked: list[list[int] | None] = [None] * num_groups
+        for b, k in counts.items():
+            if k:
+                self.change(b, k)
+
+    def change(self, b: int, k: int) -> None:
+        table = self.table
+        counts = self.counts
+        left = counts.get(b, 0) + k
+        if left:
+            counts[b] = left
+        else:
+            del counts[b]
+        if self.capacity:
+            c = table.block_class[b]
+            in_class = self.class_count[c] + k
+            self.class_count[c] = in_class
+            cap = table.caps[c]
+            for g in self.groups:
+                vrow = table.val[g]
+                plain = self.plain[g]
+                plain[c] += vrow[b] * k
+                if in_class > cap:
+                    v, self.fill[g][c], self.used[g][c] = _take(
+                        table.class_orders[g][c], 0, cap, counts, vrow
+                    )
+                else:
+                    v = plain[c]
+                best = self.best[g]
+                self.total[g] += v - best[c]
+                best[c] = v
+        else:
+            sets = table.sets_of[b]
+            for g in self.groups:
+                d = table.val[g][b] * k
+                sums = self.sums[g]
+                for t in sets:
+                    sums[t] += d
+                self.ranked[g] = None
+
+    def value(self, g: int) -> int:
+        if self.capacity:
+            return self.total[g]
+        return max(self.sums[g], default=0)
+
+    def without(self, g: int, b: int, k: int) -> int:
+        table = self.table
+        vrow = table.val[g]
+        if self.capacity:
+            c = table.block_class[b]
+            total = self.total[g]
+            if self.class_count[c] - k <= table.caps[c]:
+                return total - self.best[g][c] + self.plain[g][c] - vrow[b] * k
+            fill = self.fill[g][c]
+            rank = table.class_rank[g][b]
+            if rank > fill:
+                return total  # none of b's items is among the best
+            order = table.class_orders[g][c]
+            spare = self.counts[order[fill]] - self.used[g][c]
+            if rank == fill:
+                # b's untaken items go first
+                lost = k - spare
+                if lost <= 0:
+                    return total
+                return total - vrow[b] * lost + _take(order, fill + 1, lost, self.counts, vrow)[0]
+            # b is fully taken; the fill block's spare items move up first
+            gain = vrow[order[fill]] * min(k, spare)
+            if k > spare:
+                gain += _take(order, fill + 1, k - spare, self.counts, vrow)[0]
+            return total - vrow[b] * k + gain
+        # Walk the sets by descending sum: the first set holding b is the
+        # best of those, less b's share; the first set without b ends it.
+        sums = self.sums[g]
+        ranked = self.ranked[g]
+        if ranked is None:
+            ranked = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
+            self.ranked[g] = ranked
+        holds = table.set_mask[b]
+        hit = -1
+        for t in ranked:
+            s = sums[t]
+            if s <= hit:
+                return hit
+            if not holds >> t & 1:
+                return s
+            if hit < 0:
+                hit = s - vrow[b] * k
+        return max(hit, 0)
 
 
 def nth_value(valuation: Valuation, n: int) -> Fraction:

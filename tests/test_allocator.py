@@ -34,7 +34,9 @@ from fairdiv import (
     verify_allocation,
 )
 import fairdiv.allocator
-from fairdiv.allocator import _BlockTable, _Roster, _RunningValues
+from fairdiv.allocator import _Roster
+from fairdiv.allocator import _block_table as _BlockTable
+from fairdiv.valuation import RunningValues as _RunningValues
 from support import (
     FAMILIES,
     brute_bundle_value,

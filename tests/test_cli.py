@@ -9,7 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairdiv
-from fairdiv import footnote_instance, parse_instance, serialize_instance, table1_instance
+from fairdiv import (
+    ParseError,
+    footnote_instance,
+    parse_allocation,
+    parse_instance,
+    serialize_instance,
+    table1_instance,
+)
 from fairdiv.cli import main
 
 
@@ -161,6 +168,21 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "solve", str(tmp_path / "missing.json"))[0] == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    inst_path, latin1_path = tmp_path / "inst.json", tmp_path / "latin1.json"
+    assert run_cli(capsys, "gen", "footnote", "-o", str(inst_path))[0] == 0
+    latin1_path.write_bytes(inst_path.read_text().replace("footnote", "f\u00f6otnote").encode("latin-1"))
+    for argv in [
+        ("solve", str(latin1_path)),
+        ("verify", str(latin1_path), str(inst_path)),
+        ("solve", str(tmp_path)),
+        ("mms", str(tmp_path)),
+        ("solve", str(inst_path), "-o", str(tmp_path)),
+        ("solve", str(inst_path), "--trace", str(tmp_path)),
+        ("gen", "footnote", "-o", str(tmp_path)),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_solve_has_no_decimal_option(solved, capsys):
@@ -200,10 +222,18 @@ def test_parameter_edges_are_usage_errors(solved, capsys, argv):
     assert "Traceback" not in err
 
 
+_DIGITS = "9" * 5000
+# JSON that json.dumps cannot write, put in place of these strings
+_RAW_JSON = {"@huge-int@": _DIGITS, "@deep-lists@": "[" * 100000 + "]" * 100000}
+
+
 def _rewrite_document(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
-    path.write_text(json.dumps(doc))
+    text = json.dumps(doc)
+    for placeholder, raw in _RAW_JSON.items():
+        text = text.replace(json.dumps(placeholder), raw)
+    path.write_text(text)
 
 
 def test_verify_rejects_agent_both_allocated_and_unallocated(solved, capsys):
@@ -280,6 +310,9 @@ def _set_event_field(field, value):
         (_set_event_field("phase", -1), "events[0].phase"),
         # events[0] gives item 3 alone; its value stays that of {3}
         (lambda doc: doc["events"][0].update(bundle=[3, 3], phase=2), "events[0].bundle"),
+        (_set_event_field("agent", "@huge-int@"), "document"),
+        (lambda doc: doc.update(events="@deep-lists@"), "document"),
+        (_set_event_field("value", _DIGITS), "events[0].value"),
     ],
     ids=[
         "bundle-int",
@@ -300,6 +333,9 @@ def _set_event_field(field, value):
         "phase-bool",
         "phase-negative",
         "bundle-repeats-item",
+        "agent-huge",
+        "events-nested-deep",
+        "value-huge",
     ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
@@ -375,6 +411,9 @@ def _rename_value_key(doc, old, new):
         (lambda doc: doc["items"][0].update({"class": 5}), "items[0].class"),
         (lambda doc: doc.update(name=None), "name"),
         (lambda doc: _rename_value_key(doc, "1", "01"), "valuations[0].values"),
+        (lambda doc: doc.update(n="@huge-int@"), "document"),
+        (lambda doc: doc.update(set_system="@deep-lists@"), "document"),
+        (lambda doc: doc["valuations"][0]["values"].update({"3": _DIGITS}), "valuations[0].values.3"),
     ],
     ids=[
         "set-system-int",
@@ -391,6 +430,9 @@ def _rename_value_key(doc, old, new):
         "class-label-int",
         "name-null",
         "value-key-leading-zero",
+        "n-huge",
+        "set-system-nested-deep",
+        "value-huge",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
@@ -479,6 +521,59 @@ def test_one_replaced_field_never_escapes_the_exit_codes(
     for argv, allowed in runs:
         code, _, err = run_cli(capsys, *argv)
         assert code in allowed, (argv[0], code, err)
+
+
+def _corrupted(data, valid, label):
+    """An arbitrary JSON value, or ``valid`` with up to three top-level
+    fields each dropped or replaced by an arbitrary JSON value."""
+    if data.draw(st.booleans(), label=f"{label} replaced whole"):
+        return data.draw(_JSON_VALUES, label=label)
+    doc = dict(valid)
+    fields = st.lists(st.sampled_from(sorted(valid)), max_size=3, unique=True)
+    for key in data.draw(fields, label=f"{label} fields"):
+        if data.draw(st.booleans(), label=f"drop {label}.{key}"):
+            del doc[key]
+        else:
+            doc[key] = data.draw(_JSON_VALUES, label=f"{label}.{key}")
+    return doc
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_arbitrary_documents_never_escape_the_exit_codes(
+    solved_documents, tmp_path, capsys, data
+):
+    """Whole documents, each an arbitrary JSON value or the solved pair's
+    document with some of its fields dropped or replaced: the parsers
+    raise nothing but ``ParseError``, and ``solve``, ``mms`` and
+    ``verify`` return 0, 2 or 3 (``verify`` also 1), never a traceback."""
+    instance, allocation = (
+        _corrupted(data, valid, label) for valid, label in zip(solved_documents, ("instance", "allocation"))
+    )
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(json.dumps(instance))
+    alloc_path.write_text(json.dumps(allocation))
+    for parse, path in ((parse_instance, inst_path), (parse_allocation, alloc_path)):
+        try:
+            parse(path.read_text())
+        except ParseError:
+            pass
+
+    runs = [
+        (("verify", str(alloc_path), str(inst_path), "--floor-mode", mode), {0, 1, 2, 3})
+        for mode in ("mu", "exact-mms")
+    ]
+    runs += [(("solve", str(inst_path)), {0, 2, 3}), (("mms", str(inst_path)), {0, 2, 3})]
+    for argv, allowed in runs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code in allowed, (argv[0], code, err)
+        assert "Traceback" not in err
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):

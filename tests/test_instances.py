@@ -200,3 +200,11 @@ def test_parse_errors_carry_location():
         parse_instance(doc.replace('"0": ', '"9": ', 1))
     with pytest.raises(ParseError, match="missing field"):
         parse_instance("{}")
+    # json.loads refuses both; int() refuses the value string's digits
+    for text in ['{"n": ' + "9" * 5000 + "}", "[" * 100000]:
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert info.value.location == "document"
+    with pytest.raises(ParseError) as info:
+        parse_instance(doc.replace('"0": "', '"0": "' + "9" * 5000, 1))
+    assert info.value.location == "valuations[0].values.0"
