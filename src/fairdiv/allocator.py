@@ -22,15 +22,16 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
-This module never looks at how a set system is represented: every
-valuation query values one multiset of block counts for one value group
-through ``valuation``'s block-count kernel and is charged as one query
-on that group's representative.  The phases' size-capped existence
-check and ``allocate_naive``'s per-size gate value from scratch with
+This module never looks at how a set system is represented, and keeps
+no query accounting: every valuation query values one multiset of block
+counts for one value group through ``valuation``'s block-count kernel,
+which charges each value it returns as one query on that group's
+representative.  The phases' size-capped existence check and
+``allocate_naive``'s per-size gate value from scratch with
 ``BlockTable.value``.  The phase enumeration and the removal scan change
 their multiset one block at a time and read a ``RunningValues`` state,
-which charges nothing; each read is charged where it is made, so the
-query counts are those of valuing every multiset from scratch.
+whose reads are charged like from-scratch values, so the query counts
+are those of valuing every multiset from scratch.
 
 The kernel computes in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -300,8 +301,8 @@ def _run_phase(
     per group; no multiset repeats within a phase, so each value is
     queried once.  The depth-first enumeration adds and removes one
     block's items at a time in a ``RunningValues`` state, and each
-    multiset it reaches reads every group's value from that state,
-    charging one query per group.  The existence check before the
+    multiset it reaches reads every group's value from that state, which
+    charges one query per group.  The existence check before the
     enumeration is a size-capped ``BlockTable.value`` call per group.
     Within the phase, values and thresholds never change
     and removals only shrink the pool, so a multiset that failed to
@@ -333,10 +334,7 @@ def _run_phase(
     state = RunningValues(table, groups, {})
 
     def emit() -> None:
-        vals = {}
-        for g in groups:
-            table.charge(g)
-            vals[g] = state.value(g)
+        vals = {g: state.value(g) for g in groups}
         quals = [
             pos for pos in descending if vals[table.group_of[pos]] >= roster.need[pos]
         ]
@@ -422,8 +420,8 @@ def _minimal_set_scan(
     scan's pool and answers every query: the first valuation of the
     pool, each removability test and batch probe (``without``: the value
     were k items of one block gone) and the re-valuation after each
-    removal.  Each answer read is charged as one query, exactly as if it
-    had been valued from scratch.
+    removal.  The state charges each answer as one query, exactly as if
+    it had been valued from scratch.
 
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
@@ -445,15 +443,7 @@ def _minimal_set_scan(
     def front(b: int) -> int:
         return table.block_items[b][pool.hi[b] - local[b]]
 
-    def read(g: int) -> int:
-        table.charge(g)
-        return state.value(g)
-
-    def probe(g: int, b: int, k: int) -> int:
-        table.charge(g)
-        return state.without(g, b, k)
-
-    group_vals = {g: read(g) for g in groups}
+    group_vals = {g: state.value(g) for g in groups}
     if not roster.any_meets(group_vals):
         return None
     while True:
@@ -462,7 +452,7 @@ def _minimal_set_scan(
         vrow = table.val[gj]
         need = roster.need[pick]
 
-        removable = [b for b in sorted(local) if probe(gj, b, 1) >= need]
+        removable = [b for b in sorted(local) if state.without(gj, b, 1) >= need]
         if not removable:
             break
 
@@ -481,14 +471,14 @@ def _minimal_set_scan(
             lo_k, hi_k = 0, k_bound
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
-                if all(probe(g, bstar, mid) == s for g, s in group_vals.items()):
+                if all(state.without(g, bstar, mid) == s for g, s in group_vals.items()):
                     lo_k = mid
                 else:
                     hi_k = mid - 1
             k = max(1, lo_k)
 
         state.change(bstar, -k)
-        group_vals = {g: read(g) for g in groups}
+        group_vals = {g: state.value(g) for g in groups}
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
     return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])

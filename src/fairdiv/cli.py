@@ -11,6 +11,7 @@ any computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -72,6 +73,7 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairdiv",

@@ -14,9 +14,10 @@ lcm of its denominators (``scale_row``):
   ``mms.mms_exact`` runs it on all items behind a memo and charges none.
 * The block-count kernel values multisets of item-equivalence blocks
   for the allocator's searches: ``BlockTable.value`` from scratch,
-  optionally capped at a size, charging one query, and
-  ``RunningValues`` for one multiset changed a block at a time, charging
-  nothing (its readers charge with ``BlockTable.charge``).
+  optionally capped at a size, and ``RunningValues`` for one multiset
+  changed a block at a time.  The kernel charges each value it returns
+  as one query on the value group's representative, so its callers keep
+  no query accounting.
 
 Both kernels prepare a family the same way, with a unit standing for an
 item (a bit) or for a block: capacity systems list each class's units by
@@ -38,7 +39,8 @@ ZERO = Fraction(0)
 
 
 class Valuation:
-    """Item values plus a bundle-value query counter.
+    """Item values plus a valuation-query counter, which this module's
+    kernels increment by one per value they return.
 
     Value data is immutable after construction; the counter is the only
     mutable state and only ever increases.  Equality ignores the counter.
@@ -76,9 +78,6 @@ class Valuation:
     @property
     def query_count(self) -> int:
         return self._queries
-
-    def _count_query(self) -> None:
-        self._queries += 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Valuation):
@@ -197,7 +196,7 @@ def bundle_value(spec: SetSystemSpec, valuation: Valuation, items: Iterable[int]
     """
     listed = tuple(coerce_items(spec, items))
     scale, value_of = item_set_evaluator(spec, valuation, listed)
-    valuation._count_query()
+    valuation._queries += 1
     return Fraction(value_of((1 << len(listed)) - 1), scale)
 
 
@@ -210,8 +209,9 @@ class BlockTable:
     carry identical value for every agent and an identical feasibility
     role, so a multiset of block counts is worth what ``bundle_value``
     gives any set realizing it.  Agents sharing one value row form a
-    group; each value evaluated here costs one query on the group's
-    representative valuation.
+    group, and ``reps[g]`` is group g's representative valuation: every
+    value this kernel returns for group g, here or in ``RunningValues``,
+    charges one query on it.
 
     ``val[g]`` holds group g's block values as integers over the group's
     scale ``scale[g]`` (L_g, the lcm of the row's denominators), and
@@ -226,8 +226,7 @@ class BlockTable:
     capacity systems in one global order under per-class caps (a
     truncated partition matroid, where greedy is optimal), explicit
     systems in one order per maximal set.  It is the oracle that
-    ``RunningValues`` is tested against.  ``charge`` counts a query
-    answered elsewhere.
+    ``RunningValues`` is tested against.
     """
 
     def __init__(
@@ -237,17 +236,15 @@ class BlockTable:
         blocks: Iterable[frozenset[int]],
     ):
         self.num_items = spec.num_items
-        self.valuations = list(valuations)
-
         self.group_of: list[int] = []
-        self.group_reps: list[int] = []
+        self.reps: list[Valuation] = []
         seen: dict[int, int] = {}
-        for pos, val in enumerate(self.valuations):
+        for val in valuations:
             g = seen.get(id(val.values))
             if g is None:
-                g = len(self.group_reps)
+                g = len(self.reps)
                 seen[id(val.values)] = g
-                self.group_reps.append(pos)
+                self.reps.append(val)
             self.group_of.append(g)
 
         self.block_items: tuple[tuple[int, ...], ...] = tuple(
@@ -257,8 +254,8 @@ class BlockTable:
         firsts = [block[0] for block in self.block_items]
         self.scale: list[int] = []
         self.val: list[tuple[int, ...]] = []
-        for rep in self.group_reps:
-            scale, row = scale_row([self.valuations[rep].values[j] for j in firsts])
+        for rep in self.reps:
+            scale, row = scale_row([rep.values[j] for j in firsts])
             self.scale.append(scale)
             self.val.append(row)
 
@@ -299,17 +296,13 @@ class BlockTable:
 
     @property
     def num_groups(self) -> int:
-        return len(self.group_reps)
-
-    def charge(self, group: int) -> None:
-        """Count one query on the group's representative valuation."""
-        self.valuations[self.group_reps[group]]._count_query()
+        return len(self.reps)
 
     def value(self, group: int, counts: Mapping[int, int], size: int | None = None) -> int:
         """Scaled bundle value of the multiset ``counts`` (a count of 0
         reads as absent), optionally capped at ``size`` items.  Costs one
         query."""
-        self.charge(group)
+        self.reps[group]._queries += 1
         vrow = self.val[group]
         left = self.num_items if size is None else size
         total = 0
@@ -346,9 +339,8 @@ class RunningValues:
     ``value(g)`` is group g's value of the current multiset, and
     ``without(g, b, k)`` its value were k of b's items gone, with nothing
     changed.  Each answer equals ``BlockTable.value(g, counts)`` on
-    ``counts``, the current multiset, but the state charges no query:
-    whoever reads a value charges it with ``BlockTable.charge``.  The
-    state starts empty and adds the given counts one block at a time.
+    ``counts``, the current multiset, and charges one query on
+    ``table.reps[g]`` the same way; ``change`` charges none.
 
     Capacity values separate by class, each class giving its best ``cap``
     items.  The state keeps per (group, class) that best value and the
@@ -358,6 +350,8 @@ class RunningValues:
     where the cap fills: the fill block's place in the class order and
     how many of its items are taken.  ``without`` then only looks past
     that point, for the items that would move up into the freed places.
+    The start state adds every count first and then walks each touched
+    class once.
 
     Explicit systems keep a running sum per (group, maximal set); a value
     is the largest sum.
@@ -380,9 +374,20 @@ class RunningValues:
         else:
             self.sums = [[0] * table.num_sets for _ in range(num_groups)]
             self.ranked: list[list[int] | None] = [None] * num_groups
-        for b, k in counts.items():
-            if k:
-                self.change(b, k)
+        start = [(b, k) for b, k in counts.items() if k]
+        if self.capacity:
+            settle: dict[int, int] = {}
+            for b, k in start:
+                self.counts[b] = k
+                c = table.block_class[b]
+                self.class_count[c] += k
+                for g in groups:
+                    self.plain[g][c] += table.val[g][b] * k
+                settle[c] = b
+            # change(b, 0) walks b's class once, with every count in place
+            start = [(b, 0) for b in settle.values()]
+        for b, k in start:
+            self.change(b, k)
 
     def change(self, b: int, k: int) -> None:
         table = self.table
@@ -420,12 +425,14 @@ class RunningValues:
                 self.ranked[g] = None
 
     def value(self, g: int) -> int:
+        self.table.reps[g]._queries += 1
         if self.capacity:
             return self.total[g]
         return max(self.sums[g], default=0)
 
     def without(self, g: int, b: int, k: int) -> int:
         table = self.table
+        table.reps[g]._queries += 1
         vrow = table.val[g]
         if self.capacity:
             c = table.block_class[b]

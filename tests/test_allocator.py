@@ -231,7 +231,7 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
         for query in (counts, reduced):
             pool = [j for b, c in query.items() for j in table.block_items[b][:c]]
             for g in range(table.num_groups):
-                val = table.valuations[table.group_reps[g]]
+                val = table.reps[g]
                 for size in [None, *range(len(pool) + 1)]:
                     combos = [pool] if size is None else combinations(pool, size)
                     best = max(brute_bundle_value(inst.spec, val.values, c) for c in combos)
@@ -246,7 +246,8 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
 def test_running_values_match_block_value_oracle(family, seed):
     """Along random add/remove sequences the running state's ``value`` and
     ``without`` equal ``_BlockTable.value`` on the same counts, for every
-    group it follows; the state itself charges no query."""
+    group it follows; each ``value`` and ``without`` read charges exactly
+    one query, and ``change`` charges none."""
     rng = random.Random(f"{family}-{seed}")
     for trial in range(6):
         # value range (2, 1) makes multi-item blocks that overrun caps
@@ -277,10 +278,11 @@ def test_running_values_match_block_value_oracle(family, seed):
             for g in groups:
                 before = queries()
                 got = state.value(g)
+                assert queries() == before + 1
                 got_without = {
                     (c, j): state.without(g, c, j) for c, kc in counts.items() for j in range(1, kc + 1)
                 }
-                assert queries() == before
+                assert queries() == before + 1 + len(got_without)
                 assert got == table.value(g, counts)
                 for (c, j), v in got_without.items():
                     assert v == table.value(g, {**counts, c: counts[c] - j})

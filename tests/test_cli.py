@@ -71,6 +71,22 @@ def test_mms_footnote_with_agents_override(tmp_path, capsys):
     assert doc["witness"] == [[0], [1, 2]]
 
 
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (("mms", "{inst}", "--agents", "2", "--decimal"), "value_decimal", 3.0),
+        (("repro-upper-bound", "--decimal"), "alpha_decimal", 40 / 107 + 1e-7),
+    ],
+    ids=["mms-exact", "repro"],
+)
+def test_decimal_adds_a_float_approximation(tmp_path, capsys, argv, field, value):
+    path = tmp_path / "fn.json"
+    path.write_text(serialize_instance(footnote_instance()))
+    code, out, _ = run_cli(capsys, *(arg.format(inst=path) for arg in argv))
+    assert code == 0
+    assert json.loads(out)[field] == pytest.approx(value)
+
+
 def test_mms_falls_back_to_bounds_over_cap(tmp_path, capsys):
     path = tmp_path / "t1.json"
     path.write_text(serialize_instance(table1_instance(330)))
@@ -176,6 +192,7 @@ def test_usage_errors(tmp_path, capsys):
         ("verify", str(latin1_path), str(inst_path)),
         ("solve", str(tmp_path)),
         ("mms", str(tmp_path)),
+        ("mms", str(inst_path), "--agent", "1"),
         ("solve", str(inst_path), "-o", str(tmp_path)),
         ("solve", str(inst_path), "--trace", str(tmp_path)),
         ("gen", "footnote", "-o", str(tmp_path)),
@@ -313,6 +330,7 @@ def _set_event_field(field, value):
         (_set_event_field("agent", "@huge-int@"), "document"),
         (lambda doc: doc.update(events="@deep-lists@"), "document"),
         (_set_event_field("value", _DIGITS), "events[0].value"),
+        (_set_event_field("agent", 3), "events[0].agent"),
     ],
     ids=[
         "bundle-int",
@@ -336,6 +354,7 @@ def _set_event_field(field, value):
         "agent-huge",
         "events-nested-deep",
         "value-huge",
+        "agent-beyond-n",
     ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
@@ -414,6 +433,11 @@ def _rename_value_key(doc, old, new):
         (lambda doc: doc.update(n="@huge-int@"), "document"),
         (lambda doc: doc.update(set_system="@deep-lists@"), "document"),
         (lambda doc: doc["valuations"][0]["values"].update({"3": _DIGITS}), "valuations[0].values.3"),
+        (
+            lambda doc: doc.update(identical_agents=True, valuations=doc["valuations"][:2]),
+            "valuations",
+        ),
+        (lambda doc: doc.update(valuations=doc["valuations"][:2]), "valuations"),
     ],
     ids=[
         "set-system-int",
@@ -433,6 +457,8 @@ def _rename_value_key(doc, old, new):
         "n-huge",
         "set-system-nested-deep",
         "value-huge",
+        "identical-agents-two-rows",
+        "valuation-rows-not-n",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
