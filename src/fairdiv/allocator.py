@@ -46,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -100,11 +101,15 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Disjoint bundles for a subset of agents plus the ordered trace."""
+    """The ordered trace of allocations plus the agents left without one."""
 
-    bundles: dict[int, frozenset[int]]
     trace: tuple[TraceEvent, ...]
     unallocated_agents: frozenset[int]
+
+    @cached_property
+    def bundles(self) -> dict[int, frozenset[int]]:
+        """Each traced agent's bundle, read off its event."""
+        return {event.agent: frozenset(event.bundle) for event in self.trace}
 
     def trace_records(self) -> list[str]:
         return [event.record() for event in self.trace]
@@ -121,8 +126,11 @@ class EstimateVector:
 class RunStats:
     """Optional instrumentation collected by fair_divide."""
 
-    iterations: int = 0
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.rounds)
 
 
 def check_parameters(
@@ -571,8 +579,7 @@ def allocate_from_estimates(
         trace.append(TraceEvent(MINIMAL, len(bundle), pick, bundle, value, thresholds[pick]))
         roster.discard(pick)
 
-    bundles = {event.agent: frozenset(event.bundle) for event in trace}
-    return Allocation(bundles, tuple(trace), frozenset(roster.ascending))
+    return Allocation(tuple(trace), frozenset(roster.ascending))
 
 
 def allocate_naive(
@@ -612,8 +619,7 @@ def allocate_naive(
             break
         _run_phase(table, pool, size, roster, trace, budget)
 
-    bundles = {event.agent: frozenset(event.bundle) for event in trace}
-    return Allocation(bundles, tuple(trace), frozenset(roster.ascending))
+    return Allocation(tuple(trace), frozenset(roster.ascending))
 
 
 def fair_divide(
@@ -647,7 +653,6 @@ def fair_divide(
         estimates = EstimateVector(tuple(mu))
         allocation = allocate_from_estimates(instance, estimates, alpha, _table=table)
         if stats is not None:
-            stats.iterations += 1
             stats.rounds.append((estimates.mu, allocation.unallocated_agents))
         if not allocation.unallocated_agents:
             return allocation, estimates
@@ -752,8 +757,8 @@ def verify_allocation(
             j for j in allocation.bundles[agent] if 0 <= j < instance.num_items
         )
         value = bundle_value(instance.spec, instance.valuations[agent], bundle)
-        event = events.get(agent)
-        if event is not None and event.value != value:
+        event = events[agent]
+        if event.value != value:
             violations.append(
                 Violation(
                     "value-mismatch",

@@ -21,6 +21,9 @@ from .setsystem import Capacity, SetSystemSpec, capacity, explicit_maximal
 from .valuation import Valuation
 
 RANDOM_FAMILIES = ("free", "explicit-antichain", "capacity")
+# The most agents a document may declare: an ``identical_agents`` document
+# of a few hundred bytes otherwise builds one Valuation per agent.
+MAX_AGENTS = 100_000
 
 _EVENT_KINDS = (PHASE, MINIMAL, ZERO_ESTIMATE)
 
@@ -33,7 +36,6 @@ class Instance:
     n: int
     spec: SetSystemSpec
     valuations: tuple[Valuation, ...]
-    identical_agents: bool = False
     item_classes: tuple[str, ...] | None = None
     seed: int | None = None
 
@@ -57,6 +59,12 @@ class Instance:
     def num_items(self) -> int:
         return self.spec.num_items
 
+    @property
+    def identical_agents(self) -> bool:
+        """Whether all agents share one value row object, as ``BlockTable`` groups them."""
+        row = self.valuations[0].values
+        return all(val.values is row for val in self.valuations)
+
 
 def footnote_instance() -> Instance:
     """Three items a, b, c (ids 0, 1, 2) with maximal sets {a} and {b, c}
@@ -68,7 +76,6 @@ def footnote_instance() -> Instance:
         n=1,
         spec=spec,
         valuations=(Valuation._wrap(values),),
-        identical_agents=True,
     )
 
 
@@ -84,7 +91,6 @@ def replicate_agents(instance: Instance, n: int) -> Instance:
         n=n,
         spec=instance.spec,
         valuations=tuple(Valuation._wrap(row) for _ in range(n)),
-        identical_agents=True,
         item_classes=instance.item_classes,
         seed=instance.seed,
     )
@@ -129,7 +135,6 @@ def table1_instance(n: int) -> Instance:
         n=n,
         spec=spec,
         valuations=tuple(Valuation._wrap(row) for _ in range(n)),
-        identical_agents=True,
         item_classes=tuple(labels),
     )
 
@@ -337,6 +342,8 @@ def parse_instance(text: str) -> Instance:
     n = _require(doc, "n", "instance")
     if not _is_int(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}", location="n")
+    if n > MAX_AGENTS:
+        raise ParseError(f"n must be at most {MAX_AGENTS}, got {n}", location="n")
     items = _require(doc, "items", "instance")
     if not isinstance(items, list):
         raise ParseError("items must be a list", location="items")
@@ -421,7 +428,6 @@ def parse_instance(text: str) -> Instance:
         n=n,
         spec=spec,
         valuations=valuations,
-        identical_agents=identical,
         item_classes=tuple(labels) if labels is not None else None,
         seed=seed,
     )
@@ -474,7 +480,7 @@ def parse_allocation(text: str) -> Allocation:
     if not isinstance(raw_events, list):
         raise ParseError("events must be a list", location="events")
     events: list[TraceEvent] = []
-    bundles: dict[int, frozenset[int]] = {}
+    agents: set[int] = set()
     for idx, entry in enumerate(raw_events):
         where = f"events[{idx}]"
         kind = _require(entry, "kind", where)
@@ -499,20 +505,20 @@ def parse_allocation(text: str) -> Allocation:
             value=_nonnegative_field(entry, "value", where),
             threshold=_nonnegative_field(entry, "threshold", where),
         )
-        if event.agent in bundles:
+        if event.agent in agents:
             raise ParseError(f"agent {event.agent!r} already has an event", location=where)
-        bundles[event.agent] = frozenset(event.bundle)
+        agents.add(event.agent)
         events.append(event)
     unallocated = frozenset(
         _int_list(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
     )
-    both = sorted(unallocated & bundles.keys())
+    both = sorted(unallocated & agents)
     if both:
         raise ParseError(
             f"agents {both} have events but are listed as unallocated",
             location="unallocated_agents",
         )
-    return Allocation(bundles, tuple(events), unallocated)
+    return Allocation(tuple(events), unallocated)
 
 
 def require_fits_instance(allocation: Allocation, instance: Instance) -> None:

@@ -44,10 +44,6 @@ class MmsResult:
     lower: Fraction | None = None
     upper: Fraction | None = None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.value is not None
-
 
 class _PartValues(dict):
     """Memo ``mask -> scaled part value``, filled on first lookup."""

@@ -299,3 +299,55 @@ def reference_minimal_set(spec, valuations, items, thresholds):
                 break
         else:
             return frozenset(current), agent
+
+
+def reference_allocate_from_estimates(instance, mu, alpha):
+    """Literal ``allocate_from_estimates``: no blocks, no batching, no pool
+    windows.  Zero-estimate grants come first, in index order.  Sizes 1..3
+    then hand the first raw subset of the pool, in ``combinations`` order,
+    to the first remaining agent by index that values it at its threshold
+    alpha * mu_i, restarting after every allocation.  Last,
+    ``reference_minimal_set`` runs on the remaining pool for as long as
+    some remaining agent values that pool at its threshold.  Returns the
+    events as (kind, phase, agent, bundle, value, threshold) tuples and
+    the unallocated agents."""
+    from fairdiv import bundle_value
+    from fairdiv.allocator import MINIMAL, PHASE, ZERO_ESTIMATE
+
+    spec, valuations = instance.spec, instance.valuations
+    thresholds = [alpha * entry for entry in mu.mu]
+    events = [
+        (ZERO_ESTIMATE, 0, agent, (), ZERO, ZERO)
+        for agent in range(instance.n)
+        if mu.mu[agent] == 0
+    ]
+    agents = [agent for agent in range(instance.n) if mu.mu[agent]]
+    pool = list(range(instance.num_items))
+
+    def grant(kind, agent, bundle, value):
+        events.append((kind, len(bundle), agent, bundle, value, thresholds[agent]))
+        agents.remove(agent)
+        pool[:] = [j for j in pool if j not in bundle]
+
+    for size in (1, 2, 3):
+        while True:
+            hit = None
+            for combo in combinations(pool, size):
+                for agent in agents:
+                    value = bundle_value(spec, valuations[agent], combo)
+                    if value >= thresholds[agent]:
+                        hit = (agent, combo, value)
+                        break
+                if hit:
+                    break
+            if hit is None:
+                break
+            grant(PHASE, *hit)
+
+    while any(bundle_value(spec, valuations[a], pool) >= thresholds[a] for a in agents):
+        bundle, agent = reference_minimal_set(
+            spec, {a: valuations[a] for a in agents}, pool, {a: thresholds[a] for a in agents}
+        )
+        bundle = tuple(sorted(bundle))
+        grant(MINIMAL, agent, bundle, bundle_value(spec, valuations[agent], bundle))
+    return events, frozenset(agents)

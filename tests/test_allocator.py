@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from fairdiv import (
     Instance,
     NoEligibleAgentError,
     RunStats,
+    TraceEvent,
     Valuation,
     allocate_from_estimates,
     allocate_naive,
@@ -34,7 +36,7 @@ from fairdiv import (
     verify_allocation,
 )
 import fairdiv.allocator
-from fairdiv.allocator import _Roster
+from fairdiv.allocator import PHASE, _Roster
 from fairdiv.allocator import _block_table as _BlockTable
 from fairdiv.valuation import RunningValues as _RunningValues
 from support import (
@@ -42,6 +44,7 @@ from support import (
     brute_bundle_value,
     iter_suite,
     normalized_by_witnesses,
+    reference_allocate_from_estimates,
     reference_allocate_naive,
     reference_minimal_set,
     reference_pick,
@@ -208,6 +211,32 @@ def test_minimal_set_matches_literal_scan():
         assert minimal_set(inst.spec, vals, grand, thresholds) == expected
 
 
+def test_every_fair_divide_round_matches_the_literal_run():
+    """Each round of ``fair_divide`` replays through the literal oracle:
+    the same events field by field and the same unallocated agents, which
+    are the round's stranded agents.  Value range (2, 1) makes multi-item
+    blocks, so batched removals and equal-value ties run too; m = n - 1
+    gives zero estimates."""
+    rounds = 0
+    for i in range(150):
+        meta = random.Random(31_000 + i)
+        n = meta.choice((2, 3, 4))
+        m = meta.randint(n - 1, 10)
+        value_range = ((8, 4), (2, 1))[i // 3 % 2]
+        inst = random_instance(32_000 + i, m, n, FAMILIES[i % 3], value_range)
+        stats = RunStats()
+        fair_divide(inst, ALPHA, DELTA, stats=stats)
+        for mu, stranded in stats.rounds:
+            estimates = EstimateVector(mu)
+            fast = allocate_from_estimates(inst, estimates, ALPHA)
+            events, unallocated = reference_allocate_from_estimates(inst, estimates, ALPHA)
+            got = [(e.kind, e.phase, e.agent, e.bundle, e.value, e.threshold) for e in fast.trace]
+            assert got == events, (inst.name, mu)
+            assert fast.unallocated_agents == unallocated == stranded
+        rounds += stats.iterations
+    assert rounds > 150
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_block_value_matches_brute_force_with_size_cap(seed):
     """Block-count evaluation, on the counts and on the counts with some
@@ -360,6 +389,18 @@ def test_minimal_set_interleaved_equal_value_blocks():
     bundle, agent = minimal_set(spec, {0: val}, range(4), thresholds)
     assert (bundle, agent) == (frozenset({3}), 0)
     assert reference_minimal_set(spec, {0: val}, range(4), thresholds) == (bundle, agent)
+
+
+def test_batch_stops_before_an_equal_value_front():
+    """Block {0, 2} goes first for agent 0, but item 1, of another block of
+    the same value, precedes item 2 in the scan order: the one-item scan
+    removes 0, then 1, and keeps {2}, so a batch of two off {0, 2} is
+    wrong although it changes no group's value."""
+    spec = capacity(3, [({0, 1, 2}, 1)])
+    vals = {0: Valuation([1, 1, 1]), 1: Valuation([1, 2, 1])}
+    thresholds = {0: Fraction(2, 5), 1: Fraction(4, 5)}
+    assert minimal_set(spec, vals, range(3), thresholds) == (frozenset({2}), 0)
+    assert reference_minimal_set(spec, vals, range(3), thresholds) == (frozenset({2}), 0)
 
 
 def test_estimates_footnote(footnote2):
@@ -681,8 +722,11 @@ def test_verify_allocation_passes_on_driver_output(footnote2):
 def test_verify_allocation_reports_overlap(footnote2):
     alloc, _ = fair_divide(footnote2, ALPHA, DELTA)
     bundles = dict(alloc.bundles)
-    bundles[1] = bundles[1] | bundles[0]
-    bad = Allocation(bundles, alloc.trace, alloc.unallocated_agents)
+    grown = tuple(sorted(bundles[1] | bundles[0]))
+    trace = tuple(
+        replace(event, bundle=grown) if event.agent == 1 else event for event in alloc.trace
+    )
+    bad = Allocation(trace, alloc.unallocated_agents)
     report = verify_allocation(footnote2, bad, {})
     assert any(v.kind == "overlap" for v in report.violations)
 
@@ -698,7 +742,13 @@ def test_verify_allocation_reports_floor_violation(footnote2):
 def test_verify_allocation_reports_unknown_agents_and_items(footnote2):
     """A hand-built allocation naming agent 5 of 2 and item 7 of 3; the
     out-of-range item is also left out of the floor check's bundle."""
-    bad = Allocation({0: frozenset({0, 7}), 5: frozenset({1})}, (), frozenset({1}))
+    bad = Allocation(
+        (
+            TraceEvent(PHASE, 2, 0, (0, 7), Fraction(3), Fraction(3)),
+            TraceEvent(PHASE, 1, 5, (1,), Fraction(2), Fraction(2)),
+        ),
+        frozenset({1}),
+    )
     report = verify_allocation(footnote2, bad, {0: Fraction(3)})
     assert [(v.kind, v.agent) for v in report.violations] == [
         ("unknown-item", 0),

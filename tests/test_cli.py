@@ -18,6 +18,7 @@ from fairdiv import (
     table1_instance,
 )
 from fairdiv.cli import main
+from fairdiv.instances import MAX_AGENTS
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,13 @@ def test_parameter_edges_are_usage_errors(solved, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_non_canonical_rational_argument_is_a_usage_error(solved, capsys):
+    inst_path, _ = solved
+    code, _, err = run_cli(capsys, "solve", str(inst_path), "--alpha", "0.5")
+    assert code == 2
+    assert "argument --alpha: not a canonical rational: '0.5'" in err
+
+
 _DIGITS = "9" * 5000
 # JSON that json.dumps cannot write, put in place of these strings
 _RAW_JSON = {"@huge-int@": _DIGITS, "@deep-lists@": "[" * 100000 + "]" * 100000}
@@ -331,6 +339,7 @@ def _set_event_field(field, value):
         (lambda doc: doc.update(events="@deep-lists@"), "document"),
         (_set_event_field("value", _DIGITS), "events[0].value"),
         (_set_event_field("agent", 3), "events[0].agent"),
+        (_set_event_field("kind", "gift"), "events[0]"),
     ],
     ids=[
         "bundle-int",
@@ -355,6 +364,7 @@ def _set_event_field(field, value):
         "events-nested-deep",
         "value-huge",
         "agent-beyond-n",
+        "kind-unknown",
     ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):
@@ -438,6 +448,14 @@ def _rename_value_key(doc, old, new):
             "valuations",
         ),
         (lambda doc: doc.update(valuations=doc["valuations"][:2]), "valuations"),
+        (lambda doc: doc.update(valuations=[]), "valuations"),
+        (lambda doc: doc.update(valuations=doc["valuations"][0]), "valuations"),
+        (
+            lambda doc: doc.update(
+                n=MAX_AGENTS + 1, identical_agents=True, valuations=doc["valuations"][:1]
+            ),
+            "n",
+        ),
     ],
     ids=[
         "set-system-int",
@@ -459,6 +477,9 @@ def _rename_value_key(doc, old, new):
         "value-huge",
         "identical-agents-two-rows",
         "valuation-rows-not-n",
+        "valuations-empty",
+        "valuations-object",
+        "n-above-max-agents",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):

@@ -6,7 +6,9 @@ import pytest
 from fairdiv import (
     Capacity,
     InputError,
+    Instance,
     ParseError,
+    Valuation,
     bundle_value,
     footnote_instance,
     is_feasible,
@@ -20,6 +22,7 @@ from fairdiv import (
     table1_instance,
 )
 from fairdiv import EstimateVector, allocate_from_estimates, fair_divide
+from fairdiv.instances import MAX_AGENTS
 
 ALPHA_PRIME = Fraction(40, 107)
 
@@ -124,6 +127,37 @@ def test_random_instance_rejects_unknown_family():
         random_instance(1, m=4, n=2, family="matroid")
 
 
+_ROW = Valuation([3, 2, 2])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda spec: Instance("x", 0, spec, ()), "at least one agent"),
+        (lambda spec: Instance("x", 2, spec, (_ROW,)), "1 valuations for 2 agents"),
+        (lambda spec: Instance("x", 1, spec, (Valuation([1, 2]),)), "valuation 0 covers 2 items"),
+        (lambda spec: Instance("x", 1, spec, (_ROW,), item_classes=("A",)), "item_classes"),
+        (lambda spec: replicate_agents(Instance("x", 2, spec, (_ROW, _ROW)), 3), "single-agent"),
+        (lambda spec: replicate_agents(Instance("x", 1, spec, (_ROW,)), 0), "at least one agent"),
+        (lambda spec: random_instance(1, m=-1, n=2, family="free"), "m=-1"),
+        (lambda spec: random_instance(1, m=4, n=0, family="free"), "n=0"),
+    ],
+    ids=[
+        "no-agents",
+        "rows-not-n",
+        "row-length",
+        "item-classes-length",
+        "replicate-two-agents",
+        "replicate-to-zero",
+        "random-negative-m",
+        "random-no-agents",
+    ],
+)
+def test_instance_builders_reject_bad_arguments(build, message):
+    with pytest.raises(InputError, match=message):
+        build(footnote_instance().spec)
+
+
 def test_instance_round_trips():
     fixtures = [
         footnote_instance(),
@@ -142,6 +176,37 @@ def test_identical_agents_shorthand_keeps_one_row(table1):
     parsed = parse_instance(doc)
     assert parsed.n == 330
     assert parsed.valuations[0].values is parsed.valuations[329].values
+
+
+def test_identical_agents_is_read_off_shared_rows():
+    """Equal rows held in distinct objects serialize one row per agent and
+    round-trip every row, as do different rows; a row that every agent
+    shares serializes once, with no flag passed anywhere."""
+    spec = footnote_instance().spec
+    for rows in ([3, 2, 2], [3, 2, 2]), ([3, 2, 2], [1, 1, 5]):
+        inst = Instance("rows", 2, spec, tuple(Valuation(row) for row in rows))
+        assert not inst.identical_agents
+        doc = serialize_instance(inst)
+        assert doc.count('"agent"') == 2
+        assert parse_instance(doc) == inst
+    shared = Instance("rows", 2, spec, (_ROW, _ROW))
+    assert shared.identical_agents
+    assert serialize_instance(shared).count('"agent"') == 1
+
+
+def test_documents_declare_at_most_max_agents(monkeypatch):
+    doc = json.loads(serialize_instance(footnote_instance()))
+    doc["n"] = MAX_AGENTS
+    assert parse_instance(json.dumps(doc)).n == MAX_AGENTS
+    doc["n"] = MAX_AGENTS + 1
+
+    def refuse(_row):
+        raise AssertionError("a valuation was built before n was bounded")
+
+    monkeypatch.setattr(Valuation, "_wrap", refuse)
+    with pytest.raises(ParseError) as info:
+        parse_instance(json.dumps(doc))
+    assert info.value.location == "n"
 
 
 def test_allocation_round_trip(table1):
@@ -168,7 +233,7 @@ def test_rational_wire_format():
 
 @pytest.mark.parametrize(
     "text",
-    ["80/214", "0/5", "1/-2", "-1/-2", "-0", "007/1", "1/02", " 3 ", "3\n", "+3", "\u0663"],
+    ["80/214", "0/5", "1/-2", "-1/-2", "-0", "007/1", "1/02", " 3 ", "3\n", "+3", "\u0663", True],
 )
 def test_rational_wire_format_is_canonical_only(text):
     """Each value has one spelling: reduced, positive denominator, no

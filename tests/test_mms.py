@@ -6,6 +6,7 @@ import pytest
 
 from fairdiv import (
     DeskCapError,
+    InputError,
     Valuation,
     bundle_value,
     capacity,
@@ -60,6 +61,19 @@ def test_desk_cap():
     with pytest.raises(DeskCapError):
         mms_exact(spec, val, 2)
     mms_exact(spec, val, 2, max_items=13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst: mms_exact(inst.spec, inst.valuations[0], 0),
+        lambda inst: mms_bounds(inst.valuations[0], 0, 3),
+    ],
+    ids=["exact", "bounds"],
+)
+def test_no_parts_is_rejected(call):
+    with pytest.raises(InputError, match="n must be >= 1, got 0"):
+        call(footnote_instance())
 
 
 def test_bounds_footnote():

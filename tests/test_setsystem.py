@@ -65,6 +65,23 @@ def test_capacity_requires_partition():
         capacity(3, [({0, 1}, -1), ({2}, 1)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: explicit_maximal(-1, []), "num_items must be >= 0"),
+        (lambda: capacity(-1, []), "num_items must be >= 0"),
+        (
+            lambda: equivalence_classes(explicit_maximal(3, [range(3)]), [[Fraction(1)] * 2]),
+            "value row has 2 entries, expected 3",
+        ),
+    ],
+    ids=["explicit-negative-m", "capacity-negative-m", "equivalence-short-row"],
+)
+def test_item_counts_must_fit_the_ground_set(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def test_zero_capacity_class_is_dead_weight():
     spec = capacity(3, [({0, 1}, 0), ({2}, 1)])
     assert not is_feasible(spec, {0})

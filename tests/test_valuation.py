@@ -155,6 +155,19 @@ def test_normalize_zero_part_rejected():
         normalize_to_partition(val, [{0}, {1}], spec)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, short: bundle_value(spec, short, {0}),
+        lambda spec, short: normalize_to_partition(short, [{0}, {1, 2}], spec),
+    ],
+    ids=["bundle-value", "normalize"],
+)
+def test_valuation_sized_for_another_spec_is_rejected(footnote, call):
+    with pytest.raises(InputError, match="valuation covers 2 items, spec has 3"):
+        call(footnote.spec, Valuation([1, 2]))
+
+
 def test_normalize_requires_partition(footnote):
     val = footnote.valuations[0]
     with pytest.raises(InputError):
