@@ -15,15 +15,7 @@ from .allocator import (
     query_budget,
     verify_allocation,
 )
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    DeskCapError,
-    FairdivError,
-    InputError,
-    NoEligibleAgentError,
-    ParseError,
-)
+from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .instances import (
     Instance,
     footnote_instance,
@@ -35,7 +27,7 @@ from .instances import (
     serialize_instance,
     table1_instance,
 )
-from .mms import MmsResult, Partition, mms_bounds, mms_exact
+from .mms import MmsResult, mms_bounds, mms_exact
 from .rationals import format_rational, parse_rational
 from .setsystem import (
     Capacity,
@@ -53,8 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "Capacity",
-    "ConfigError",
-    "DegenerateInputError",
     "DeskCapError",
     "EstimateVector",
     "ExplicitMaximal",
@@ -62,9 +52,7 @@ __all__ = [
     "InputError",
     "Instance",
     "MmsResult",
-    "NoEligibleAgentError",
     "ParseError",
-    "Partition",
     "RunStats",
     "SetSystemSpec",
     "TraceEvent",

@@ -49,13 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import (
-    ConfigError,
-    DeskCapError,
-    FairdivError,
-    InputError,
-    NoEligibleAgentError,
-)
+from .errors import DeskCapError, FairdivError, InputError
 from .rationals import format_rational
 from .setsystem import SetSystemSpec, coerce_items, equivalence_classes
 from .valuation import BlockTable, RunningValues, Valuation, bundle_value, nth_value
@@ -77,19 +71,24 @@ ZERO_ESTIMATE = "zero-estimate"
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One allocation: bundle cardinality, recipient, value, threshold.
+    """One allocation: recipient, bundle, value, threshold.
 
     ``kind`` distinguishes fixed-size phase allocations, minimal-set
     allocations from the grouped tail, and the empty bundles granted to
-    agents whose estimate is zero (phase recorded as 0 for those).
+    agents whose estimate is zero.
     """
 
     kind: str
-    phase: int
     agent: int
     bundle: tuple[int, ...]
     value: Fraction
     threshold: Fraction
+
+    @property
+    def phase(self) -> int:
+        """The bundle's cardinality: the phase size that allocated it, the
+        size of a minimal bundle, or 0 for a zero-estimate grant."""
+        return len(self.bundle)
 
     def record(self) -> str:
         ids = ",".join(str(j) for j in self.bundle)
@@ -139,9 +138,9 @@ def check_parameters(
     """Reject alpha <= 0 and delta outside (0, 1); every entry point that
     takes either parameter checks it here."""
     if alpha is not None and alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+        raise InputError(f"alpha must be positive, got {alpha}")
     if delta is not None and not 0 < delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
 
 
 def _block_table(
@@ -402,7 +401,7 @@ def _run_phase(
         agent = quals[-1]
         g = table.group_of[agent]
         value = Fraction(vals[g], table.scale[g])
-        trace.append(TraceEvent(PHASE, size, agent, best_key, value, roster.thresholds[agent]))
+        trace.append(TraceEvent(PHASE, agent, best_key, value, roster.thresholds[agent]))
         roster.discard(agent)
 
 
@@ -507,7 +506,7 @@ def minimal_set(
     """
     agent_ids = sorted(valuations)
     if not agent_ids:
-        raise NoEligibleAgentError("no agents given")
+        raise InputError("no agents given")
     missing = [a for a in agent_ids if a not in thresholds]
     if missing:
         raise InputError(f"agents without thresholds: {missing}")
@@ -520,9 +519,7 @@ def minimal_set(
     roster = _Roster(table.group_of, table.scale, thr, range(len(agent_ids)))
     found = _minimal_set_scan(table, _Pool(table), roster)
     if found is None:
-        raise NoEligibleAgentError(
-            "no remaining agent values the remaining items at its threshold"
-        )
+        raise InputError("no remaining agent values the remaining items at its threshold")
     bundle, pick, _value = found
     return frozenset(bundle), agent_ids[pick]
 
@@ -560,7 +557,7 @@ def allocate_from_estimates(
     # A zero estimate certifies a zero maximin share (m * nth_value = 0
     # bounds it above), so the empty bundle already meets the guarantee.
     trace = [
-        TraceEvent(ZERO_ESTIMATE, 0, pos, (), ZERO, ZERO)
+        TraceEvent(ZERO_ESTIMATE, pos, (), ZERO, ZERO)
         for pos in range(n)
         if mu.mu[pos] == 0
     ]
@@ -576,7 +573,7 @@ def allocate_from_estimates(
         if found is None:
             break
         bundle, pick, value = found
-        trace.append(TraceEvent(MINIMAL, len(bundle), pick, bundle, value, thresholds[pick]))
+        trace.append(TraceEvent(MINIMAL, pick, bundle, value, thresholds[pick]))
         roster.discard(pick)
 
     return Allocation(tuple(trace), frozenset(roster.ascending))
@@ -599,6 +596,8 @@ def allocate_naive(
     qualify afterwards).
     """
     check_parameters(alpha=alpha)
+    if max_items < 0:
+        raise InputError(f"max_items must be nonnegative, got {max_items}")
     table = _block_table(instance.spec, instance.valuations)
     if instance.num_items > max_items and table.num_blocks > max_items:
         raise DeskCapError(
@@ -705,10 +704,9 @@ def verify_allocation(
     floors: Mapping[int, Fraction],
 ) -> VerificationReport:
     """Check disjointness, ground-set membership, per-agent floors, and
-    that the trace agrees with itself.
+    that the trace agrees with the instance.
 
-    An event's ``phase`` must equal its bundle's size (``phase-mismatch``),
-    and, for each agent with a floor, the event's recorded ``value`` must
+    For each agent with a floor, the event's recorded ``value`` must
     equal the bundle's true value (``value-mismatch``).  The value check
     reuses the floor check's ``bundle_value`` call, so verification
     charges one query per floored agent and no more.
@@ -716,16 +714,6 @@ def verify_allocation(
     violations: list[Violation] = []
     owner: dict[int, int] = {}
     events = {event.agent: event for event in allocation.trace}
-    for event in allocation.trace:
-        if event.phase != len(event.bundle):
-            violations.append(
-                Violation(
-                    "phase-mismatch",
-                    event.agent,
-                    f"agent {event.agent} event phase {event.phase} "
-                    f"but bundle size {len(event.bundle)}",
-                )
-            )
     for agent in sorted(allocation.bundles):
         if not 0 <= agent < instance.n:
             violations.append(

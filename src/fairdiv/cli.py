@@ -1,9 +1,12 @@
 """Command-line driver: generate instances, solve, verify, reproduce.
 
 Exit codes: 0 success, 1 verification/reproduction failure, 2 usage,
-input or file error, 3 desk-cap exceeded, 4 internal error (a solver
-invariant failed, such as ``fair_divide`` not converging within its
-proven round bound).  All numeric output is rendered as reduced
+input or file error (``InputError``, ``OSError``), 3 desk-cap exceeded
+(``DeskCapError``), 4 internal error (any other ``FairdivError``: a
+solver invariant failed, such as ``fair_divide`` not converging within
+its proven round bound).  The rational flags ``--alpha``, ``--delta``
+and ``--epsilon`` are parsed, and alpha and delta range-checked, once,
+before a command runs.  All numeric output is rendered as reduced
 fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add
 float approximations for reading convenience, which never feed back into
 any computation.
@@ -32,14 +35,7 @@ from .allocator import (
     fair_divide,
     verify_allocation,
 )
-from .errors import (
-    ConfigError,
-    DeskCapError,
-    FairdivError,
-    InputError,
-    NoEligibleAgentError,
-    ParseError,
-)
+from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .instances import (
     RANDOM_FAMILIES,
     footnote_instance,
@@ -64,13 +60,6 @@ DEFAULT_ALPHA = "11/30"
 DEFAULT_DELTA = "1/16"
 DEFAULT_EPSILON = "1/10000000"
 UPPER_BOUND_RATIO = Fraction(40, 107)
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 @functools.cache
@@ -98,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="allocate an instance file")
     solve.add_argument("instance", help="instance document path")
-    solve.add_argument("--alpha", type=_rational_arg, default=parse_rational(DEFAULT_ALPHA))
-    solve.add_argument("--delta", type=_rational_arg, default=parse_rational(DEFAULT_DELTA))
+    solve.add_argument("--alpha", default=DEFAULT_ALPHA)
+    solve.add_argument("--delta", default=DEFAULT_DELTA)
     solve.add_argument("--naive", action="store_true", help="run the reference search path")
     solve.add_argument("--naive-cap", type=int, default=DEFAULT_NAIVE_CAP)
     solve.add_argument("--trace", help="write trace records to this path")
@@ -116,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("allocation")
     verify.add_argument("instance")
     verify.add_argument("--floor-mode", choices=("mu", "exact-mms"), default="mu")
-    verify.add_argument("--alpha", type=_rational_arg, default=parse_rational(DEFAULT_ALPHA))
-    verify.add_argument("--delta", type=_rational_arg, default=parse_rational(DEFAULT_DELTA))
+    verify.add_argument("--alpha", default=DEFAULT_ALPHA)
+    verify.add_argument("--delta", default=DEFAULT_DELTA)
     verify.add_argument("--cap", type=int, default=DEFAULT_MMS_CAP)
 
     repro = sub.add_parser(
@@ -125,11 +114,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay the adversarial run that strands one agent in 330",
     )
     repro.add_argument("--n", type=int, default=330, help="agents; multiple of 330")
-    repro.add_argument("--epsilon", type=_rational_arg, default=parse_rational(DEFAULT_EPSILON))
+    repro.add_argument("--epsilon", default=DEFAULT_EPSILON)
     repro.add_argument("--trace", help="write trace records to this path")
     repro.add_argument("--decimal", action="store_true")
 
     return parser
+
+
+def _parse_rational_flags(args: argparse.Namespace) -> None:
+    """Replace each rational flag's text by its value, then range-check
+    alpha and delta; a bad spelling is a ``ParseError`` at the flag."""
+    for flag in ("alpha", "delta", "epsilon"):
+        if hasattr(args, flag):
+            try:
+                setattr(args, flag, parse_rational(getattr(args, flag)))
+            except ParseError as exc:
+                raise ParseError(str(exc), location=f"--{flag}") from None
+    check_parameters(alpha=getattr(args, "alpha", None), delta=getattr(args, "delta", None))
 
 
 def _write_output(text: str, target: str) -> None:
@@ -193,7 +194,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         result = mms_exact(instance.spec, valuation, parts, max_items=args.cap)
         doc["mode"] = "exact"
         doc["value"] = format_rational(result.value)
-        doc["witness"] = [sorted(part) for part in result.witness.parts]
+        doc["witness"] = [sorted(part) for part in result.witness]
         if args.decimal:
             doc["value_decimal"] = float(result.value)
     except DeskCapError:
@@ -209,7 +210,6 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    check_parameters(alpha=args.alpha, delta=args.delta)
     allocation = parse_allocation(_read_document(args.allocation))
     instance = _read_instance(args.instance)
     require_fits_instance(allocation, instance)
@@ -297,11 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _parse_rational_flags(args)
         return _HANDLERS[args.command](args)
     except DeskCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DESK_CAP
-    except (InputError, ConfigError, ParseError, NoEligibleAgentError, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except FairdivError as exc:

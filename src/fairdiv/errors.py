@@ -1,33 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types, one per command-line exit code.
+
+``InputError`` (exit 2): malformed or degenerate caller input or run
+parameters; its subclass ``ParseError`` also carries the location of the
+fault in a document or on the command line.  ``DeskCapError`` (exit 3):
+an exponential-time path was asked to run beyond its cap.
+``FairdivError`` itself (exit 4): an invariant of the solver failed.
+"""
 
 
 class FairdivError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised as itself when a solver
+    invariant fails."""
 
 
 class InputError(FairdivError, ValueError):
-    """Malformed caller input: unknown item ids, bad sizes, negative values."""
+    """Malformed or degenerate caller input: unknown item ids, bad sizes,
+    negative values, alpha or delta out of range, no eligible agent."""
 
 
-class ConfigError(FairdivError, ValueError):
-    """Invalid run parameters (alpha, delta)."""
-
-
-class DegenerateInputError(FairdivError, ValueError):
-    """Structurally valid input that is degenerate for the operation."""
-
-
-class DeskCapError(FairdivError, RuntimeError):
-    """Problem size exceeds a configured cap for an exponential-time path."""
-
-
-class NoEligibleAgentError(FairdivError, RuntimeError):
-    """No remaining agent values the remaining items at or above its threshold."""
-
-
-class ParseError(FairdivError, ValueError):
-    """A document could not be parsed; carries a location when known."""
+class ParseError(InputError):
+    """A document or flag could not be parsed; carries a location when known."""
 
     def __init__(self, message: str, location: str | None = None):
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
+
+
+class DeskCapError(FairdivError, RuntimeError):
+    """Problem size exceeds a configured cap for an exponential-time path."""

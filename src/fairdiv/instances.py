@@ -288,14 +288,13 @@ def _int_list(value: Any, where: str) -> list[int]:
     return value
 
 
-def _nonnegative_field(entry: dict[str, Any], key: str, where: str) -> Fraction:
-    text = _require(entry, key, where)
+def _nonnegative(text: Any, what: str, location: str) -> Fraction:
     try:
         value = parse_rational(text)
     except ParseError as exc:
-        raise ParseError(str(exc), location=f"{where}.{key}") from None
+        raise ParseError(str(exc), location=location) from None
     if value < 0:
-        raise ParseError(f"{key} must be nonnegative, got {text!r}", location=f"{where}.{key}")
+        raise ParseError(f"{what} must be nonnegative, got {text!r}", location=location)
     return value
 
 
@@ -317,15 +316,7 @@ def _parse_values_row(
                 f"bad item id {key!r}: expected a decimal id in [0, {m}) with no leading zeros",
                 location=f"{where}.values",
             )
-        try:
-            value = parse_rational(text)
-        except ParseError as exc:
-            raise ParseError(str(exc), location=f"{where}.values.{key}") from None
-        if value < 0:
-            raise ParseError(
-                f"item values must be nonnegative, got {text!r}", location=f"{where}.values.{key}"
-            )
-        row[j] = value
+        row[j] = _nonnegative(text, "item values", f"{where}.values.{key}")
     if len(raw) < m:
         missing = [j for j in range(m) if row[j] is None]
         raise ParseError(f"missing values for items {missing}", location=f"{where}.values")
@@ -369,20 +360,14 @@ def parse_instance(text: str) -> Instance:
 
     ss = _require(doc, "set_system", "instance")
     sstype = _require(ss, "type", "set_system")
+    if sstype not in ("capacity", "explicit"):
+        raise ParseError(f"unknown set_system type {sstype!r}", location="set_system.type")
+    body = _require(ss, "classes" if sstype == "capacity" else "maximal_sets", "set_system")
     try:
         if sstype == "capacity":
-            classes = _require(ss, "classes", "set_system")
-            spec: SetSystemSpec = capacity(
-                m,
-                [
-                    (entry["items"], entry["capacity"])
-                    for entry in classes
-                ],
-            )
-        elif sstype == "explicit":
-            spec = explicit_maximal(m, _require(ss, "maximal_sets", "set_system"))
+            spec: SetSystemSpec = capacity(m, [(e["items"], e["capacity"]) for e in body])
         else:
-            raise ParseError(f"unknown set_system type {sstype!r}", location="set_system.type")
+            spec = explicit_maximal(m, body)
     except (InputError, KeyError, TypeError) as exc:
         raise ParseError(f"bad set system: {exc}", location="set_system") from exc
 
@@ -433,12 +418,12 @@ def parse_instance(text: str) -> Instance:
     )
 
 
-def serialize_allocation(allocation: Allocation, *, alpha: Fraction | None = None) -> str:
-    """Render an allocation document: the trace events plus a summary.
+def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
+    """Render an allocation document: the trace events, a summary and alpha.
 
     ``min_ratio_to_mu`` reports the worst value-to-estimate ratio among
-    traced bundles with positive thresholds; it needs alpha because
-    thresholds store alpha * mu.
+    traced bundles with positive thresholds (null when there are none);
+    it needs alpha because thresholds store alpha * mu.
     """
     events = [
         {
@@ -451,14 +436,11 @@ def serialize_allocation(allocation: Allocation, *, alpha: Fraction | None = Non
         }
         for event in allocation.trace
     ]
-    min_ratio: Fraction | None = None
-    if alpha is not None:
-        for event in allocation.trace:
-            if event.threshold > 0:
-                ratio = alpha * event.value / event.threshold
-                if min_ratio is None or ratio < min_ratio:
-                    min_ratio = ratio
-    doc: dict[str, Any] = {
+    min_ratio = min(
+        (alpha * e.value / e.threshold for e in allocation.trace if e.threshold > 0),
+        default=None,
+    )
+    doc = {
         "events": events,
         "unallocated_agents": sorted(allocation.unallocated_agents),
         "summary": {
@@ -466,13 +448,16 @@ def serialize_allocation(allocation: Allocation, *, alpha: Fraction | None = Non
             "unallocated": len(allocation.unallocated_agents),
             "min_ratio_to_mu": format_rational(min_ratio) if min_ratio is not None else None,
         },
+        "alpha": format_rational(alpha),
     }
-    if alpha is not None:
-        doc["alpha"] = format_rational(alpha)
     return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_allocation(text: str) -> Allocation:
+    """Read an allocation document.  Each event's ``phase`` must equal its
+    bundle's size; ``alpha`` and ``summary`` may be absent, but where
+    present must be what ``serialize_allocation`` writes for the events
+    (``_check_summary``).  Either fault is a located ``ParseError``."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("allocation document must be a JSON object")
@@ -489,26 +474,23 @@ def parse_allocation(text: str) -> Allocation:
         agent = _require(entry, "agent", where)
         if not _is_int(agent):
             raise ParseError(f"agent must be an integer, got {agent!r}", location=f"{where}.agent")
+        if agent in agents:
+            raise ParseError(f"agent {agent!r} already has an event", location=where)
+        agents.add(agent)
         phase = _require(entry, "phase", where)
-        if not _is_int(phase) or phase < 0:
-            raise ParseError(
-                f"phase must be a non-negative integer, got {phase!r}", location=f"{where}.phase"
-            )
         bundle = _int_list(_require(entry, "bundle", where), f"{where}.bundle")
         if len(set(bundle)) != len(bundle):
             raise ParseError("bundle lists an item more than once", location=f"{where}.bundle")
-        event = TraceEvent(
-            kind=kind,
-            phase=phase,
-            agent=agent,
-            bundle=tuple(bundle),
-            value=_nonnegative_field(entry, "value", where),
-            threshold=_nonnegative_field(entry, "threshold", where),
+        if not _is_int(phase) or phase != len(bundle):
+            raise ParseError(
+                f"phase must be the bundle size {len(bundle)}, got {phase!r}",
+                location=f"{where}.phase",
+            )
+        value, threshold = (
+            _nonnegative(_require(entry, key, where), key, f"{where}.{key}")
+            for key in ("value", "threshold")
         )
-        if event.agent in agents:
-            raise ParseError(f"agent {event.agent!r} already has an event", location=where)
-        agents.add(event.agent)
-        events.append(event)
+        events.append(TraceEvent(kind, agent, tuple(bundle), value, threshold))
     unallocated = frozenset(
         _int_list(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
     )
@@ -518,7 +500,42 @@ def parse_allocation(text: str) -> Allocation:
             f"agents {both} have events but are listed as unallocated",
             location="unallocated_agents",
         )
-    return Allocation(tuple(events), unallocated)
+    allocation = Allocation(tuple(events), unallocated)
+    _check_summary(doc, allocation)
+    return allocation
+
+
+def _check_summary(doc: dict[str, Any], allocation: Allocation) -> None:
+    """Reject a ``summary`` that differs from the one ``serialize_allocation``
+    writes for the document's events and ``alpha`` (null ``min_ratio_to_mu``
+    without alpha).  A ratio r is the least alpha * value / threshold over
+    the events with positive thresholds when none is below r and one
+    equals it; both tests cross-multiply integers, so no ratio is built."""
+    alpha = _nonnegative(doc["alpha"], "alpha", "alpha") if "alpha" in doc else None
+    if "summary" not in doc:
+        return
+    summary = doc["summary"]
+    counts = {"allocated": len(allocation.trace), "unallocated": len(allocation.unallocated_agents)}
+    for key, count in counts.items():
+        got = _require(summary, key, "summary")
+        if not _is_int(got) or got != count:
+            raise ParseError(f"the events give {count}, not {got!r}", location=f"summary.{key}")
+    where = "summary.min_ratio_to_mu"
+    text = _require(summary, "min_ratio_to_mu", "summary")
+    positive = [e for e in allocation.trace if e.threshold > 0]
+    if alpha is None or not positive:
+        if text is not None:
+            raise ParseError("must be null without alpha or a positive threshold", location=where)
+        return
+    ratio = _nonnegative(text, "min_ratio_to_mu", where)
+    left, right = ratio.numerator * alpha.denominator, ratio.denominator * alpha.numerator
+    sides = [
+        (left * e.value.denominator * e.threshold.numerator,
+         right * e.value.numerator * e.threshold.denominator)
+        for e in positive
+    ]
+    if not (all(a <= b for a, b in sides) and any(a == b for a, b in sides)):
+        raise ParseError(f"{text!r} is not the least alpha * value / threshold", location=where)
 
 
 def require_fits_instance(allocation: Allocation, instance: Instance) -> None:

@@ -13,7 +13,8 @@ over the items, valued by ``valuation.item_set_evaluator`` and memoized
 on first use, so memory grows with the parts visited, not with 2^m.  A
 leaf replaces the best so far only when strictly better, so the witness
 is the first optimum in enumeration order.  ``Fraction(best, L)`` and
-the frozenset parts are built once, at return.
+the witness, a tuple of exactly n frozensets (empty parts included), are
+built once, at return.
 """
 from __future__ import annotations
 
@@ -29,18 +30,11 @@ DEFAULT_MMS_CAP = 12
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint parts (possibly empty) covering all items."""
-
-    parts: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
 class MmsResult:
     """Either an exact value with a witness partition, or certified bounds."""
 
     value: Fraction | None = None
-    witness: Partition | None = None
+    witness: tuple[frozenset[int], ...] | None = None
     lower: Fraction | None = None
     upper: Fraction | None = None
 
@@ -83,6 +77,8 @@ def mms_exact(
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    if max_items < 0:
+        raise InputError(f"max_items must be nonnegative, got {max_items}")
     m = spec.num_items
     if m > max_items:
         raise DeskCapError(f"mms_exact capped at {max_items} items, instance has {m}")
@@ -132,7 +128,7 @@ def mms_exact(
     search(0)
     witness = tuple(frozenset(j for j in range(m) if p >> j & 1) for p in best_parts)
     padded = witness + (frozenset(),) * (n - len(witness))
-    return MmsResult(value=Fraction(best, scale), witness=Partition(padded))
+    return MmsResult(value=Fraction(best, scale), witness=padded)
 
 
 def mms_bounds(valuation: Valuation, n: int, m: int) -> MmsResult:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 from .rationals import parse_rational
 from .setsystem import Capacity, ExplicitMaximal, SetSystemSpec, coerce_items
 
@@ -519,7 +519,7 @@ def normalize_to_partition(
     for idx, part in enumerate(parts):
         pv = bundle_value(spec, valuation, part)
         if pv == 0:
-            raise DegenerateInputError(
+            raise InputError(
                 f"part {idx} has bundle value 0 and cannot be normalized"
             )
         scales.append(pv)

@@ -212,7 +212,7 @@ def normalized_by_witnesses(instance: Instance):
     for val in instance.valuations:
         result = mms_exact(instance.spec, val, instance.n)
         exact_values.append(result.value)
-        parts = [p for p in result.witness.parts if p]
+        parts = [p for p in result.witness if p]
         normalized.append(normalize_to_partition(val, parts, instance.spec))
     ninst = Instance(
         name=f"{instance.name}-normalized",

@@ -9,12 +9,10 @@ import pytest
 
 from fairdiv import (
     Allocation,
-    ConfigError,
     DeskCapError,
     EstimateVector,
     InputError,
     Instance,
-    NoEligibleAgentError,
     RunStats,
     TraceEvent,
     Valuation,
@@ -135,27 +133,22 @@ def test_minimal_set_singleton_at_threshold():
 def test_minimal_set_requires_eligible_agent():
     spec = explicit_maximal(1, [{0}])
     val = Valuation([Fraction(1, 5)])
-    with pytest.raises(NoEligibleAgentError):
+    with pytest.raises(InputError, match="no remaining agent"):
         minimal_set(spec, {0: val}, [0], {0: Fraction(1)})
 
 
 @pytest.mark.parametrize(
-    "valuations, thresholds, error, message",
+    "valuations, thresholds, message",
     [
-        ({}, {}, NoEligibleAgentError, "no agents"),
-        (
-            {0: Valuation([1]), 1: Valuation([1])},
-            {0: Fraction(1)},
-            InputError,
-            r"without thresholds: \[1\]",
-        ),
-        ({0: Valuation([1])}, {0: Fraction(-1)}, InputError, "nonnegative"),
+        ({}, {}, "no agents"),
+        ({0: Valuation([1]), 1: Valuation([1])}, {0: Fraction(1)}, r"without thresholds: \[1\]"),
+        ({0: Valuation([1])}, {0: Fraction(-1)}, "nonnegative"),
     ],
     ids=["no-agents", "missing-threshold", "negative-threshold"],
 )
-def test_minimal_set_rejects_bad_agents(valuations, thresholds, error, message):
+def test_minimal_set_rejects_bad_agents(valuations, thresholds, message):
     spec = explicit_maximal(1, [{0}])
-    with pytest.raises(error, match=message):
+    with pytest.raises(InputError, match=message):
         minimal_set(spec, valuations, [0], thresholds)
 
 
@@ -372,23 +365,13 @@ def test_minimal_set_threshold_equal_to_value_is_met(spec):
     hair = Fraction(1, 10**12)
     whole = Fraction(1, 3) + Fraction(2, 7) + Fraction(5, 11)
     assert minimal_set(spec, {0: val}, range(3), {0: whole}) == (frozenset({0, 1, 2}), 0)
-    with pytest.raises(NoEligibleAgentError):
+    with pytest.raises(InputError, match="no remaining agent"):
         minimal_set(spec, {0: val}, range(3), {0: whole + hair})
     # the scan tries item 1 (least value) first; dropping it lands
     # exactly on the threshold, so it goes
     rest = Fraction(1, 3) + Fraction(5, 11)
     assert minimal_set(spec, {0: val}, range(3), {0: rest}) == (frozenset({0, 2}), 0)
     assert minimal_set(spec, {0: val}, range(3), {0: rest + hair}) == (frozenset({0, 1, 2}), 0)
-
-
-def test_minimal_set_interleaved_equal_value_blocks():
-    """Equal-value blocks with interleaved indices keep the scan order."""
-    spec = capacity(4, [({0, 2}, 1), ({1}, 1), ({3}, 1)])
-    val = Valuation([1, 1, 1, 5])
-    thresholds = {0: Fraction(5)}
-    bundle, agent = minimal_set(spec, {0: val}, range(4), thresholds)
-    assert (bundle, agent) == (frozenset({3}), 0)
-    assert reference_minimal_set(spec, {0: val}, range(4), thresholds) == (bundle, agent)
 
 
 def test_batch_stops_before_an_equal_value_front():
@@ -643,9 +626,9 @@ def test_fair_divide_all_zero_values():
 
 
 def test_fair_divide_validates_delta(footnote2):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="delta"):
         fair_divide(footnote2, ALPHA, Fraction(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="delta"):
         fair_divide(footnote2, ALPHA, Fraction(1))
 
 
@@ -744,8 +727,8 @@ def test_verify_allocation_reports_unknown_agents_and_items(footnote2):
     out-of-range item is also left out of the floor check's bundle."""
     bad = Allocation(
         (
-            TraceEvent(PHASE, 2, 0, (0, 7), Fraction(3), Fraction(3)),
-            TraceEvent(PHASE, 1, 5, (1,), Fraction(2), Fraction(2)),
+            TraceEvent(PHASE, 0, (0, 7), Fraction(3), Fraction(3)),
+            TraceEvent(PHASE, 5, (1,), Fraction(2), Fraction(2)),
         ),
         frozenset({1}),
     )

@@ -212,10 +212,13 @@ def test_documents_declare_at_most_max_agents(monkeypatch):
 def test_allocation_round_trip(table1):
     small = replicate_agents(footnote_instance(), 2)
     alloc, _ = fair_divide(small, Fraction(11, 30), Fraction(1, 16))
-    assert parse_allocation(serialize_allocation(alloc, alpha=Fraction(11, 30))) == alloc
-    mu = EstimateVector((Fraction(1),) * 330)
-    big = allocate_from_estimates(table1, mu, ALPHA_PRIME + Fraction(1, 10**7))
-    assert parse_allocation(serialize_allocation(big)) == big
+    doc = json.loads(serialize_allocation(alloc, alpha=Fraction(11, 30)))
+    assert parse_allocation(json.dumps(doc)) == alloc
+    del doc["summary"], doc["alpha"]  # both optional
+    assert parse_allocation(json.dumps(doc)) == alloc
+    mu, alpha = EstimateVector((Fraction(1),) * 330), ALPHA_PRIME + Fraction(1, 10**7)
+    big = allocate_from_estimates(table1, mu, alpha)
+    assert parse_allocation(serialize_allocation(big, alpha=alpha)) == big
 
 
 def test_rational_wire_format():
@@ -246,7 +249,7 @@ def test_rational_wire_format_is_canonical_only(text):
 def test_parse_allocation_rejects_negative_event_rationals(field):
     inst = random_instance(2, m=4, n=2, family="free")
     alloc, _ = fair_divide(inst, Fraction(11, 30), Fraction(1, 16))
-    doc = json.loads(serialize_allocation(alloc))
+    doc = json.loads(serialize_allocation(alloc, alpha=Fraction(11, 30)))
     doc["events"][0][field] = "-1/2"
     with pytest.raises(ParseError) as info:
         parse_allocation(json.dumps(doc))

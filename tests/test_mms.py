@@ -31,7 +31,7 @@ def test_free_system_three_items():
     val = Valuation([2, 3, 4])
     result = mms_exact(spec, val, 2)
     assert result.value == 4
-    parts = set(result.witness.parts)
+    parts = set(result.witness)
     assert parts == {frozenset({0, 1}), frozenset({2})}
 
 
@@ -45,14 +45,14 @@ def test_footnote_two_parts():
     inst = footnote_instance()
     result = mms_exact(inst.spec, inst.valuations[0], 2)
     assert result.value == 3
-    assert set(result.witness.parts) == {frozenset({0}), frozenset({1, 2})}
+    assert set(result.witness) == {frozenset({0}), frozenset({1, 2})}
 
 
 def test_more_parts_than_items():
     inst = footnote_instance()
     result = mms_exact(inst.spec, inst.valuations[0], 5)
     assert result.value == 0
-    assert len(result.witness.parts) == 5
+    assert len(result.witness) == 5
 
 
 def test_desk_cap():
@@ -94,7 +94,7 @@ def test_witness_validity_and_sandwich():
         for val in inst.valuations:
             exact = mms_exact(inst.spec, val, inst.n)
             worst = min(
-                bundle_value(inst.spec, val, part) for part in exact.witness.parts
+                bundle_value(inst.spec, val, part) for part in exact.witness
             )
             assert worst == exact.value
             bounds = mms_bounds(val, inst.n, inst.num_items)
@@ -125,7 +125,7 @@ def test_normalization_fixed_point():
             exact = mms_exact(inst.spec, val, inst.n)
             if exact.value == 0:
                 continue
-            parts = [p for p in exact.witness.parts if p]
+            parts = [p for p in exact.witness if p]
             normalized = normalize_to_partition(val, parts, inst.spec)
             for part in parts:
                 assert bundle_value(inst.spec, normalized, part) == 1
@@ -136,7 +136,7 @@ def assert_matches_reference(spec, val, n, **kwargs):
     value, parts = reference_mms_exact(spec, val, n)
     assert type(result.value) is Fraction
     assert result.value == value
-    assert result.witness.parts == parts
+    assert result.witness == parts
 
 
 @pytest.mark.parametrize("family", ["capacity", "explicit-antichain"])
@@ -176,7 +176,7 @@ def test_pinned_suite_digest():
         for val in inst.valuations:
             for n in (inst.n, inst.n + 1):
                 result = mms_exact(inst.spec, val, n)
-                parts = [sorted(p) for p in result.witness.parts]
+                parts = [sorted(p) for p in result.witness]
                 digest.update(f"{format_rational(result.value)} {parts}\n".encode())
     assert digest.hexdigest() == MMS_SUITE_DIGEST
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (
-    DegenerateInputError,
     InputError,
     Valuation,
     bundle_value,
@@ -151,7 +150,7 @@ def test_normalize_table1_partition_is_identity(table1):
 def test_normalize_zero_part_rejected():
     spec = capacity(2, [({0}, 0), ({1}, 1)])
     val = Valuation([Fraction(5), Fraction(1)])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="bundle value 0"):
         normalize_to_partition(val, [{0}, {1}], spec)
 
 
