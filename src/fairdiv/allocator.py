@@ -43,7 +43,7 @@ the minimal-set scan's result.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -430,13 +430,31 @@ def _minimal_set_scan(
     removal.  The state charges each answer as one query, exactly as if
     it had been valued from scratch.
 
+    Ordered walk: each step walks the pool's blocks in ascending
+    (value for the picked agent's group, front item) order and tests
+    them one by one; the first removable block is ``bstar``.  The walk
+    then goes on only through blocks of bstar's value, to find bstar's
+    rival: the first other removable block of equal value, which has the
+    least front among them.
+
+    Dead blocks: values are monotone and the scan's set only shrinks, so
+    a block that fails the test for an agent fails it for that agent for
+    the rest of the scan.  Each picked agent keeps its own set of such
+    blocks, which the walk skips untested: a block dead for one agent can
+    be removable for another, of another group or of a lower threshold.
+
+    Kept order: each group's walk order is a sorted list of
+    (value, front, block), built the first time one of its agents is
+    picked.  A removal moves only bstar's front, so each list drops
+    bstar's entry by ``bisect_left`` and, if the block keeps items,
+    puts it back with ``insort``.
+
     Batching: a run of removals from one block is collapsed when it
     provably replays the one-at-a-time scan, which requires (a) no
     group's value changes, so the agent re-pick is stable and previously
     non-removable blocks stay non-removable (values only shrink with the
-    set), and (b) the block's front index stays below the front of every
-    other currently removable block of equal item value, so the scan
-    order cannot switch mid-batch.
+    set), and (b) the block's front index stays below the rival's front,
+    so the scan order cannot switch mid-batch.
 
     Removals come off each block's front, so the kept items are the back
     of its window; the scan takes them off the pool and returns (bundle
@@ -453,25 +471,42 @@ def _minimal_set_scan(
     group_vals = {g: state.value(g) for g in groups}
     if not roster.any_meets(group_vals):
         return None
+    orders: dict[int, list[tuple[int, int, int]]] = {}
+    dead: dict[int, set[int]] = {}
     while True:
         pick = roster.pick(group_vals)
         gj = table.group_of[pick]
-        vrow = table.val[gj]
         need = roster.need[pick]
+        order = orders.get(gj)
+        if order is None:
+            vrow = table.val[gj]
+            order = orders[gj] = sorted((vrow[b], front(b), b) for b in local)
+        dead_j = dead.setdefault(pick, set())
 
-        removable = [b for b in sorted(local) if state.without(gj, b, 1) >= need]
-        if not removable:
+        first = rival = None
+        for entry in order:
+            vb, fb, b = entry
+            if first is not None and vb != first[0]:
+                break
+            if b in dead_j:
+                continue
+            if state.without(gj, b, 1) < need:
+                dead_j.add(b)
+            elif first is None:
+                first = entry
+            else:
+                rival = fb
+                break
+        if first is None:
             break
 
-        bstar = min(removable, key=lambda b: (vrow[b], front(b)))
+        _vb, fstar, bstar = first
         have = k_bound = local[bstar]
-        vb = vrow[bstar]
-        same_value_fronts = [front(b) for b in removable if b != bstar and vrow[b] == vb]
-        if same_value_fronts:
+        if rival is not None:
             start = pool.hi[bstar] - have
             block = table.block_items[bstar]
-            # >= 1: bstar's front precedes the least such front by choice of bstar
-            k_bound = bisect_left(block, min(same_value_fronts), start, start + have) - start
+            # >= 1: bstar's front precedes its rival's by the walk order
+            k_bound = bisect_left(block, rival, start, start + have) - start
 
         k = 1
         if k_bound > 1:
@@ -485,6 +520,11 @@ def _minimal_set_scan(
             k = max(1, lo_k)
 
         state.change(bstar, -k)
+        for g, keyed in orders.items():
+            vb = table.val[g][bstar]
+            del keyed[bisect_left(keyed, (vb, fstar, bstar))]
+            if bstar in local:
+                insort(keyed, (vb, front(bstar), bstar))
         group_vals = {g: state.value(g) for g in groups}
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))

@@ -5,11 +5,10 @@ input or file error (``InputError``, ``OSError``), 3 desk-cap exceeded
 (``DeskCapError``), 4 internal error (any other ``FairdivError``: a
 solver invariant failed, such as ``fair_divide`` not converging within
 its proven round bound).  The rational flags ``--alpha``, ``--delta``
-and ``--epsilon`` are parsed, and alpha and delta range-checked, once,
-before a command runs.  All numeric output is rendered as reduced
-fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add
-float approximations for reading convenience, which never feed back into
-any computation.
+and ``--epsilon`` are parsed and range-checked once, before a command
+runs.  All numeric output is rendered as reduced fractions; ``mms``
+and ``repro-upper-bound`` take ``--decimal`` to add float approximations
+for reading convenience, which never feed back into any computation.
 """
 from __future__ import annotations
 
@@ -123,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
     """Replace each rational flag's text by its value, then range-check
-    alpha and delta; a bad spelling is a ``ParseError`` at the flag."""
+    alpha, delta and the alpha 40/107 + epsilon that epsilon sets; a bad
+    spelling is a ``ParseError`` at the flag."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
@@ -131,6 +131,9 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
             except ParseError as exc:
                 raise ParseError(str(exc), location=f"--{flag}") from None
     check_parameters(alpha=getattr(args, "alpha", None), delta=getattr(args, "delta", None))
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and UPPER_BOUND_RATIO + epsilon <= 0:
+        raise InputError(f"--epsilon: 40/107 + epsilon must be positive, got {epsilon}")
 
 
 def _write_output(text: str, target: str) -> None:

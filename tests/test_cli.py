@@ -231,7 +231,10 @@ _PARAMETER_EDGES = [
         ("verify", "{alloc}", "{inst}", "--floor-mode", "exact-mms", "--delta", "0"),
         "delta must lie in (0, 1), got 0",
     ),
-    (("repro-upper-bound", "--epsilon", "-1"), "alpha must be positive, got -67/107"),
+    (
+        ("repro-upper-bound", "--epsilon", "-1"),
+        "--epsilon: 40/107 + epsilon must be positive, got -1",
+    ),
     (("solve", "{inst}", "--alpha", "0.5"), "--alpha: not a canonical rational: '0.5'"),
     (("repro-upper-bound", "--epsilon", "1/-2"), "--epsilon: not a canonical rational: '1/-2'"),
     # the naive path reads no delta, but every solve checks it
