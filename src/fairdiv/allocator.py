@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import DeskCapError, FairdivError, InputError
+from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .rationals import format_rational
 from .setsystem import SetSystemSpec, coerce_items, equivalence_classes
 from .valuation import BlockTable, RunningValues, Valuation, bundle_value, nth_value
@@ -724,8 +724,10 @@ def query_budget(n: int, m: int, delta: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed check: ``overlap``, ``value-mismatch`` or ``below-floor``."""
+
     kind: str
-    agent: int | None
+    agent: int
     message: str
 
 
@@ -738,36 +740,60 @@ class VerificationReport:
         return not self.violations
 
 
+def require_fits_instance(allocation: Allocation, instance: "Instance") -> None:
+    """Reject an allocation document that names an agent or item the
+    instance lacks, or that does not account for each agent 0..n-1
+    exactly once.  ``parse_allocation`` already rejects an agent listed
+    twice; this adds the checks that need the instance: no agent id
+    outside [0, n), no bundle item outside [0, m), and no agent left out
+    of both the events and ``unallocated_agents``."""
+    n, m = instance.n, instance.num_items
+    for idx, event in enumerate(allocation.trace):
+        if not 0 <= event.agent < n:
+            raise ParseError(
+                f"agent {event.agent} outside [0, {n})", location=f"events[{idx}].agent"
+            )
+        outside = [j for j in event.bundle if not 0 <= j < m]
+        if outside:
+            raise ParseError(
+                f"items {outside} outside [0, {m})", location=f"events[{idx}].bundle"
+            )
+    outside = sorted(a for a in allocation.unallocated_agents if not 0 <= a < n)
+    if outside:
+        raise ParseError(f"agents {outside} outside [0, {n})", location="unallocated_agents")
+    missing = sorted(set(range(n)) - allocation.bundles.keys() - allocation.unallocated_agents)
+    if missing:
+        raise ParseError(
+            f"agents {missing} appear in neither events nor unallocated_agents",
+            location="allocation",
+        )
+
+
 def verify_allocation(
     instance: "Instance",
     allocation: Allocation,
     floors: Mapping[int, Fraction],
 ) -> VerificationReport:
-    """Check disjointness, ground-set membership, per-agent floors, and
-    that the trace agrees with the instance.
+    """Check that the bundles are disjoint and that every agent with a
+    floor meets it, after ``require_fits_instance``; a floor for an agent
+    outside [0, n) is an ``InputError``.
 
-    For each agent with a floor, the event's recorded ``value`` must
-    equal the bundle's true value (``value-mismatch``).  The value check
-    reuses the floor check's ``bundle_value`` call, so verification
-    charges one query per floored agent and no more.
+    An agent without an event holds the empty bundle, worth 0 at no
+    query.  For any other floored agent, the event's recorded ``value``
+    must equal the bundle's true value (``value-mismatch``).  The value
+    check reuses the floor check's ``bundle_value`` call, so verification
+    charges one query per floored agent with an event and no more.
     """
+    require_fits_instance(allocation, instance)
+    outside = sorted(agent for agent in floors if not 0 <= agent < instance.n)
+    if outside:
+        raise InputError(f"floors for agents {outside} outside [0, {instance.n})")
     violations: list[Violation] = []
     owner: dict[int, int] = {}
-    events = {event.agent: event for event in allocation.trace}
-    for agent in sorted(allocation.bundles):
-        if not 0 <= agent < instance.n:
-            violations.append(
-                Violation("unknown-agent", agent, f"agent {agent} not in [0, {instance.n})")
-            )
-            continue
-        for j in sorted(allocation.bundles[agent]):
-            if not 0 <= j < instance.num_items:
-                violations.append(
-                    Violation(
-                        "unknown-item", agent, f"item {j} outside [0, {instance.num_items})"
-                    )
-                )
-            elif j in owner:
+    bundles = allocation.bundles
+    for agent in sorted(bundles):
+        for j in sorted(bundles[agent]):
+            if j in owner:
                 violations.append(
                     Violation(
                         "overlap",
@@ -777,24 +803,21 @@ def verify_allocation(
                 )
             else:
                 owner[j] = agent
-    for agent in sorted(allocation.bundles):
-        floor = floors.get(agent)
-        if floor is None or not 0 <= agent < instance.n:
-            continue
-        bundle = frozenset(
-            j for j in allocation.bundles[agent] if 0 <= j < instance.num_items
-        )
-        value = bundle_value(instance.spec, instance.valuations[agent], bundle)
-        event = events[agent]
-        if event.value != value:
-            violations.append(
-                Violation(
-                    "value-mismatch",
-                    agent,
-                    f"agent {agent} event value {format_rational(event.value)} "
-                    f"but bundle value {format_rational(value)}",
+    events = {event.agent: event for event in allocation.trace}
+    for agent, floor in sorted(floors.items()):
+        event = events.get(agent)
+        value = ZERO
+        if event is not None:
+            value = bundle_value(instance.spec, instance.valuations[agent], bundles[agent])
+            if event.value != value:
+                violations.append(
+                    Violation(
+                        "value-mismatch",
+                        agent,
+                        f"agent {agent} event value {format_rational(event.value)} "
+                        f"but bundle value {format_rational(value)}",
+                    )
                 )
-            )
         if value < floor:
             violations.append(
                 Violation(

@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -32,6 +34,7 @@ from .allocator import (
     allocate_naive,
     check_parameters,
     fair_divide,
+    require_fits_instance,
     verify_allocation,
 )
 from .errors import DeskCapError, FairdivError, InputError, ParseError
@@ -41,7 +44,6 @@ from .instances import (
     parse_allocation,
     parse_instance,
     random_instance,
-    require_fits_instance,
     serialize_allocation,
     serialize_instance,
     table1_instance,
@@ -118,6 +120,20 @@ def _build_parser() -> argparse.ArgumentParser:
     repro.add_argument("--decimal", action="store_true")
 
     return parser
+
+
+_RATIONAL_FLAGS = ("--alpha", "--delta", "--epsilon")
+
+
+def _join_negative_fractions(argv: list[str]) -> list[str]:
+    """Spell ``--alpha -1/2`` as ``--alpha=-1/2``, and likewise for the
+    other rational flags: argparse reads a separate ``-1/2`` as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RATIONAL_FLAGS and re.fullmatch(r"-\d+/\d+", arg):
+            arg = joined.pop() + "=" + arg
+        joined.append(arg)
+    return joined
 
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
@@ -215,20 +231,19 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     allocation = parse_allocation(_read_document(args.allocation))
     instance = _read_instance(args.instance)
+    # a document that does not fit exits 2 before any share is computed
     require_fits_instance(allocation, instance)
-    floors: dict[int, Fraction] = {}
     if args.floor_mode == "mu":
         # Event thresholds are alpha * mu at allocation time; estimates of
-        # allocated agents never shrink afterwards, so these are final.
-        for event in allocation.trace:
-            floors[event.agent] = event.threshold
+        # allocated agents never shrink afterwards, so these are final.  An
+        # agent without an event has no recorded threshold, so no floor.
+        floors = {event.agent: event.threshold for event in allocation.trace}
     else:
         scale = (1 - args.delta) * args.alpha
-        for agent in sorted(allocation.bundles):
-            result = mms_exact(
-                instance.spec, instance.valuations[agent], instance.n, max_items=args.cap
-            )
-            floors[agent] = scale * result.value
+        floors = {
+            agent: scale * mms_exact(instance.spec, valuation, instance.n, max_items=args.cap).value
+            for agent, valuation in enumerate(instance.valuations)
+        }
     report = verify_allocation(instance, allocation, floors)
     doc = {
         "floor_mode": args.floor_mode,
@@ -250,28 +265,18 @@ def _cmd_repro(args: argparse.Namespace) -> int:
         instance, EstimateVector((Fraction(1),) * instance.n), alpha
     )
     elapsed = time.monotonic() - started
-    phase_hist: dict[str, int] = {}
-    minimal_hist: dict[str, int] = {}
-    zero_grants = 0
-    for event in allocation.trace:
-        if event.kind == PHASE:
-            key = str(event.phase)
-            phase_hist[key] = phase_hist.get(key, 0) + 1
-        elif event.kind == MINIMAL:
-            key = str(event.phase)
-            minimal_hist[key] = minimal_hist.get(key, 0) + 1
-        elif event.kind == ZERO_ESTIMATE:
-            zero_grants += 1
+    sizes = Counter((event.kind, event.phase) for event in allocation.trace)
+    histogram: dict[str, Any] = {
+        kind: {str(size): sizes[k, size] for k, size in sorted(sizes) if k == kind}
+        for kind in (PHASE, MINIMAL)
+    }
+    histogram[ZERO_ESTIMATE] = sizes[ZERO_ESTIMATE, 0]
     expected = args.n // 330
     unallocated = len(allocation.unallocated_agents)
     doc: dict[str, Any] = {
         "n": args.n,
         "alpha": format_rational(alpha),
-        "histogram": {
-            "phase": dict(sorted(phase_hist.items(), key=lambda kv: int(kv[0]))),
-            "minimal": dict(sorted(minimal_hist.items(), key=lambda kv: int(kv[0]))),
-            "zero-estimate": zero_grants,
-        },
+        "histogram": histogram,
         "allocated": len(allocation.bundles),
         "unallocated": unallocated,
         "expected_unallocated": expected,
@@ -295,8 +300,10 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_fractions(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

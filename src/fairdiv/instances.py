@@ -83,8 +83,6 @@ def replicate_agents(instance: Instance, n: int) -> Instance:
     """Clone a single-agent template into n identical agents."""
     if instance.n != 1:
         raise InputError("replicate_agents expects a single-agent template")
-    if n < 1:
-        raise InputError(f"need at least one agent, got {n}")
     row = instance.valuations[0].values
     return Instance(
         name=instance.name,
@@ -536,32 +534,3 @@ def _check_summary(doc: dict[str, Any], allocation: Allocation) -> None:
     ]
     if not (all(a <= b for a, b in sides) and any(a == b for a, b in sides)):
         raise ParseError(f"{text!r} is not the least alpha * value / threshold", location=where)
-
-
-def require_fits_instance(allocation: Allocation, instance: Instance) -> None:
-    """Reject an allocation document that names an agent or item the
-    instance lacks, or that does not account for each agent 0..n-1
-    exactly once.  ``parse_allocation`` already rejects an agent listed
-    twice; this adds the checks that need the instance: no agent id
-    outside [0, n), no bundle item outside [0, m), and no agent left out
-    of both the events and ``unallocated_agents``."""
-    n, m = instance.n, instance.num_items
-    for idx, event in enumerate(allocation.trace):
-        if not 0 <= event.agent < n:
-            raise ParseError(
-                f"agent {event.agent} outside [0, {n})", location=f"events[{idx}].agent"
-            )
-        outside = [j for j in event.bundle if not 0 <= j < m]
-        if outside:
-            raise ParseError(
-                f"items {outside} outside [0, {m})", location=f"events[{idx}].bundle"
-            )
-    outside = sorted(a for a in allocation.unallocated_agents if not 0 <= a < n)
-    if outside:
-        raise ParseError(f"agents {outside} outside [0, {n})", location="unallocated_agents")
-    missing = sorted(set(range(n)) - allocation.bundles.keys() - allocation.unallocated_agents)
-    if missing:
-        raise ParseError(
-            f"agents {missing} appear in neither events nor unallocated_agents",
-            location="allocation",
-        )

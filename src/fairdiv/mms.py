@@ -133,7 +133,5 @@ def mms_exact(
 
 def mms_bounds(valuation: Valuation, n: int, m: int) -> MmsResult:
     """Certified sandwich: nth_value(n) <= maximin share <= m * nth_value(n)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     nth = nth_value(valuation, n)
     return MmsResult(lower=nth, upper=m * nth)

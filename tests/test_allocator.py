@@ -13,6 +13,7 @@ from fairdiv import (
     EstimateVector,
     InputError,
     Instance,
+    ParseError,
     RunStats,
     TraceEvent,
     Valuation,
@@ -781,8 +782,8 @@ def test_verify_allocation_reports_floor_violation(footnote2):
 
 
 def test_verify_allocation_reports_unknown_agents_and_items(footnote2):
-    """A hand-built allocation naming agent 5 of 2 and item 7 of 3; the
-    out-of-range item is also left out of the floor check's bundle."""
+    """A hand-built allocation naming item 7 of 3 and agent 5 of 2 does
+    not fit the instance: the first misfit is a located ParseError."""
     bad = Allocation(
         (
             TraceEvent(PHASE, 0, (0, 7), Fraction(3), Fraction(3)),
@@ -790,8 +791,26 @@ def test_verify_allocation_reports_unknown_agents_and_items(footnote2):
         ),
         frozenset({1}),
     )
-    report = verify_allocation(footnote2, bad, {0: Fraction(3)})
-    assert [(v.kind, v.agent) for v in report.violations] == [
-        ("unknown-item", 0),
-        ("unknown-agent", 5),
+    with pytest.raises(ParseError) as info:
+        verify_allocation(footnote2, bad, {0: Fraction(3)})
+    assert str(info.value) == "events[0].bundle: items [7] outside [0, 3)"
+
+
+def test_verify_allocation_checks_floors_of_stranded_agents(footnote2):
+    """An agent without an event holds the empty bundle: worth 0, valued
+    without a query, and below any positive floor."""
+    alloc, _ = fair_divide(footnote2, ALPHA, DELTA)
+    stranded = Allocation(
+        tuple(event for event in alloc.trace if event.agent != 1),
+        alloc.unallocated_agents | {1},
+    )
+    before = [val.query_count for val in footnote2.valuations]
+    report = verify_allocation(footnote2, stranded, {0: Fraction(0), 1: Fraction(1, 2)})
+    assert [(v.kind, v.agent, v.message) for v in report.violations] == [
+        ("below-floor", 1, "agent 1 bundle value 0/1 below floor 1/2")
     ]
+    after = [val.query_count for val in footnote2.valuations]
+    assert [a - b for a, b in zip(after, before)] == [1, 0]
+    assert verify_allocation(footnote2, stranded, {1: Fraction(0)}).ok
+    with pytest.raises(InputError, match=r"floors for agents \[2\] outside \[0, 2\)"):
+        verify_allocation(footnote2, alloc, {2: Fraction(0)})

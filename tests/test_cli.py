@@ -14,6 +14,7 @@ from fairdiv import (
     footnote_instance,
     parse_allocation,
     parse_instance,
+    random_instance,
     serialize_instance,
     table1_instance,
 )
@@ -241,6 +242,13 @@ _PARAMETER_EDGES = [
     (("solve", "{inst}", "--naive", "--delta", "5"), "delta must lie in (0, 1), got 5"),
     (("mms", "{inst}", "--cap", "-1"), "max_items must be nonnegative, got -1"),
     (("solve", "{inst}", "--naive", "--naive-cap", "-5"), "max_items must be nonnegative, got -5"),
+    # a negative fraction as its own argument reaches the same check
+    (("solve", "{inst}", "--alpha", "-1/2"), "alpha must be positive, got -1/2"),
+    (("solve", "{inst}", "--delta", "-1/2"), "delta must lie in (0, 1), got -1/2"),
+    (
+        ("repro-upper-bound", "--epsilon", "-1/2"),
+        "--epsilon: 40/107 + epsilon must be positive, got -1/2",
+    ),
 ]
 
 
@@ -306,6 +314,29 @@ def test_verify_rejects_agent_left_out(solved, capsys):
     assert code == 2
     assert err.startswith("error: allocation: ")
     assert "neither events nor unallocated_agents" in err
+
+
+def test_verify_exact_mms_fails_an_agent_left_without_a_bundle(tmp_path, capsys):
+    """Moving agent 1's event into unallocated_agents leaves it the empty
+    bundle, below its exact-mms floor; the mu floors know no threshold
+    for it."""
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(serialize_instance(random_instance(3, 8, 3, "capacity")))
+    assert run_cli(capsys, "solve", str(inst_path), "-o", str(alloc_path))[0] == 0
+
+    def strand_agent_1(doc):
+        doc["events"] = [event for event in doc["events"] if event["agent"] != 1]
+        doc["unallocated_agents"] = sorted(doc["unallocated_agents"] + [1])
+
+    _rewrite_document(alloc_path, _without_summary(strand_agent_1))
+    code, out, _ = run_cli(
+        capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "exact-mms"
+    )
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"kind": "below-floor", "agent": 1, "message": "agent 1 bundle value 0/1 below floor 55/24"}
+    ]
+    assert run_cli(capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "mu")[0] == 0
 
 
 def test_verify_rejects_unallocated_agent_beyond_n(solved, capsys):
