@@ -50,9 +50,10 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DeskCapError, FairdivError, InputError, ParseError
+from .mms import mms_bounds
 from .rationals import format_rational
 from .setsystem import SetSystemSpec, coerce_items, equivalence_classes
-from .valuation import BlockTable, RunningValues, Valuation, bundle_value, nth_value
+from .valuation import BlockTable, RunningValues, Valuation, bundle_value
 
 if TYPE_CHECKING:
     from .instances import Instance
@@ -133,14 +134,18 @@ class RunStats:
 
 
 def check_parameters(
-    alpha: Fraction | None = None, delta: Fraction | None = None
+    alpha: Fraction | None = None,
+    delta: Fraction | None = None,
+    max_items: int | None = None,
 ) -> None:
-    """Reject alpha <= 0 and delta outside (0, 1); every entry point that
-    takes either parameter checks it here."""
+    """Reject alpha <= 0, delta outside (0, 1) and max_items < 0; every
+    entry point that takes one of these parameters checks it here."""
     if alpha is not None and alpha <= 0:
         raise InputError(f"alpha must be positive, got {alpha}")
     if delta is not None and not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
+    if max_items is not None and max_items < 0:
+        raise InputError(f"max_items must be nonnegative, got {max_items}")
 
 
 def _block_table(
@@ -635,9 +640,7 @@ def allocate_naive(
     values the whole pool at alpha (values are monotone, so nothing can
     qualify afterwards).
     """
-    check_parameters(alpha=alpha)
-    if max_items < 0:
-        raise InputError(f"max_items must be nonnegative, got {max_items}")
+    check_parameters(alpha=alpha, max_items=max_items)
     table = _block_table(instance.spec, instance.valuations)
     if instance.num_items > max_items and table.num_blocks > max_items:
         raise DeskCapError(
@@ -670,11 +673,12 @@ def fair_divide(
 ) -> tuple[Allocation, EstimateVector]:
     """Estimate-driven driver around ``allocate_from_estimates``.
 
-    Estimates start at m * (n-th largest item value), a certified upper
-    bound on each agent's maximin share.  Each round reruns the
-    allocation from scratch on one block table built for the whole run
-    (it depends only on the instance); if everyone is allocated it returns,
-    otherwise every unallocated agent's estimate shrinks by (1 - delta).
+    Estimates start at ``mms_bounds(val, n).upper``, m * (n-th largest
+    item value), a certified upper bound on each agent's maximin share.
+    Each round reruns the allocation from scratch on one block table built
+    for the whole run (it depends only on the instance); if everyone is
+    allocated it returns, otherwise every unallocated agent's estimate
+    shrinks by (1 - delta).
     An agent whose estimate has dropped to its maximin share or below is
     always allocated, so the loop ends within
     n * ceil(log_{1/(1-delta)} m) + 1 rounds and every agent receives
@@ -683,7 +687,7 @@ def fair_divide(
     check_parameters(alpha=alpha, delta=delta)
     n = instance.n
     m = instance.num_items
-    mu = [m * nth_value(val, n) for val in instance.valuations]
+    mu = [mms_bounds(val, n).upper for val in instance.valuations]
     shrink = ONE - delta
     allowed = iteration_bound(n, m, delta)
     table = _block_table(instance.spec, instance.valuations)

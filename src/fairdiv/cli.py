@@ -5,10 +5,11 @@ input or file error (``InputError``, ``OSError``), 3 desk-cap exceeded
 (``DeskCapError``), 4 internal error (any other ``FairdivError``: a
 solver invariant failed, such as ``fair_divide`` not converging within
 its proven round bound).  The rational flags ``--alpha``, ``--delta``
-and ``--epsilon`` are parsed and range-checked once, before a command
-runs.  All numeric output is rendered as reduced fractions; ``mms``
-and ``repro-upper-bound`` take ``--decimal`` to add float approximations
-for reading convenience, which never feed back into any computation.
+and ``--epsilon`` and the desk caps are parsed and range-checked once,
+before a command runs.  All numeric output is rendered as reduced
+fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add
+float approximations for reading convenience, which never feed back
+into any computation.
 """
 from __future__ import annotations
 
@@ -122,15 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RATIONAL_FLAGS = ("--alpha", "--delta", "--epsilon")
-
-
 def _join_negative_fractions(argv: list[str]) -> list[str]:
-    """Spell ``--alpha -1/2`` as ``--alpha=-1/2``, and likewise for the
-    other rational flags: argparse reads a separate ``-1/2`` as an option."""
+    """Spell ``--name -1/2`` as ``--name=-1/2`` for any flag, abbreviated or
+    not, but the bare ``--``: argparse reads a separate ``-1/2`` as an option."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _RATIONAL_FLAGS and re.fullmatch(r"-\d+/\d+", arg):
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and re.fullmatch(r"-\d+/\d+", arg):
             arg = joined.pop() + "=" + arg
         joined.append(arg)
     return joined
@@ -138,15 +136,16 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
     """Replace each rational flag's text by its value, then range-check
-    alpha, delta and the alpha 40/107 + epsilon that epsilon sets; a bad
-    spelling is a ``ParseError`` at the flag."""
+    alpha, delta, the desk cap and the alpha 40/107 + epsilon that epsilon
+    sets; a bad spelling is a ``ParseError`` at the flag."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
                 setattr(args, flag, parse_rational(getattr(args, flag)))
             except ParseError as exc:
                 raise ParseError(str(exc), location=f"--{flag}") from None
-    check_parameters(alpha=getattr(args, "alpha", None), delta=getattr(args, "delta", None))
+    cap = getattr(args, "cap", getattr(args, "naive_cap", None))
+    check_parameters(getattr(args, "alpha", None), getattr(args, "delta", None), cap)
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None and UPPER_BOUND_RATIO + epsilon <= 0:
         raise InputError(f"--epsilon: 40/107 + epsilon must be positive, got {epsilon}")
@@ -217,7 +216,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         if args.decimal:
             doc["value_decimal"] = float(result.value)
     except DeskCapError:
-        result = mms_bounds(valuation, parts, instance.num_items)
+        result = mms_bounds(valuation, parts)
         doc["mode"] = "bounds"
         doc["lower"] = format_rational(result.lower)
         doc["upper"] = format_rational(result.upper)

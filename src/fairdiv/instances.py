@@ -416,13 +416,22 @@ def parse_instance(text: str) -> Instance:
     )
 
 
-def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
-    """Render an allocation document: the trace events, a summary and alpha.
+def _summary(allocation: Allocation, alpha: Fraction | None) -> dict[str, Any]:
+    """The ``summary`` block of an allocation document: the event and
+    unallocated counts, and the least alpha * value / threshold over the
+    events with positive thresholds (thresholds store alpha * mu), or
+    None without alpha or such an event."""
+    ratios = [e.value / e.threshold for e in allocation.trace if e.threshold > 0]
+    return {
+        "allocated": len(allocation.trace),
+        "unallocated": len(allocation.unallocated_agents),
+        "min_ratio_to_mu": alpha * min(ratios) if alpha is not None and ratios else None,
+    }
 
-    ``min_ratio_to_mu`` reports the worst value-to-estimate ratio among
-    traced bundles with positive thresholds (null when there are none);
-    it needs alpha because thresholds store alpha * mu.
-    """
+
+def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
+    """Render an allocation document: the trace events, their ``_summary``
+    and alpha."""
     events = [
         {
             "kind": event.kind,
@@ -434,18 +443,12 @@ def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
         }
         for event in allocation.trace
     ]
-    min_ratio = min(
-        (alpha * e.value / e.threshold for e in allocation.trace if e.threshold > 0),
-        default=None,
-    )
+    summary = _summary(allocation, alpha)
+    ratio = summary["min_ratio_to_mu"]
     doc = {
         "events": events,
         "unallocated_agents": sorted(allocation.unallocated_agents),
-        "summary": {
-            "allocated": len(allocation.bundles),
-            "unallocated": len(allocation.unallocated_agents),
-            "min_ratio_to_mu": format_rational(min_ratio) if min_ratio is not None else None,
-        },
+        "summary": dict(summary, min_ratio_to_mu=None if ratio is None else format_rational(ratio)),
         "alpha": format_rational(alpha),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -453,9 +456,10 @@ def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
 
 def parse_allocation(text: str) -> Allocation:
     """Read an allocation document.  Each event's ``phase`` must equal its
-    bundle's size; ``alpha`` and ``summary`` may be absent, but where
-    present must be what ``serialize_allocation`` writes for the events
-    (``_check_summary``).  Either fault is a located ``ParseError``."""
+    bundle's size, and its kind is zero-estimate exactly when the bundle
+    is empty; ``alpha`` and ``summary`` may be absent, but where present
+    must be what ``serialize_allocation`` writes for the events
+    (``_check_summary``).  Any fault is a located ``ParseError``."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("allocation document must be a JSON object")
@@ -484,6 +488,11 @@ def parse_allocation(text: str) -> Allocation:
                 f"phase must be the bundle size {len(bundle)}, got {phase!r}",
                 location=f"{where}.phase",
             )
+        if (kind == ZERO_ESTIMATE) != (not bundle):
+            raise ParseError(
+                f"only zero-estimate bundles are empty, got {kind!r} with {len(bundle)} items",
+                location=f"{where}.kind",
+            )
         value, threshold = (
             _nonnegative(_require(entry, key, where), key, f"{where}.{key}")
             for key in ("value", "threshold")
@@ -504,33 +513,16 @@ def parse_allocation(text: str) -> Allocation:
 
 
 def _check_summary(doc: dict[str, Any], allocation: Allocation) -> None:
-    """Reject a ``summary`` that differs from the one ``serialize_allocation``
-    writes for the document's events and ``alpha`` (null ``min_ratio_to_mu``
-    without alpha).  A ratio r is the least alpha * value / threshold over
-    the events with positive thresholds when none is below r and one
-    equals it; both tests cross-multiply integers, so no ratio is built."""
+    """Reject a ``summary`` other than the ``_summary`` of the document's
+    events and ``alpha``, field by field; the ratio is compared by value,
+    so ``"1"`` and ``"1/1"`` agree."""
     alpha = _nonnegative(doc["alpha"], "alpha", "alpha") if "alpha" in doc else None
     if "summary" not in doc:
         return
-    summary = doc["summary"]
-    counts = {"allocated": len(allocation.trace), "unallocated": len(allocation.unallocated_agents)}
-    for key, count in counts.items():
-        got = _require(summary, key, "summary")
-        if not _is_int(got) or got != count:
-            raise ParseError(f"the events give {count}, not {got!r}", location=f"summary.{key}")
-    where = "summary.min_ratio_to_mu"
-    text = _require(summary, "min_ratio_to_mu", "summary")
-    positive = [e for e in allocation.trace if e.threshold > 0]
-    if alpha is None or not positive:
-        if text is not None:
-            raise ParseError("must be null without alpha or a positive threshold", location=where)
-        return
-    ratio = _nonnegative(text, "min_ratio_to_mu", where)
-    left, right = ratio.numerator * alpha.denominator, ratio.denominator * alpha.numerator
-    sides = [
-        (left * e.value.denominator * e.threshold.numerator,
-         right * e.value.numerator * e.threshold.denominator)
-        for e in positive
-    ]
-    if not (all(a <= b for a, b in sides) and any(a == b for a, b in sides)):
-        raise ParseError(f"{text!r} is not the least alpha * value / threshold", location=where)
+    for key, expected in _summary(allocation, alpha).items():
+        where = f"summary.{key}"
+        text = _require(doc["summary"], key, "summary")
+        got = _nonnegative(text, key, where) if key == "min_ratio_to_mu" and text is not None else text
+        # the type test keeps true from passing for 1
+        if type(got) is not type(expected) or got != expected:
+            raise ParseError(f"the events give {expected}, not {text!r}", location=where)

@@ -131,7 +131,8 @@ def mms_exact(
     return MmsResult(value=Fraction(best, scale), witness=padded)
 
 
-def mms_bounds(valuation: Valuation, n: int, m: int) -> MmsResult:
-    """Certified sandwich: nth_value(n) <= maximin share <= m * nth_value(n)."""
+def mms_bounds(valuation: Valuation, n: int) -> MmsResult:
+    """Certified sandwich: nth_value(n) <= maximin share <= m * nth_value(n),
+    with m the valuation's item count."""
     nth = nth_value(valuation, n)
-    return MmsResult(lower=nth, upper=m * nth)
+    return MmsResult(lower=nth, upper=valuation.num_items * nth)

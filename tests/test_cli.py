@@ -249,6 +249,19 @@ _PARAMETER_EDGES = [
         ("repro-upper-bound", "--epsilon", "-1/2"),
         "--epsilon: 40/107 + epsilon must be positive, got -1/2",
     ),
+    # and so does one after an abbreviated flag
+    (("solve", "{inst}", "--alph", "-1/2"), "alpha must be positive, got -1/2"),
+    (("solve", "{inst}", "--de", "-1/2"), "delta must lie in (0, 1), got -1/2"),
+    (
+        ("repro-upper-bound", "--eps", "-1/2"),
+        "--epsilon: 40/107 + epsilon must be positive, got -1/2",
+    ),
+    # a cap the command does not read is checked all the same
+    (("solve", "{inst}", "--naive-cap", "-5"), "max_items must be nonnegative, got -5"),
+    (("verify", "{alloc}", "{inst}", "--cap", "-1"), "max_items must be nonnegative, got -1"),
+    # a path flag takes the fraction as its path; after the bare -- it is the instance
+    (("solve", "{inst}", "--trace", "-1/2"), "[Errno 2] No such file or directory: '-1/2'"),
+    (("solve", "--", "-1/2"), "[Errno 2] No such file or directory: '-1/2'"),
 ]
 
 
@@ -277,6 +290,20 @@ def _rewrite_document(path, edit):
     for placeholder, raw in _RAW_JSON.items():
         text = text.replace(json.dumps(placeholder), raw)
     path.write_text(text)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gen", "table1", "--n", "-1/2"), "--n"),
+        (("solve", "{inst}", "--naive-cap", "-1/2"), "--naive-cap"),
+    ],
+    ids=["n", "naive-cap"],
+)
+def test_an_int_flag_refuses_a_negative_fraction(solved, capsys, argv, flag):
+    code, _, err = run_cli(capsys, *(arg.format(inst=solved[0]) for arg in argv))
+    assert code == 2
+    assert err.endswith(f"error: argument {flag}: invalid int value: '-1/2'\n")
 
 
 def test_verify_rejects_agent_both_allocated_and_unallocated(solved, capsys):
@@ -399,6 +426,17 @@ def _set_event_field(field, value):
         (lambda doc: doc.pop("alpha"), "summary.min_ratio_to_mu"),
         (lambda doc: doc.update(alpha="0.5"), "alpha"),
         (lambda doc: doc.update(summary=5), "summary"),
+        # events[0] gives item 3 alone: a zero-estimate kind keeps the item,
+        # a phase kind drops it
+        (_without_summary(_set_event_field("kind", "zero-estimate")), "events[0].kind"),
+        (
+            _without_summary(
+                lambda doc: doc["events"][0].update(
+                    kind="phase", bundle=[], phase=0, value="0", threshold="0"
+                )
+            ),
+            "events[0].kind",
+        ),
     ],
     ids=[
         "bundle-int",
@@ -434,6 +472,8 @@ def _set_event_field(field, value):
         "alpha-dropped",
         "alpha-not-canonical",
         "summary-int",
+        "kind-zero-estimate-with-items",
+        "kind-phase-without-items",
     ],
 )
 def test_verify_rejects_mistyped_allocation_fields(solved, capsys, edit, location):

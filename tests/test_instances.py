@@ -21,7 +21,7 @@ from fairdiv import (
     serialize_instance,
     table1_instance,
 )
-from fairdiv import EstimateVector, allocate_from_estimates, fair_divide
+from fairdiv import Allocation, EstimateVector, TraceEvent, allocate_from_estimates, fair_divide
 from fairdiv.instances import MAX_AGENTS
 
 ALPHA_PRIME = Fraction(40, 107)
@@ -219,6 +219,15 @@ def test_allocation_round_trip(table1):
     mu, alpha = EstimateVector((Fraction(1),) * 330), ALPHA_PRIME + Fraction(1, 10**7)
     big = allocate_from_estimates(table1, mu, alpha)
     assert parse_allocation(serialize_allocation(big, alpha=alpha)) == big
+
+
+def test_summary_ratio_is_compared_by_value():
+    """The writer spells a least ratio of 1 as "1/1"; the reader takes "1" too."""
+    alloc = Allocation((TraceEvent("phase", 0, (0,), Fraction(3), Fraction(3)),), frozenset())
+    doc = json.loads(serialize_allocation(alloc, alpha=Fraction(1)))
+    assert (doc["summary"]["min_ratio_to_mu"], doc["alpha"]) == ("1/1", "1/1")
+    doc["summary"]["min_ratio_to_mu"] = doc["alpha"] = "1"
+    assert parse_allocation(json.dumps(doc)) == alloc
 
 
 def test_rational_wire_format():

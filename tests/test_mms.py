@@ -16,6 +16,7 @@ from fairdiv import (
     mms_bounds,
     mms_exact,
     normalize_to_partition,
+    nth_value,
     random_instance,
 )
 from support import brute_mms, iter_suite, reference_mms_exact
@@ -67,7 +68,7 @@ def test_desk_cap():
     "call",
     [
         lambda inst: mms_exact(inst.spec, inst.valuations[0], 0),
-        lambda inst: mms_bounds(inst.valuations[0], 0, 3),
+        lambda inst: mms_bounds(inst.valuations[0], 0),
     ],
     ids=["exact", "bounds"],
 )
@@ -78,15 +79,20 @@ def test_no_parts_is_rejected(call):
 
 def test_bounds_footnote():
     inst = footnote_instance()
-    result = mms_bounds(inst.valuations[0], 2, 3)
+    result = mms_bounds(inst.valuations[0], 2)
     assert (result.lower, result.upper) == (2, 6)
     assert result.lower <= mms_exact(inst.spec, inst.valuations[0], 2).value <= result.upper
 
 
 def test_bounds_more_parts_than_items():
     inst = footnote_instance()
-    result = mms_bounds(inst.valuations[0], 5, 3)
+    result = mms_bounds(inst.valuations[0], 5)
     assert (result.lower, result.upper) == (0, 0)
+
+
+def test_bounds_read_the_item_count_off_the_valuation():
+    val = random_instance(0, 10, 3, "capacity").valuations[0]
+    assert mms_bounds(val, 3).upper == 10 * nth_value(val, 3) == 30
 
 
 def test_witness_validity_and_sandwich():
@@ -97,7 +103,7 @@ def test_witness_validity_and_sandwich():
                 bundle_value(inst.spec, val, part) for part in exact.witness
             )
             assert worst == exact.value
-            bounds = mms_bounds(val, inst.n, inst.num_items)
+            bounds = mms_bounds(val, inst.n)
             assert bounds.lower <= exact.value <= bounds.upper
 
 
