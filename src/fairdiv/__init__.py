@@ -11,8 +11,6 @@ from .allocator import (
     allocate_naive,
     fair_divide,
     iteration_bound,
-    minimal_set,
-    query_budget,
     verify_allocation,
 )
 from .errors import DeskCapError, FairdivError, InputError, ParseError
@@ -38,7 +36,7 @@ from .setsystem import (
     explicit_maximal,
     is_feasible,
 )
-from .valuation import Valuation, bundle_value, normalize_to_partition, nth_value
+from .valuation import Valuation, bundle_value, nth_value
 
 __version__ = "0.1.0"
 
@@ -70,15 +68,12 @@ __all__ = [
     "format_rational",
     "is_feasible",
     "iteration_bound",
-    "minimal_set",
     "mms_bounds",
     "mms_exact",
-    "normalize_to_partition",
     "nth_value",
     "parse_allocation",
     "parse_instance",
     "parse_rational",
-    "query_budget",
     "random_instance",
     "replicate_agents",
     "serialize_allocation",

@@ -6,8 +6,7 @@ qualifying agent.  ``allocate_from_estimates`` runs sizes 1..3 the same
 way against per-agent thresholds alpha * mu_i, then repeatedly strips a
 1-minimal qualifying bundle out of the remaining pool until no remaining
 agent values the pool at its threshold.  That removal scan
-(``_minimal_set_scan``) is the one minimal-bundle path; ``minimal_set``
-runs it once on a given item set.
+(``_minimal_set_scan``) is the one minimal-bundle path.
 ``fair_divide`` drives it with shrinking share estimates mu, multiplying
 the estimate of every unallocated agent by (1 - delta) between rounds.
 
@@ -52,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
 from .rationals import format_rational
-from .setsystem import SetSystemSpec, coerce_items, equivalence_classes
+from .setsystem import SetSystemSpec, equivalence_classes
 from .valuation import BlockTable, RunningValues, Valuation, bundle_value
 
 if TYPE_CHECKING:
@@ -63,7 +62,6 @@ ONE = Fraction(1)
 
 DEFAULT_NAIVE_CAP = 16
 NAIVE_NODE_CAP = 2_000_000
-QUERY_BUDGET_CONSTANT = 8
 
 PHASE = "phase"
 MINIMAL = "minimal"
@@ -148,16 +146,11 @@ def check_parameters(
         raise InputError(f"max_items must be nonnegative, got {max_items}")
 
 
-def _block_table(
-    spec: SetSystemSpec, valuations: Sequence[Valuation], items: frozenset[int] | None = None
-) -> BlockTable:
+def _block_table(spec: SetSystemSpec, valuations: Sequence[Valuation]) -> BlockTable:
     """The block-count table of ``valuations`` over the item-equivalence
-    blocks of ``spec``, cut down to ``items`` when given.  The table
-    depends only on the set system and the valuations, so one table
-    serves every round of a ``fair_divide`` run."""
+    blocks of ``spec``.  The table depends only on the set system and the
+    valuations, so one table serves every round of a ``fair_divide`` run."""
     blocks = equivalence_classes(spec, [val.values for val in valuations])
-    if items is not None:
-        blocks = tuple(b & items for b in blocks)
     return BlockTable(spec, valuations, blocks)
 
 
@@ -270,22 +263,20 @@ class _Roster:
     def pick(self, group_vals: Mapping[int, int]) -> int:
         """The agent with the highest value-to-threshold ratio, ties by index.
 
-        ``group_vals`` maps every group in play to its scaled value.  The
-        result is that of a scan over all remaining agents in ascending
-        index that keeps its current pick unless a later agent's ratio is
-        strictly greater, compared by cross-multiplication: a zero
-        threshold reads as an infinite ratio, and an agent with value 0
-        and threshold 0 neither displaces nor is displaced.  That scan can
-        only end on the first remaining agent or on some group's leader,
-        since a group's members share one value and its leader has the
-        group's best ratio.  A group of value 0 gives each member ratio 0
-        or the (0, 0) standstill; it can decide the pick only when every
-        ratio is 0, and then the scan keeps the first agent.  So the scan
-        runs over at most #groups + 1 candidates, in integers:
+        ``group_vals`` maps every group in play to its scaled value.  Every
+        roster has positive thresholds, so every need is at least 1, and
+        every call has a group whose value meets its leader's need: the
+        first pick follows ``any_meets``, and afterwards the picked group's
+        value never drops below its need.  So the best ratio is positive,
+        and the first agent of best ratio is its group's leader, since a
+        group's members share one value and the leader has the group's
+        least (threshold, index).  A scan over the leaders in index order
+        that keeps its pick unless a later ratio is strictly greater thus
+        replays the scan over every remaining agent.  It runs in integers:
         S1 / t1 > S2 / t2 reads S1 * (t2 L2) > S2 * (t1 L1), the same test
         scaled by L1 * L2 > 0.
         """
-        candidates = sorted({self.ascending[0], *map(self.leader, group_vals)})
+        candidates = sorted(map(self.leader, group_vals))
         best = candidates[0]
         best_s = group_vals[self.group_of[best]]
         for pos in candidates[1:]:
@@ -421,8 +412,8 @@ def _minimal_set_scan(
     remaining agent's group value meets its threshold, the scan returns
     None and the pool is untouched.  Each round re-picks the agent with
     the highest value-to-threshold ratio (``_Roster.pick``: cross-
-    multiplied in integers, ties by index, over the first remaining agent
-    and each group's least-threshold member), then removes the first item
+    multiplied in integers, ties by index, over each group's
+    least-threshold member), then removes the first item
     in ascending (value for that agent, item index) order whose removal
     keeps the agent's scaled value at or above ceil(threshold * L_g).
     Within a block all items are interchangeable, so removability is
@@ -534,39 +525,6 @@ def _minimal_set_scan(
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
     return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])
-
-
-def minimal_set(
-    spec: SetSystemSpec,
-    valuations: Mapping[int, Valuation],
-    items: Iterable[int],
-    thresholds: Mapping[int, Fraction],
-) -> tuple[frozenset[int], int]:
-    """Find a 1-minimal bundle within ``items`` meeting some agent's threshold.
-
-    Starts from all of ``items`` and strips elements until no single
-    removal keeps the chosen agent at or above its threshold.  Requires
-    at least one agent whose value for ``items`` meets its threshold.
-    Returns the bundle and the chosen agent id.
-    """
-    agent_ids = sorted(valuations)
-    if not agent_ids:
-        raise InputError("no agents given")
-    missing = [a for a in agent_ids if a not in thresholds]
-    if missing:
-        raise InputError(f"agents without thresholds: {missing}")
-    if any(thresholds[a] < 0 for a in agent_ids):
-        raise InputError("thresholds must be nonnegative")
-    table = _block_table(
-        spec, [valuations[a] for a in agent_ids], items=coerce_items(spec, items)
-    )
-    thr = [thresholds[a] for a in agent_ids]
-    roster = _Roster(table.group_of, table.scale, thr, range(len(agent_ids)))
-    found = _minimal_set_scan(table, _Pool(table), roster)
-    if found is None:
-        raise InputError("no remaining agent values the remaining items at its threshold")
-    bundle, pick, _value = found
-    return frozenset(bundle), agent_ids[pick]
 
 
 def allocate_from_estimates(
@@ -718,12 +676,6 @@ def iteration_bound(n: int, m: int, delta: Fraction) -> int:
             power *= shrink
             steps += 1
     return n * steps + 1
-
-
-def query_budget(n: int, m: int, delta: Fraction) -> int:
-    """Valuation-query allowance for one fair_divide run."""
-    log_factor = (iteration_bound(n, m, delta) - 1) // n if n else 0
-    return QUERY_BUDGET_CONSTANT * (n * m**3 + n**2 * m**2) * log_factor
 
 
 @dataclass(frozen=True)

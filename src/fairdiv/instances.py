@@ -280,9 +280,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(value: Any, where: str) -> list[int]:
+def _distinct_ints(value: Any, where: str) -> list[int]:
     if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise ParseError("expected a list of integers", location=where)
+    if len(set(value)) != len(value):
+        raise ParseError("lists an entry more than once", location=where)
     return value
 
 
@@ -480,9 +482,7 @@ def parse_allocation(text: str) -> Allocation:
             raise ParseError(f"agent {agent!r} already has an event", location=where)
         agents.add(agent)
         phase = _require(entry, "phase", where)
-        bundle = _int_list(_require(entry, "bundle", where), f"{where}.bundle")
-        if len(set(bundle)) != len(bundle):
-            raise ParseError("bundle lists an item more than once", location=f"{where}.bundle")
+        bundle = _distinct_ints(_require(entry, "bundle", where), f"{where}.bundle")
         if not _is_int(phase) or phase != len(bundle):
             raise ParseError(
                 f"phase must be the bundle size {len(bundle)}, got {phase!r}",
@@ -499,7 +499,7 @@ def parse_allocation(text: str) -> Allocation:
         )
         events.append(TraceEvent(kind, agent, tuple(bundle), value, threshold))
     unallocated = frozenset(
-        _int_list(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
+        _distinct_ints(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
     )
     both = sorted(unallocated & agents)
     if both:

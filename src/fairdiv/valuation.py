@@ -483,47 +483,3 @@ def nth_value(valuation: Valuation, n: int) -> Fraction:
     if n > valuation.num_items:
         return ZERO
     return sorted(valuation.values, reverse=True)[n - 1]
-
-
-def normalize_to_partition(
-    valuation: Valuation,
-    partition: Iterable[Iterable[int]],
-    spec: SetSystemSpec,
-) -> Valuation:
-    """Divide each item value by the bundle value of the part holding it.
-
-    The parts must be disjoint and cover all items, and every part must
-    have positive bundle value.  In the result, each part's bundle value
-    is exactly 1 (scaling all values of a part by one constant commutes
-    with the max over feasible subsets).
-    """
-    m = spec.num_items
-    if valuation.num_items != m:
-        raise InputError(
-            f"valuation covers {valuation.num_items} items, spec has {m}"
-        )
-    part_of: list[int] = [-1] * m
-    parts: list[frozenset[int]] = []
-    for idx, raw in enumerate(partition):
-        part = coerce_items(spec, raw)
-        for j in part:
-            if part_of[j] != -1:
-                raise InputError(f"item {j} appears in more than one part")
-            part_of[j] = idx
-        parts.append(part)
-    uncovered = [j for j in range(m) if part_of[j] == -1]
-    if uncovered:
-        raise InputError(f"items not covered by the partition: {uncovered}")
-
-    scales: list[Fraction] = []
-    for idx, part in enumerate(parts):
-        pv = bundle_value(spec, valuation, part)
-        if pv == 0:
-            raise InputError(
-                f"part {idx} has bundle value 0 and cannot be normalized"
-            )
-        scales.append(pv)
-    new_values = tuple(
-        valuation.values[j] / scales[part_of[j]] for j in range(m)
-    )
-    return Valuation._wrap(new_values)

@@ -1,4 +1,6 @@
-"""Shared test helpers: independent brute-force oracles and seeded suites.
+"""Shared test helpers: independent brute-force oracles, seeded suites,
+and the helpers only tests need (``minimal_set``, ``normalize_to_partition``,
+``round_query_bound``).
 
 The oracles here deliberately avoid the production evaluation paths:
 ``brute_bundle_value`` enumerates every subset and filters through the
@@ -12,18 +14,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from fairdiv import (
     Capacity,
     DeskCapError,
     ExplicitMaximal,
+    InputError,
     Instance,
+    Valuation,
+    bundle_value,
+    equivalence_classes,
     explicit_maximal,
     is_feasible,
     mms_exact,
-    normalize_to_partition,
     random_instance,
 )
+from fairdiv.allocator import _block_table, _minimal_set_scan, _Pool, _Roster
+from fairdiv.setsystem import coerce_items
+from fairdiv.valuation import BlockTable
 
 FAMILIES = ("capacity", "explicit-antichain", "free")
 EXPLICIT_EXPANSION_CAP = 200_000
@@ -198,6 +207,46 @@ def iter_suite(count: int, base_seed: int):
         yield suite_instance(i, base_seed)
 
 
+def normalize_to_partition(valuation, partition, spec) -> Valuation:
+    """Divide each item value by the bundle value of the part holding it.
+
+    The parts must be disjoint and cover all items, and every part must
+    have positive bundle value.  In the result, each part's bundle value
+    is exactly 1 (scaling all values of a part by one constant commutes
+    with the max over feasible subsets).
+    """
+    m = spec.num_items
+    if valuation.num_items != m:
+        raise InputError(
+            f"valuation covers {valuation.num_items} items, spec has {m}"
+        )
+    part_of: list[int] = [-1] * m
+    parts: list[frozenset[int]] = []
+    for idx, raw in enumerate(partition):
+        part = coerce_items(spec, raw)
+        for j in part:
+            if part_of[j] != -1:
+                raise InputError(f"item {j} appears in more than one part")
+            part_of[j] = idx
+        parts.append(part)
+    uncovered = [j for j in range(m) if part_of[j] == -1]
+    if uncovered:
+        raise InputError(f"items not covered by the partition: {uncovered}")
+
+    scales: list[Fraction] = []
+    for idx, part in enumerate(parts):
+        pv = bundle_value(spec, valuation, part)
+        if pv == 0:
+            raise InputError(
+                f"part {idx} has bundle value 0 and cannot be normalized"
+            )
+        scales.append(pv)
+    new_values = tuple(
+        valuation.values[j] / scales[part_of[j]] for j in range(m)
+    )
+    return Valuation._wrap(new_values)
+
+
 def normalized_by_witnesses(instance: Instance):
     """Rescale every agent by its own exact maximin witness.
 
@@ -299,6 +348,40 @@ def reference_minimal_set(spec, valuations, items, thresholds):
                 break
         else:
             return frozenset(current), agent
+
+
+def minimal_set(spec, valuations, items, thresholds):
+    """One run of ``_minimal_set_scan`` over ``items``: a 1-minimal bundle
+    within them that meets some agent's positive threshold, as
+    (bundle, agent id), or None when no agent values ``items`` at its
+    threshold."""
+    agents = sorted(valuations)
+    thr = [thresholds[a] for a in agents]
+    assert all(t > 0 for t in thr)
+    vals = [valuations[a] for a in agents]
+    keep = frozenset(items)
+    blocks = [b & keep for b in equivalence_classes(spec, [val.values for val in vals])]
+    table = BlockTable(spec, vals, blocks)
+    roster = _Roster(table.group_of, table.scale, thr, range(len(agents)))
+    found = _minimal_set_scan(table, _Pool(table), roster)
+    if found is None:
+        return None
+    bundle, pick, _value = found
+    return frozenset(bundle), agents[pick]
+
+
+def round_query_bound(instance) -> int:
+    """Queries one ``allocate_from_estimates`` round may spend, for G value
+    groups and B blocks of the run's block table, n agents and m items:
+    G * sum over s = 1..3 of (1 + C(B+s-1, s)) for the phases (a size-capped
+    existence check plus one read per size-s multiset), plus at most n + 1
+    removal scans, each within the per-scan bound
+    G + (G+1) * B + p * (2 + G * (ceil(log2 p) + 1)) at p <= m."""
+    table = _block_table(instance.spec, instance.valuations)
+    g, b, n, m = table.num_groups, table.num_blocks, instance.n, instance.num_items
+    phases = g * sum(1 + comb(b + s - 1, s) for s in (1, 2, 3))
+    scan = g + (g + 1) * b + m * (2 + g * ((m - 1).bit_length() + 1))
+    return phases + (n + 1) * scan
 
 
 def reference_allocate_from_estimates(instance, mu, alpha):

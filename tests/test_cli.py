@@ -47,6 +47,31 @@ def test_gen_table1_bad_n(capsys):
     assert "330" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gen", "random", "--seed", "0", "--m", "0", "--n", "{over}", "-o", "{out}"), "--n"),
+        (("gen", "table1", "--n", "{over330}", "-o", "{out}"), "--n"),
+        (("mms", "{fn}", "--agents", "{over}"), "--agents"),
+        (("repro-upper-bound", "--n", "{over330}"), "--n"),
+    ],
+    ids=["gen-random", "gen-table1", "mms-agents", "repro"],
+)
+def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag):
+    """No document may hold more than MAX_AGENTS agents, so neither may a
+    flag: the count is refused before anything is built or written."""
+    fn = tmp_path / "fn.json"
+    fn.write_text(serialize_instance(footnote_instance()))
+    out = tmp_path / "out.json"
+    over = MAX_AGENTS + 1
+    fields = dict(over=over, over330=-(-over // 330) * 330, fn=fn, out=out)
+    code, stdout, err = run_cli(capsys, *(arg.format(**fields) for arg in argv))
+    assert code == 2
+    count = argv[argv.index(flag) + 1].format(**fields)
+    assert err == f"error: {flag}: must be at most {MAX_AGENTS}, got {count}\n"
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("bound", ["--max-num", "--max-den"])
 def test_gen_random_value_bound_below_one_is_a_usage_error(capsys, bound):
     argv = ("gen", "random", "--seed", "1", "--m", "3", "--n", "2", bound, "0")
@@ -332,6 +357,26 @@ def test_verify_rejects_second_event_for_one_agent(solved, capsys):
 def _without_summary(edit):
     """``edit``, then drop the summary, which would no longer match."""
     return lambda doc: (edit(doc), doc.pop("summary"))
+
+
+@pytest.mark.parametrize("summary", ["dropped", "unallocated-1"])
+def test_verify_rejects_an_agent_listed_twice_as_unallocated(solved, capsys, summary):
+    # a set of the listed agents would count the agent once, so a summary
+    # of one unallocated agent would match too
+    inst_path, alloc_path = solved
+
+    def strand_twice(doc):
+        agent = doc["events"].pop(0)["agent"]
+        doc["unallocated_agents"] = [agent, agent]
+        if summary == "dropped":
+            del doc["summary"]
+        else:
+            doc["summary"].update(allocated=doc["summary"]["allocated"] - 1, unallocated=1)
+
+    _rewrite_document(alloc_path, strand_twice)
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err == "error: unallocated_agents: lists an entry more than once\n"
 
 
 def test_verify_rejects_agent_left_out(solved, capsys):

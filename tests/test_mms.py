@@ -15,11 +15,10 @@ from fairdiv import (
     format_rational,
     mms_bounds,
     mms_exact,
-    normalize_to_partition,
     nth_value,
     random_instance,
 )
-from support import brute_mms, iter_suite, reference_mms_exact
+from support import brute_mms, iter_suite, normalize_to_partition, reference_mms_exact
 
 # sha256 over (value, witness) of mms_exact on iter_suite(60, base_seed=7000),
 # every agent, n and n + 1 parts; recorded with the frozenset/Fraction

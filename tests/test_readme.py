@@ -1,0 +1,30 @@
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+from fairdiv import bundle_value, fair_divide, mms_exact, random_instance
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs_and_prints_exact_shares(capsys):
+    """README's one ``python`` block runs as written; each line it prints
+    names an agent, that agent's bundle and its exact maximin share."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+
+    inst = random_instance(seed=7, m=8, n=3, family="capacity")
+    alpha, delta = Fraction(11, 30), Fraction(1, 16)
+    allocation, _ = fair_divide(inst, alpha, delta)
+    assert len(lines) == inst.n
+    for agent, line in enumerate(lines):
+        head, share = line.split(" share: ")
+        printed_agent, bundle = head.split(" ", 1)
+        assert int(printed_agent) == agent
+        assert json.loads(bundle) == sorted(allocation.bundles[agent])
+        exact = mms_exact(inst.spec, inst.valuations[agent], inst.n).value
+        assert Fraction(share) == exact
+        got = bundle_value(inst.spec, inst.valuations[agent], allocation.bundles[agent])
+        assert got >= (1 - delta) * alpha * exact

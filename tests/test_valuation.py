@@ -10,12 +10,17 @@ from fairdiv import (
     capacity,
     explicit_maximal,
     footnote_instance,
-    normalize_to_partition,
     nth_value,
     random_instance,
     table1_instance,
 )
-from support import FAMILIES, brute_bundle_value, random_subset, value_of_subset
+from support import (
+    FAMILIES,
+    brute_bundle_value,
+    normalize_to_partition,
+    random_subset,
+    value_of_subset,
+)
 
 
 @pytest.fixture(scope="module")
