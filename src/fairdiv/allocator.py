@@ -25,12 +25,13 @@ This module never looks at how a set system is represented, and keeps
 no query accounting: every valuation query values one multiset of block
 counts for one value group through ``valuation``'s block-count kernel,
 which charges each value it returns as one query on that group's
-representative.  The phases' size-capped existence check and
-``allocate_naive``'s per-size gate value from scratch with
-``BlockTable.value``.  The phase enumeration and the removal scan change
-their multiset one block at a time and read a ``RunningValues`` state,
-whose reads are charged like from-scratch values, so the query counts
-are those of valuing every multiset from scratch.
+representative.  The phases value from scratch with
+``BlockTable.value``: their size-capped existence check,
+``allocate_naive``'s per-size gate, and each (multiset, group) value the
+phase walk reads.  The removal scan changes its multiset one block at a
+time and reads a ``RunningValues`` state, whose reads are charged like
+from-scratch values.  Both read lazily, the way accelerated greedy does:
+a value is read only once it can decide a pick.
 
 The kernel computes in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -46,7 +47,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
@@ -66,6 +67,9 @@ NAIVE_NODE_CAP = 2_000_000
 PHASE = "phase"
 MINIMAL = "minimal"
 ZERO_ESTIMATE = "zero-estimate"
+
+# A multiset of blocks: ascending (block, count) pairs.
+Multiset = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,12 @@ class EstimateVector:
 
 @dataclass
 class RunStats:
-    """Optional instrumentation collected by fair_divide."""
+    """Optional instrumentation collected by fair_divide: per round, the
+    estimates with the agents they stranded, and the valuation queries
+    the round spent."""
 
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
+    queries: list[int] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -251,14 +258,36 @@ class _Roster:
         self._head[g] = i
         return order[i] if i < len(order) else -1
 
+    def firsts(self) -> dict[int, int]:
+        """Each group in play mapped to its least remaining index, in
+        ascending order of that index."""
+        num_groups = len(self.groups())
+        firsts: dict[int, int] = {}
+        for pos in self.ascending:
+            firsts.setdefault(self.group_of[pos], pos)
+            if len(firsts) == num_groups:
+                break
+        return firsts
+
+    def first_meeting(self, g: int, s: int, first: int) -> int:
+        """Group g's remaining member of least index whose need the scaled
+        value ``s`` meets, searched from ``first``, the group's least
+        remaining index; ``s`` must meet the leader's need."""
+        ascending = self.ascending
+        i = bisect_left(ascending, first)
+        while self.group_of[ascending[i]] != g or self.need[ascending[i]] > s:
+            i += 1
+        return ascending[i]
+
     def groups(self) -> list[int]:
         """Groups with a remaining member, ascending."""
         return [g for g in range(len(self._head)) if self.leader(g) >= 0]
 
-    def any_meets(self, group_vals: Mapping[int, int]) -> bool:
-        """Whether some remaining agent's group value meets its threshold;
-        a group's leader has the group's least threshold."""
-        return any(s >= self.need[self.leader(g)] for g, s in group_vals.items())
+    def any_meets(self, value_of: Callable[[int], int]) -> bool:
+        """Whether some remaining agent's group value ``value_of(g)`` meets
+        its threshold; a group's leader has the group's least threshold.
+        Reads the groups in ascending order and stops at the first hit."""
+        return any(value_of(g) >= self.need[self.leader(g)] for g in self.groups())
 
     def pick(self, group_vals: Mapping[int, int]) -> int:
         """The agent with the highest value-to-threshold ratio, ties by index.
@@ -300,105 +329,122 @@ def _run_phase(
     appending one trace event per allocation and discarding its agent
     from ``roster``.
 
-    One enumeration pass computes the value of every realizable multiset
-    per group; no multiset repeats within a phase, so each value is
-    queried once.  The depth-first enumeration adds and removes one
-    block's items at a time in a ``RunningValues`` state, and each
-    multiset it reaches reads every group's value from that state, which
-    charges one query per group.  The existence check before the
-    enumeration is a size-capped ``BlockTable.value`` call per group.
-    Within the phase, values and thresholds never change
-    and removals only shrink the pool, so a multiset that failed to
-    qualify can never start qualifying; the allocation loop just re-picks
-    the lexicographically smallest realization among surviving
-    candidates.  Each candidate keeps its per-group values for the trace
-    event and lists its qualifying agents in descending index, so
-    departed agents pop off the end and the first remaining one is last.
+    An existence check values the pool per group in play, capped at
+    ``size`` items, until a group's value meets its leader's need; the
+    phase ends when none does.  It runs before the enumeration and again
+    after each allocation, as soon as the walk needs a value it has not
+    read.  The multisets are enumerated once, depth first and without a
+    query (``_multisets``).  Each allocation walks the realizable ones
+    in ascending order of their lexicographically smallest realization,
+    and at each one the groups in play in ascending order of their least
+    remaining index (``_Roster.firsts``), stopping at the first group
+    whose least index comes after the agent already found.  A group
+    whose value meets its leader's need offers its least-index member of
+    met need (``_Roster.first_meeting``); the first multiset with an
+    offer goes to the least offer.  That is the first qualifying (multiset, agent) of
+    the whole search.  Values and thresholds never change within the
+    phase, so each (multiset, group) value is read at most once, from
+    scratch with ``BlockTable.value``, and kept in a memo.  A multiset
+    that is no longer realizable, or that misses the need of every
+    group leader in play, is dropped for good: the pool only shrinks,
+    agents only leave, and a group's next leader has a need at least as
+    high.  So a phase with G groups in play, B blocks in the pool and a
+    allocations spends at most G * (1 + a) + G * C(B+size-1, size)
+    queries.
     """
-    if not roster or pool.total() < size:
-        return
-    counts0 = pool.counts()
-    groups = roster.groups()
+    def reachable() -> bool:
+        # the best size-`size` bundle of the pool meets some leader's need
+        counts = pool.counts()
+        return roster.any_meets(lambda g: table.value(g, counts, size=size))
 
-    # Existence short-circuit: skip the enumeration when even the best
-    # size-`size` bundle misses every remaining agent's threshold.
-    if not roster.any_meets({g: table.value(g, counts0, size=size) for g in groups}):
+    if not roster or pool.total() < size or not reachable():
         return
+    multisets = _multisets(pool.counts(), size, budget)
+    memo: dict[Multiset, dict[int, int]] = {}
+    checked = True
+    while True:
+        keyed = []
+        for ms in multisets:
+            realization: list[int] = []
+            for b, k in ms:
+                if pool.count(b) < k:
+                    break
+                realization += pool.front(b, k)
+            else:
+                realization.sort()
+                keyed.append((tuple(realization), ms))
+        keyed.sort()
+        firsts = roster.firsts()
+        agent = -1
+        for place, (key, ms) in enumerate(keyed):
+            vals = memo.get(ms)
+            if vals is None:
+                vals = memo[ms] = {}
+            for g, first in firsts.items():
+                if 0 <= agent < first:
+                    break  # no later group has an earlier member
+                v = vals.get(g)
+                if v is None:
+                    if not checked:
+                        if not reachable():
+                            return
+                        checked = True
+                    v = vals[g] = table.value(g, dict(ms))
+                if v >= roster.need[roster.leader(g)]:
+                    pos = roster.first_meeting(g, v, first)
+                    if agent < 0 or pos < agent:
+                        agent, agent_s = pos, v
+            if agent >= 0:
+                break
+        else:
+            return
+        multisets = [ms for _key, ms in keyed[place:]]
 
-    avail = sorted(counts0)
+        g = table.group_of[agent]
+        for b, k in ms:
+            pool.take_front(b, k)
+        value = Fraction(agent_s, table.scale[g])
+        trace.append(TraceEvent(PHASE, agent, key, value, roster.thresholds[agent]))
+        roster.discard(agent)
+        if not roster or pool.total() < size:
+            return
+        checked = False
+
+
+def _multisets(
+    counts: Mapping[int, int], size: int, budget: list[int] | None
+) -> list[Multiset]:
+    """Every size-``size`` multiset of the blocks in ``counts``, as
+    ascending (block, count) pairs, in depth-first order: blocks
+    ascending, counts descending.  Each node of the search costs one unit
+    of ``budget`` when one is given, and overrunning it raises
+    ``DeskCapError``.  Costs no query."""
+    avail = sorted(counts)
     suffix = [0] * (len(avail) + 1)
     for i in range(len(avail) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + counts0[avail[i]]
-
-    descending = roster.ascending[::-1]
-    Candidate = tuple[tuple[tuple[int, int], ...], list[int], dict[int, int]]
-    candidates: list[Candidate] = []
+        suffix[i] = suffix[i + 1] + counts[avail[i]]
+    found: list[Multiset] = []
     chosen: list[tuple[int, int]] = []
-    state = RunningValues(table, groups, {})
 
-    def emit() -> None:
-        vals = {g: state.value(g) for g in groups}
-        quals = [
-            pos for pos in descending if vals[table.group_of[pos]] >= roster.need[pos]
-        ]
-        if quals:
-            candidates.append((tuple(chosen), quals, vals))
-
-    def enumerate_multisets(i: int, left: int) -> None:
+    def walk(i: int, left: int) -> None:
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise DeskCapError("subset enumeration exceeded the node budget")
         if left == 0:
-            emit()
+            found.append(tuple(chosen))
             return
         if i == len(avail) or suffix[i] < left:
             return
         b = avail[i]
-        top = min(counts0[b], left)
-        # k = top, ..., 1 items of b, then none: one step down each time
-        if top:
-            state.change(b, top)
-        for k in range(top, 0, -1):
+        for k in range(min(counts[b], left), 0, -1):
             chosen.append((b, k))
-            enumerate_multisets(i + 1, left - k)
+            walk(i + 1, left - k)
             chosen.pop()
-            state.change(b, -1)
-        enumerate_multisets(i + 1, left)
+        walk(i + 1, left)
 
-    enumerate_multisets(0, size)
-
-    while candidates:
-        alive: list[Candidate] = []
-        best_key: tuple[int, ...] | None = None
-        best: Candidate | None = None
-        for candidate in candidates:
-            ms, quals, _vals = candidate
-            if any(pool.count(b) < k for b, k in ms):
-                continue
-            while quals and quals[-1] not in roster:
-                quals.pop()
-            if not quals:
-                continue
-            alive.append(candidate)
-            realization: list[int] = []
-            for b, k in ms:
-                realization.extend(pool.front(b, k))
-            realization.sort()
-            key = tuple(realization)
-            if best_key is None or key < best_key:
-                best_key, best = key, candidate
-        candidates = alive
-        if best is None:
-            return
-        ms, quals, vals = best
-        for b, k in ms:
-            pool.take_front(b, k)
-        agent = quals[-1]
-        g = table.group_of[agent]
-        value = Fraction(vals[g], table.scale[g])
-        trace.append(TraceEvent(PHASE, agent, best_key, value, roster.thresholds[agent]))
-        roster.discard(agent)
+    walk(0, size)
+    return found
 
 
 def _minimal_set_scan(
@@ -421,10 +467,21 @@ def _minimal_set_scan(
     removed.  The roster does not change during a scan, so the groups in
     play are fixed up front.  One ``RunningValues`` state holds the
     scan's pool and answers every query: the first valuation of the
-    pool, each removability test and batch probe (``without``: the value
-    were k items of one block gone) and the re-valuation after each
-    removal.  The state charges each answer as one query, exactly as if
-    it had been valued from scratch.
+    pool, each refresh of a stale group value, and each removability
+    test and batch probe (``without``: the value were k items of one
+    block gone).  The state charges each answer as one query, exactly as
+    if it had been valued from scratch.
+
+    Lazy re-pick: within a scan the roster is fixed and every group's
+    value only falls, so a value read earlier is an upper bound on the
+    value now.  The pick runs on the values at hand; if the winner's
+    group is stale, its value is read, and the pick runs again, until
+    the winner's group is fresh.  The winner's ratio is then exact and
+    every stale ratio is at least the true one, so no agent's true ratio
+    beats it and no earlier agent ties it: the pick is the one-at-a-time
+    pick.  After a removal only the picked group is fresh, and its value
+    is the walk's own ``without`` answer for bstar, which the batch does
+    not change.
 
     Ordered walk: each step walks the pool's blocks in ascending
     (value for the picked agent's group, front item) order and tests
@@ -446,8 +503,9 @@ def _minimal_set_scan(
     puts it back with ``insort``.
 
     Batching: a run of removals from one block is collapsed when it
-    provably replays the one-at-a-time scan, which requires (a) no
-    group's value changes, so the agent re-pick is stable and previously
+    provably replays the one-at-a-time scan, which requires (a) the
+    picked group's value does not change, so the pick is stable (its
+    ratio stays and every other ratio can only fall) and previously
     non-removable blocks stay non-removable (values only shrink with the
     set), and (b) the block's front index stays below the rival's front,
     so the scan order cannot switch mid-batch.
@@ -465,13 +523,18 @@ def _minimal_set_scan(
         return table.block_items[b][pool.hi[b] - local[b]]
 
     group_vals = {g: state.value(g) for g in groups}
-    if not roster.any_meets(group_vals):
+    if not roster.any_meets(group_vals.__getitem__):
         return None
+    fresh = set(groups)
     orders: dict[int, list[tuple[int, int, int]]] = {}
     dead: dict[int, set[int]] = {}
     while True:
         pick = roster.pick(group_vals)
         gj = table.group_of[pick]
+        if gj not in fresh:
+            group_vals[gj] = state.value(gj)
+            fresh.add(gj)
+            continue
         need = roster.need[pick]
         order = orders.get(gj)
         if order is None:
@@ -486,10 +549,11 @@ def _minimal_set_scan(
                 break
             if b in dead_j:
                 continue
-            if state.without(gj, b, 1) < need:
+            after = state.without(gj, b, 1)
+            if after < need:
                 dead_j.add(b)
             elif first is None:
-                first = entry
+                first, s_after = entry, after
             else:
                 rival = fb
                 break
@@ -504,16 +568,18 @@ def _minimal_set_scan(
             # >= 1: bstar's front precedes its rival's by the walk order
             k_bound = bisect_left(block, rival, start, start + have) - start
 
+        # the picked group's value only falls as k grows, so a batch
+        # needs the one-item answer to keep it
         k = 1
-        if k_bound > 1:
-            lo_k, hi_k = 0, k_bound
+        if k_bound > 1 and s_after == group_vals[gj]:
+            lo_k, hi_k = 1, k_bound
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
-                if all(state.without(g, bstar, mid) == s for g, s in group_vals.items()):
+                if state.without(gj, bstar, mid) == s_after:
                     lo_k = mid
                 else:
                     hi_k = mid - 1
-            k = max(1, lo_k)
+            k = lo_k
 
         state.change(bstar, -k)
         for g, keyed in orders.items():
@@ -521,7 +587,8 @@ def _minimal_set_scan(
             del keyed[bisect_left(keyed, (vb, fstar, bstar))]
             if bstar in local:
                 insort(keyed, (vb, front(bstar), bstar))
-        group_vals = {g: state.value(g) for g in groups}
+        group_vals[gj] = s_after
+        fresh = {gj}
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
     return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])
@@ -615,7 +682,7 @@ def allocate_naive(
         if pool.total() < size:
             break
         counts = pool.counts()
-        if not roster.any_meets({g: table.value(g, counts) for g in roster.groups()}):
+        if not roster.any_meets(lambda g: table.value(g, counts)):
             break
         _run_phase(table, pool, size, roster, trace, budget)
 
@@ -640,7 +707,9 @@ def fair_divide(
     An agent whose estimate has dropped to its maximin share or below is
     always allocated, so the loop ends within
     n * ceil(log_{1/(1-delta)} m) + 1 rounds and every agent receives
-    value at least (1 - delta) * alpha * (its maximin share).
+    value at least (1 - delta) * alpha * (its maximin share).  ``stats``,
+    when given, gets one entry per round in ``rounds`` and in ``queries``,
+    the latter read off the block table's query counters.
     """
     check_parameters(alpha=alpha, delta=delta)
     n = instance.n
@@ -652,9 +721,11 @@ def fair_divide(
 
     for _ in range(allowed):
         estimates = EstimateVector(tuple(mu))
+        before = sum(rep.query_count for rep in table.reps)
         allocation = allocate_from_estimates(instance, estimates, alpha, _table=table)
         if stats is not None:
             stats.rounds.append((estimates.mu, allocation.unallocated_agents))
+            stats.queries.append(sum(rep.query_count for rep in table.reps) - before)
         if not allocation.unallocated_agents:
             return allocation, estimates
         for pos in allocation.unallocated_agents:

@@ -14,10 +14,10 @@ lcm of its denominators (``scale_row``):
   ``mms.mms_exact`` runs it on all items behind a memo and charges none.
 * The block-count kernel values multisets of item-equivalence blocks
   for the allocator's searches: ``BlockTable.value`` from scratch,
-  optionally capped at a size, and ``RunningValues`` for one multiset
-  changed a block at a time.  The kernel charges each value it returns
-  as one query on the value group's representative, so its callers keep
-  no query accounting.
+  optionally capped at a size, and ``RunningValues`` for the removal
+  scan's one multiset, changed a block at a time.  The kernel charges
+  each value it returns as one query on the value group's
+  representative, so its callers keep no query accounting.
 
 Both kernels prepare a family the same way, with a unit standing for an
 item (a bit) or for a block: capacity systems list each class's units by
@@ -225,8 +225,10 @@ class BlockTable:
     monotone).  Both families take items greedily in descending value:
     capacity systems in one global order under per-class caps (a
     truncated partition matroid, where greedy is optimal), explicit
-    systems in one order per maximal set.  It is the oracle that
-    ``RunningValues`` is tested against.
+    systems in one order per maximal set.  Without a cap the size never
+    binds, so the value touches only the multiset's own blocks and costs
+    O(blocks in the multiset).  It is the oracle that ``RunningValues``
+    is tested against.
     """
 
     def __init__(
@@ -304,7 +306,9 @@ class BlockTable:
         query."""
         self.reps[group]._queries += 1
         vrow = self.val[group]
-        left = self.num_items if size is None else size
+        if size is None:
+            return self._uncapped(group, counts, vrow)
+        left = size
         total = 0
         if not self.capacity:
             for order in self.set_orders[group]:
@@ -330,10 +334,40 @@ class BlockTable:
             left -= k
         return total
 
+    def _uncapped(self, group: int, counts: Mapping[int, int], vrow: Sequence[int]) -> int:
+        """``value`` without a size cap, in time linear in the multiset's
+        blocks: explicit systems add each block to the maximal sets that
+        hold it (``sets_of``), capacity systems take each class's best
+        ``cap`` items along the class's greedy order (``class_rank``)."""
+        if not self.capacity:
+            sums: dict[int, int] = {}
+            for b, k in counts.items():
+                if k:
+                    v = vrow[b] * k
+                    for t in self.sets_of[b]:
+                        sums[t] = sums.get(t, 0) + v
+            return max(sums.values(), default=0)
+        by_class: dict[int, list[int]] = {}
+        for b, k in counts.items():
+            if k:
+                by_class.setdefault(self.block_class[b], []).append(b)
+        rank = self.class_rank[group]
+        total = 0
+        for c, blocks in by_class.items():
+            room = self.caps[c]
+            blocks.sort(key=rank.__getitem__)
+            for b in blocks:
+                if not room:
+                    break
+                k = min(counts[b], room)
+                total += vrow[b] * k
+                room -= k
+        return total
+
 
 class RunningValues:
     """Scaled values of one changing multiset of block counts, for every
-    group in play.
+    group in play: the removal scan's pool.
 
     ``change(b, k)`` adds k items of block b (k < 0 removes them);
     ``value(g)`` is group g's value of the current multiset, and

@@ -376,11 +376,17 @@ def round_query_bound(instance) -> int:
     G * sum over s = 1..3 of (1 + C(B+s-1, s)) for the phases (a size-capped
     existence check plus one read per size-s multiset), plus at most n + 1
     removal scans, each within the per-scan bound
-    G + (G+1) * B + p * (2 + G * (ceil(log2 p) + 1)) at p <= m."""
+    G + (G+1) * B + p * (2 + ceil(log2 p) + G) at p <= m.
+
+    A phase also reruns its existence check, G queries, after each of its
+    allocations, which the phase term leaves out.  The formula still
+    holds: with a phase allocations in the round, at most n + 1 - a scans
+    run, and each scan costs at least G, so the n + 1 scan terms pay for
+    the a rerun checks."""
     table = _block_table(instance.spec, instance.valuations)
     g, b, n, m = table.num_groups, table.num_blocks, instance.n, instance.num_items
     phases = g * sum(1 + comb(b + s - 1, s) for s in (1, 2, 3))
-    scan = g + (g + 1) * b + m * (2 + g * ((m - 1).bit_length() + 1))
+    scan = g + (g + 1) * b + m * (2 + (m - 1).bit_length() + g)
     return phases + (n + 1) * scan
 
 

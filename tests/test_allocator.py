@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -35,6 +36,7 @@ from fairdiv import (
 import fairdiv.allocator
 from fairdiv.allocator import PHASE, _Roster
 from fairdiv.allocator import _block_table as _BlockTable
+from fairdiv.valuation import BlockTable
 from fairdiv.valuation import RunningValues as _RunningValues
 from support import (
     FAMILIES,
@@ -249,6 +251,54 @@ def test_block_value_matches_brute_force_with_size_cap(seed):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_uncapped_block_value_matches_the_fraction_oracle(family):
+    """``BlockTable.value`` without a size cap, which touches only the
+    multiset's own blocks, equals ``value_of_subset`` on a realization of
+    seeded multisets of 1-3 blocks, zero counts included: over-cap
+    capacity classes and explicit multisets that no maximal set holds
+    whole come up, and each call costs exactly one query."""
+    rng = random.Random(f"uncapped-{family}")
+    zero_counts = over_cap = uncovered = 0
+    for trial in range(80):
+        # value range (2, 1) makes multi-item blocks that overrun caps
+        n, value_range = (2, (8, 4)) if trial % 2 else (1, (2, 1))
+        inst = random_instance(rng.randrange(10**9), rng.randint(1, 14), n, family, value_range)
+        spec = inst.spec
+        table = _BlockTable(spec, inst.valuations)
+        picked = rng.sample(range(table.num_blocks), min(table.num_blocks, rng.randint(1, 3)))
+        counts = {b: rng.randint(0, len(table.block_items[b])) for b in picked}
+        items = frozenset(j for b, k in counts.items() for j in table.block_items[b][:k])
+        for g in range(table.num_groups):
+            val = table.reps[g]
+            before = val.query_count
+            got = Fraction(table.value(g, counts), table.scale[g])
+            assert got == value_of_subset(spec, val.values, items)
+            assert val.query_count == before + 1
+        zero_counts += 0 in counts.values()
+        if family == "capacity":
+            held = Counter(spec.class_of[j] for j in items)
+            over_cap += any(k > spec.classes[c][1] for c, k in held.items())
+        else:
+            uncovered += not any(items <= maximal for maximal in spec.maximal_sets)
+    assert zero_counts
+    assert over_cap or family != "capacity"
+    assert uncovered or family != "explicit-antichain"
+
+
+def test_uncapped_block_value_of_items_in_no_maximal_set():
+    """A block that no maximal set holds adds nothing, alone or beside
+    blocks that a set does hold."""
+    spec = explicit_maximal(4, [{0, 1}, {1, 2}])
+    inst = Instance("outside", 1, spec, (Valuation([1, 2, 4, 8]),))
+    table = _BlockTable(spec, inst.valuations)
+    block_of = {table.block_items[b][0]: b for b in range(table.num_blocks)}
+    for items, expected in (({3}, 0), ({0, 3}, 1), ({0, 2, 3}, 4), ({0, 1, 2, 3}, 6)):
+        counts = {block_of[j]: 1 for j in items}
+        assert table.value(0, counts) == expected * table.scale[0]
+        assert value_of_subset(spec, inst.valuations[0].values, frozenset(items)) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", range(4))
 def test_running_values_match_block_value_oracle(family, seed):
     """Along random add/remove sequences the running state's ``value`` and
@@ -381,20 +431,22 @@ def test_rival_search_walks_past_a_dead_block():
 
 
 def test_scan_queries_stay_within_the_bound(monkeypatch, table1):
-    """Each removal scan spends at most G + (G+1)·B + p·(2 + G·(ceil(log2 p) + 1))
+    """Each removal scan spends at most G + (G+1)·B + p·(2 + ceil(log2 p) + G)
     queries, for G value groups in play, B blocks and p items in the pool.
-    At most G + 1 agents can be picked, and each fails a block's test at
-    most once; each removal step tests at most two removable blocks
-    (bstar and its rival), probes the batch in at most ceil(log2 p) + 1
-    rounds of G queries, and revalues G groups.  Three identical agents
-    (G = 1) at m = 60 make the bound bite: a scan that tests every live
-    block at every step spends up to 2.8 times it there."""
+    The first step values the pool once per group.  At most G + 1 agents
+    can be picked, and each fails a block's test at most once; each step
+    tests at most two removable blocks (bstar and its rival), probes the
+    batch on the picked group in at most ceil(log2 p) queries, and
+    refreshes at most G - 1 stale groups before its pick.  Three
+    identical agents (G = 1) at m = 60 make the bound bite: a scan that
+    tests every live block at every step spends up to 2.7 times it
+    there."""
     scan = fairdiv.allocator._minimal_set_scan
     ratios = []
 
     def bounded_scan(table, pool, roster):
         g, b, p = len(roster.groups()), len(pool.counts()), pool.total()
-        bound = g + (g + 1) * b + p * (2 + g * ((p - 1).bit_length() + 1))
+        bound = g + (g + 1) * b + p * (2 + (p - 1).bit_length() + g)
         before = sum(rep.query_count for rep in table.reps)
         found = scan(table, pool, roster)
         spent = sum(rep.query_count for rep in table.reps) - before
@@ -409,6 +461,48 @@ def test_scan_queries_stay_within_the_bound(monkeypatch, table1):
         fair_divide(replicate_agents(random_instance(0, 60, 1, family), 3), ALPHA, DELTA)
     allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
     assert len(ratios) > 1000
+    print(f"worst scan queries/bound over {len(ratios)} scans: {max(ratios):.3f}")
+
+
+def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
+    """A phase with G value groups in play, B blocks in the pool and a
+    allocations spends at most G·(1 + a) + G·C(B+s-1, s) queries: a
+    size-capped existence check per group before the first allocation
+    and at most one after each, and at most one read per (size-s
+    multiset, group).  No (multiset, group) value is read twice within a
+    phase."""
+    run_phase = fairdiv.allocator._run_phase
+    block_value = BlockTable.value
+    reads = []
+    ratios = []
+
+    def recorded_value(self, group, counts, size=None):
+        if size is None:
+            reads.append((group, tuple(sorted((b, k) for b, k in counts.items() if k))))
+        return block_value(self, group, counts, size)
+
+    def bounded_phase(table, pool, size, roster, trace, budget):
+        g, b = len(roster.groups()), len(pool.counts())
+        events = len(trace)
+        before = sum(rep.query_count for rep in table.reps)
+        reads.clear()
+        run_phase(table, pool, size, roster, trace, budget)
+        spent = sum(rep.query_count for rep in table.reps) - before
+        bound = g * (1 + len(trace) - events) + g * comb(b + size - 1, size)
+        assert spent <= bound, (g, b, size, spent, bound)
+        assert len(set(reads)) == len(reads)
+        if spent:
+            ratios.append(spent / bound)
+
+    monkeypatch.setattr(BlockTable, "value", recorded_value)
+    monkeypatch.setattr(fairdiv.allocator, "_run_phase", bounded_phase)
+    for family in FAMILIES:
+        for seed, m, n in ((0, 12, 4), (1, 16, 4), (2, 24, 5), (3, 40, 6)):
+            fair_divide(random_instance(seed, m, n, family), ALPHA, DELTA)
+    allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
+    allocate_naive(table1, UPPER_ALPHA)
+    assert len(ratios) > 500
+    print(f"worst phase queries/bound over {len(ratios)} phases: {max(ratios):.3f}")
 
 
 def test_estimates_footnote(footnote2):
@@ -480,7 +574,8 @@ def test_table1_query_counts_are_pinned(table1):
     """The cost model on Table 1 at n=330, pinned so that any change to
     either count is a deliberate edit.  The minimal-bundle tail values
     the pool once per bundle, in the removal scan's first step; the
-    reference path keeps its lazy per-size eligibility check."""
+    reference path keeps its lazy per-size eligibility check, which
+    stops at the first group that qualifies."""
 
     def queries(run):
         before = sum(val.query_count for val in table1.valuations)
@@ -488,8 +583,8 @@ def test_table1_query_counts_are_pinned(table1):
         return sum(val.query_count for val in table1.valuations) - before
 
     mu = EstimateVector((Fraction(1),) * table1.n)
-    assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 16148
-    assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 112
+    assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 4321
+    assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 36
 
 
 def test_table1_event_values_match_both_item_set_evaluators(table1):
@@ -508,10 +603,10 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
 @pytest.mark.parametrize(
     "family, queries, digest",
     [
-        ("capacity", 51727, "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8"),
+        ("capacity", 14777, "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8"),
         (
             "explicit-antichain",
-            50255,
+            14241,
             "624e70b5e304ef010c3f66b9af7b337e6a8d8fb9ac65e39c6e3a7b8748f18ca7",
         ),
     ],
@@ -713,6 +808,18 @@ def test_fair_divide_iteration_and_query_budget(monkeypatch, table1):
     bounded_round(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
     assert len(ratios) > 25
     print(f"worst queries/round bound: {max(ratios):.3f}")
+
+
+def test_run_stats_count_each_rounds_queries(table1):
+    """``RunStats.queries`` has one entry per round; the entries add up to
+    the run's whole query count, and each is within
+    ``round_query_bound``."""
+    for inst in [*iter_suite(12, base_seed=10_500), random_instance(0, 24, 5, "capacity")]:
+        stats = RunStats()
+        fair_divide(inst, ALPHA, DELTA, stats=stats)
+        assert len(stats.queries) == stats.iterations
+        assert sum(stats.queries) == sum(val.query_count for val in inst.valuations)
+        assert max(stats.queries) <= round_query_bound(inst)
 
 
 def test_iteration_bound_values():
