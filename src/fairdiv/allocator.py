@@ -21,14 +21,17 @@ All searches run over item-equivalence blocks, which collapses
 symmetric instances to small multiset enumerations while preserving the
 raw-subset tie-break order exactly (the first qualifying subset is the
 lexicographically smallest realization over qualifying multisets).
+A fixed-size phase sweeps its multisets in that order once per
+allocation, from above the first item of the bundle it took last:
+realizations only rise, so the ones below were swept and missed.
 This module never looks at how a set system is represented, and keeps
 no query accounting: every valuation query values one multiset of block
 counts for one value group through ``valuation``'s block-count kernel,
 which charges each value it returns as one query on that group's
 representative.  The phases value from scratch with
 ``BlockTable.value``: their size-capped existence check,
-``allocate_naive``'s per-size gate, and each (multiset, group) value the
-phase walk reads.  The removal scan changes its multiset one block at a
+``allocate_naive``'s per-size gate, and each (multiset, group) value a
+sweep reads.  The removal scan changes its multiset one block at a
 time and reads a ``RunningValues`` state, whose reads are charged like
 from-scratch values.  Both read lazily, the way accelerated greedy does:
 a value is read only once it can decide a pick.
@@ -47,7 +50,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
@@ -175,9 +178,6 @@ class _Pool:
         self.lo = [0] * table.num_blocks
         self.hi = [len(block) for block in table.block_items]
 
-    def count(self, b: int) -> int:
-        return self.hi[b] - self.lo[b]
-
     def counts(self) -> dict[int, int]:
         return {
             b: self.hi[b] - self.lo[b]
@@ -187,9 +187,6 @@ class _Pool:
 
     def total(self) -> int:
         return sum(self.hi) - sum(self.lo)
-
-    def front(self, b: int, k: int) -> tuple[int, ...]:
-        return self.table.block_items[b][self.lo[b] : self.lo[b] + k]
 
     def take_front(self, b: int, k: int) -> None:
         self.lo[b] += k
@@ -329,28 +326,34 @@ def _run_phase(
     appending one trace event per allocation and discarding its agent
     from ``roster``.
 
-    An existence check values the pool per group in play, capped at
-    ``size`` items, until a group's value meets its leader's need; the
-    phase ends when none does.  It runs before the enumeration and again
-    after each allocation, as soon as the walk needs a value it has not
-    read.  The multisets are enumerated once, depth first and without a
-    query (``_multisets``).  Each allocation walks the realizable ones
-    in ascending order of their lexicographically smallest realization,
-    and at each one the groups in play in ascending order of their least
-    remaining index (``_Roster.firsts``), stopping at the first group
-    whose least index comes after the agent already found.  A group
-    whose value meets its leader's need offers its least-index member of
-    met need (``_Roster.first_meeting``); the first multiset with an
-    offer goes to the least offer.  That is the first qualifying (multiset, agent) of
-    the whole search.  Values and thresholds never change within the
-    phase, so each (multiset, group) value is read at most once, from
-    scratch with ``BlockTable.value``, and kept in a memo.  A multiset
-    that is no longer realizable, or that misses the need of every
-    group leader in play, is dropped for good: the pool only shrinks,
+    Each allocation is one sweep over the realizable multisets in
+    ascending order of their smallest realization (``_realizations``),
+    and at each one over the groups in play in ascending order of their
+    least remaining index (``_Roster.firsts``), stopping at the first
+    group whose least index comes after the agent already found.  A
+    group whose value meets its leader's need offers its least-index
+    member of met need (``_Roster.first_meeting``); the first multiset
+    with an offer goes to the least offer.  That is the first qualifying
+    (multiset, agent) of the whole search.  An existence check values
+    the pool per group in play, capped at ``size`` items, until a group's
+    value meets its leader's need; the phase ends when none does.  It
+    runs before the first sweep, and before each later one as soon as
+    that sweep needs a value it has not read.
+
+    The floor: a sweep after an allocation starts above ``key[0]``, the
+    first item of the bundle just taken.  Taking items only moves window
+    fronts up, so each multiset's smallest realization only rises.  One
+    that now starts at or below the floor started below it before (the
+    floor item is gone), so the last sweep, or by induction an earlier
+    one, reached it before its pick and it missed every group leader.
+    It still does: values and thresholds never change within the phase,
     agents only leave, and a group's next leader has a need at least as
-    high.  So a phase with G groups in play, B blocks in the pool and a
-    allocations spends at most G * (1 + a) + G * C(B+size-1, size)
-    queries.
+    high.  A multiset swept again after its realization rose past the
+    floor is answered from the memo, since each (multiset, group) value
+    is read at most once per phase, from scratch with
+    ``BlockTable.value``.  So a phase with G groups in play, B blocks in
+    the pool and a allocations spends at most
+    G * (1 + a) + G * C(B+size-1, size) queries.
     """
     def reachable() -> bool:
         # the best size-`size` bundle of the pool meets some leader's need
@@ -359,24 +362,12 @@ def _run_phase(
 
     if not roster or pool.total() < size or not reachable():
         return
-    multisets = _multisets(pool.counts(), size, budget)
     memo: dict[Multiset, dict[int, int]] = {}
-    checked = True
-    while True:
-        keyed = []
-        for ms in multisets:
-            realization: list[int] = []
-            for b, k in ms:
-                if pool.count(b) < k:
-                    break
-                realization += pool.front(b, k)
-            else:
-                realization.sort()
-                keyed.append((tuple(realization), ms))
-        keyed.sort()
+    floor, checked = -1, True
+    while roster and pool.total() >= size:
         firsts = roster.firsts()
         agent = -1
-        for place, (key, ms) in enumerate(keyed):
+        for key, ms in _realizations(pool, size, floor, budget):
             vals = memo.get(ms)
             if vals is None:
                 vals = memo[ms] = {}
@@ -398,7 +389,6 @@ def _run_phase(
                 break
         else:
             return
-        multisets = [ms for _key, ms in keyed[place:]]
 
         g = table.group_of[agent]
         for b, k in ms:
@@ -406,45 +396,47 @@ def _run_phase(
         value = Fraction(agent_s, table.scale[g])
         trace.append(TraceEvent(PHASE, agent, key, value, roster.thresholds[agent]))
         roster.discard(agent)
-        if not roster or pool.total() < size:
-            return
-        checked = False
+        floor, checked = key[0], False
 
 
-def _multisets(
-    counts: Mapping[int, int], size: int, budget: list[int] | None
-) -> list[Multiset]:
-    """Every size-``size`` multiset of the blocks in ``counts``, as
-    ascending (block, count) pairs, in depth-first order: blocks
-    ascending, counts descending.  Each node of the search costs one unit
-    of ``budget`` when one is given, and overrunning it raises
-    ``DeskCapError``.  Costs no query."""
-    avail = sorted(counts)
-    suffix = [0] * (len(avail) + 1)
-    for i in range(len(avail) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + counts[avail[i]]
-    found: list[Multiset] = []
-    chosen: list[tuple[int, int]] = []
+def _realizations(
+    pool: _Pool, size: int, floor: int, budget: list[int] | None
+) -> Iterator[tuple[tuple[int, ...], Multiset]]:
+    """(smallest realization, multiset) for each realizable size-``size``
+    multiset of the pool's blocks whose smallest realization starts above
+    item ``floor``, in ascending order of the realization.
 
-    def walk(i: int, left: int) -> None:
+    The smallest realization takes the front k items of each block the
+    multiset holds k of, so, sorted, it lists each block's items in
+    window order.  A depth-first walk whose every node appends the next
+    item of some block above the last item appended thus reaches each
+    one once, and in ascending order when it tries those items in
+    ascending order.  Each node of the walk costs one unit of ``budget``
+    when one is given, and overrunning it raises ``DeskCapError``.
+    Costs no query.
+    """
+    items = pool.table.block_items
+    lo, hi = pool.lo, pool.hi
+    Step = tuple[int, int, int]  # (item, block, position in the block)
+
+    def walk(nexts: list[Step], path: tuple[Step, ...]) -> Iterator:
+        # nexts: each block's next item above the path's last, ascending
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise DeskCapError("subset enumeration exceeded the node budget")
-        if left == 0:
-            found.append(tuple(chosen))
+        if len(path) == size:
+            counts = {b: p + 1 - lo[b] for _j, b, p in path}
+            yield tuple(j for j, _b, _p in path), tuple(sorted(counts.items()))
             return
-        if i == len(avail) or suffix[i] < left:
-            return
-        b = avail[i]
-        for k in range(min(counts[b], left), 0, -1):
-            chosen.append((b, k))
-            walk(i + 1, left - k)
-            chosen.pop()
-        walk(i + 1, left)
+        for i, (_j, b, p) in enumerate(nexts):
+            rest = nexts[i + 1 :]
+            if p + 1 < hi[b]:
+                insort(rest, (items[b][p + 1], b, p + 1))
+            yield from walk(rest, path + (nexts[i],))
 
-    walk(0, size)
-    return found
+    heads = [(items[b][lo[b]], b, lo[b]) for b in range(len(items)) if lo[b] < hi[b]]
+    return walk(sorted(head for head in heads if head[0] > floor), ())
 
 
 def _minimal_set_scan(
@@ -638,7 +630,7 @@ def allocate_from_estimates(
     for size in (1, 2, 3):
         _run_phase(table, pool, size, roster, trace, None)
 
-    while roster:
+    while roster and pool.total():
         found = _minimal_set_scan(table, pool, roster)
         if found is None:
             break
@@ -704,12 +696,14 @@ def fair_divide(
     for the whole run (it depends only on the instance); if everyone is
     allocated it returns, otherwise every unallocated agent's estimate
     shrinks by (1 - delta).
-    An agent whose estimate has dropped to its maximin share or below is
-    always allocated, so the loop ends within
+    For alpha <= 11/30, an agent whose estimate has dropped to its
+    maximin share or below is always allocated, so the loop ends within
     n * ceil(log_{1/(1-delta)} m) + 1 rounds and every agent receives
-    value at least (1 - delta) * alpha * (its maximin share).  ``stats``,
-    when given, gets one entry per round in ``rounds`` and in ``queries``,
-    the latter read off the block table's query counters.
+    value at least (1 - delta) * alpha * (its maximin share).  Overrunning
+    that bound is a ``FairdivError``, or an ``InputError`` above 11/30,
+    where no bound is proven.  ``stats``, when given, gets one entry per
+    round in ``rounds`` and in ``queries``, the latter read off the block
+    table's query counters.
     """
     check_parameters(alpha=alpha, delta=delta)
     n = instance.n
@@ -730,6 +724,11 @@ def fair_divide(
             return allocation, estimates
         for pos in allocation.unallocated_agents:
             mu[pos] *= shrink
+    if alpha > Fraction(11, 30):
+        raise InputError(
+            f"fair_divide did not converge within {allowed} rounds; that bound is "
+            f"proven only for alpha <= 11/30, got alpha = {alpha}"
+        )
     raise FairdivError(
         f"fair_divide did not converge within the proven bound of {allowed} rounds"
     )

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verification/reproduction failure, 2 usage,
 input or file error (``InputError``, ``OSError``), 3 desk-cap exceeded
 (``DeskCapError``), 4 internal error (any other ``FairdivError``: a
 solver invariant failed, such as ``fair_divide`` not converging within
-its proven round bound).  The rational flags ``--alpha``, ``--delta``
+its round bound at alpha <= 11/30).  The rational flags ``--alpha``, ``--delta``
 and ``--epsilon`` and the desk caps are parsed and range-checked once,
 before a command runs.  All numeric output is rendered as reduced
 fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add

@@ -34,7 +34,7 @@ from fairdiv import (
     verify_allocation,
 )
 import fairdiv.allocator
-from fairdiv.allocator import PHASE, _Roster
+from fairdiv.allocator import PHASE, _Pool, _realizations, _Roster
 from fairdiv.allocator import _block_table as _BlockTable
 from fairdiv.valuation import BlockTable
 from fairdiv.valuation import RunningValues as _RunningValues
@@ -428,6 +428,47 @@ def test_rival_search_walks_past_a_dead_block():
     thresholds = {0: Fraction(2), 1: Fraction(100)}
     assert reference_minimal_set(spec, vals, range(4), thresholds) == (frozenset({1, 3}), 0)
     assert minimal_set(spec, vals, range(4), thresholds) == (frozenset({1, 3}), 0)
+
+
+def test_scan_reads_a_losing_group_once():
+    """Agent 0 wins every pick of the scan: its ratio never falls below
+    6/4, while agent 1's is 1 on the whole pool and only falls.  The lazy
+    re-pick reads agent 1's group once, in the first step, and trusts
+    that stale upper bound afterwards; a scan that re-reads every group
+    after each of its five removals charges agent 1 six queries."""
+    spec = explicit_maximal(6, [range(6)])
+    vals = {0: Valuation([1, 2, 3, 4, 5, 6]), 1: Valuation([1] * 6)}
+    thresholds = {0: Fraction(4), 1: Fraction(6)}
+    assert minimal_set(spec, vals, range(6), thresholds) == (frozenset({5}), 0)
+    assert vals[1].query_count == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_realizations_match_the_combination_oracle(seed):
+    """``_realizations`` against every size-s combination of the pool's
+    remaining items: the lexicographically least combination of each
+    block multiset, in ascending order, kept when its first item lies
+    above the floor.  The pool is checked whole and after each of three
+    random front takes."""
+    rng = random.Random(seed)
+    inst = random_instance(seed, rng.randint(4, 10), 2, FAMILIES[seed % 3], (3, 2))
+    table = _BlockTable(inst.spec, inst.valuations)
+    pool = _Pool(table)
+    block_of = {j: b for b, items in enumerate(table.block_items) for j in items}
+    for _ in range(4):
+        remaining = sorted(
+            j for b, items in enumerate(table.block_items) for j in items[pool.lo[b] : pool.hi[b]]
+        )
+        for size in range(1, 5):
+            least: dict = {}
+            for combo in combinations(remaining, size):
+                least.setdefault(tuple(sorted(Counter(map(block_of.get, combo)).items())), combo)
+            expected = sorted((combo, ms) for ms, combo in least.items())
+            for floor in {-1, *remaining[:3], *remaining[-2:]}:
+                got = list(_realizations(pool, size, floor, None))
+                assert got == [(key, ms) for key, ms in expected if key[0] > floor]
+        b = rng.choice([b for b in range(table.num_blocks) if pool.hi[b] > pool.lo[b]])
+        pool.take_front(b, rng.randint(1, pool.hi[b] - pool.lo[b]))
 
 
 def test_scan_queries_stay_within_the_bound(monkeypatch, table1):

@@ -566,6 +566,19 @@ def test_solve_that_does_not_converge_is_an_internal_error(solved, capsys, monke
     assert "did not converge" in err
 
 
+def test_solve_that_does_not_converge_above_the_proven_alpha_is_an_input_error(
+    tmp_path, capsys
+):
+    # the round bound is proven only for alpha <= 11/30
+    inst_path = tmp_path / "inst.json"
+    gen = ("gen", "random", "--seed", "397", "--m", "4", "--n", "1", "--family", "free")
+    run_cli(capsys, *gen, "--max-num", "7", "--max-den", "4", "-o", str(inst_path))
+    code, _, err = run_cli(capsys, "solve", str(inst_path), "--alpha", "2", "--delta", "1/10")
+    assert code == 2
+    assert err.startswith("error: fair_divide did not converge within 15 rounds")
+    assert "proven only for alpha <= 11/30, got alpha = 2" in err
+
+
 def _rename_value_key(doc, old, new):
     values = doc["valuations"][0]["values"]
     values[new] = values.pop(old)
