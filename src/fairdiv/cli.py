@@ -245,11 +245,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # agent without an event has no recorded threshold, so no floor.
         floors = {event.agent: event.threshold for event in allocation.trace}
     else:
+        # One exact share per value row object, as ``BlockTable`` groups
+        # agents: identical agents share one row.
         scale = (1 - args.delta) * args.alpha
-        floors = {
-            agent: scale * mms_exact(instance.spec, valuation, instance.n, max_items=args.cap).value
-            for agent, valuation in enumerate(instance.valuations)
-        }
+        shares: dict[int, Fraction] = {}
+        floors = {}
+        for agent, valuation in enumerate(instance.valuations):
+            row = id(valuation.values)
+            if row not in shares:
+                shares[row] = mms_exact(instance.spec, valuation, instance.n, max_items=args.cap).value
+            floors[agent] = scale * shares[row]
     report = verify_allocation(instance, allocation, floors)
     doc = {
         "floor_mode": args.floor_mode,

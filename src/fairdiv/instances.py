@@ -293,7 +293,7 @@ def _nonnegative(text: Any, what: str, location: str) -> Fraction:
         value = parse_rational(text)
     except ParseError as exc:
         raise ParseError(str(exc), location=location) from None
-    if value < 0:
+    if value.numerator < 0:
         raise ParseError(f"{what} must be nonnegative, got {text!r}", location=location)
     return value
 
@@ -303,12 +303,15 @@ def _parse_values_row(
 ) -> tuple[Fraction, ...]:
     """One agent's values; ``item_of_key`` maps each canonical key str(j)
     to its item j, so a key such as "01" or " 1" is rejected, and since
-    JSON object keys arrive distinct no item can get two values."""
+    JSON object keys arrive distinct no item can get two values.  Each
+    distinct value string is checked and parsed once per row; only strings
+    are memoized, since JSON ``true`` and ``1.0`` hash like ``1``."""
     raw = _require(entry, "values", where)
     if not isinstance(raw, dict):
         raise ParseError("values must be an object keyed by item id", location=where)
     m = len(item_of_key)
     row: list[Fraction | None] = [None] * m
+    parsed: dict[str, Fraction] = {}
     for key, text in raw.items():
         j = item_of_key.get(key)
         if j is None:
@@ -316,7 +319,12 @@ def _parse_values_row(
                 f"bad item id {key!r}: expected a decimal id in [0, {m}) with no leading zeros",
                 location=f"{where}.values",
             )
-        row[j] = _nonnegative(text, "item values", f"{where}.values.{key}")
+        value = parsed.get(text) if type(text) is str else None
+        if value is None:
+            value = _nonnegative(text, "item values", f"{where}.values.{key}")
+            if type(text) is str:
+                parsed[text] = value
+        row[j] = value
     if len(raw) < m:
         missing = [j for j in range(m) if row[j] is None]
         raise ParseError(f"missing values for items {missing}", location=f"{where}.values")

@@ -6,13 +6,16 @@ canonical: an optional "-" on the numerator only, no leading zeros, no
 whitespace, a positive denominator, and numerator and denominator
 coprime.  So every value has exactly one spelling ("1/2", never "2/4",
 "1/-2" or " 1/2"), and decimal notation is rejected so that no value can
-silently lose exactness.
+silently lose exactness.  ``scale_row`` maps a row of values to integers
+over the lcm of its denominators, for the code that computes on them.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -33,8 +36,9 @@ def parse_rational(value: str | int) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def _parse_text(value: str) -> Fraction:
-    # Value rows repeat few distinct strings (table1's 42570 items carry
-    # six), so most parses are cache hits.
+    # A value row parses each distinct string once through its own memo
+    # (``instances._parse_values_row``); this cache serves the values and
+    # thresholds of ``parse_allocation``, which repeat across events.
     match = _RATIONAL_RE.fullmatch(value)
     if match is None:
         raise ParseError(f"not a canonical rational: {value!r}")
@@ -51,3 +55,10 @@ def _parse_text(value: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "num/den" (reduced; denominator always shown)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(L, row * L)``: L is the lcm of the values' denominators, so every
+    scaled value is an integer.  An empty row has L = 1."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)

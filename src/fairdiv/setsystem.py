@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .rationals import scale_row
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,8 @@ def is_feasible(spec: SetSystemSpec, items: Iterable[int]) -> bool:
 def equivalence_classes(
     spec: SetSystemSpec, item_values: Sequence[Sequence[Fraction]]
 ) -> tuple[frozenset[int], ...]:
-    """Partition items into interchangeability blocks.
+    """Partition items into interchangeability blocks, ordered by their
+    least item.
 
     Two items share a block iff every agent values them identically and
     they play the same feasibility role (same class for capacity specs,
@@ -130,6 +132,9 @@ def equivalence_classes(
 
     ``item_values`` holds one row per agent; rows shared between agents
     (identical-agent instances) are deduplicated by object identity.
+    Items are grouped on integer keys: each unique row is scaled by the
+    lcm of its denominators (``scale_row``), which maps equal values, and
+    only those, to equal integers.
     """
     m = spec.num_items
     unique_rows: list[Sequence[Fraction]] = []
@@ -151,9 +156,9 @@ def equivalence_classes(
                 masks[j] |= bit
         feas_key = masks
 
-    groups: dict[tuple, list[int]] = {}
-    for j in range(m):
-        key = (feas_key[j], tuple(row[j] for row in unique_rows))
+    int_rows = [scale_row(row)[1] for row in unique_rows]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, key in enumerate(zip(feas_key, *int_rows)):
         groups.setdefault(key, []).append(j)
     blocks = sorted(groups.values(), key=lambda b: b[0])
     return tuple(frozenset(b) for b in blocks)

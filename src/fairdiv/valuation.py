@@ -7,7 +7,7 @@ pointwise maximum of additive functions, one per maximal feasible set).
 
 This module is the only one that applies that rule to a set-system
 family.  Both kernels compute in integers, each value row scaled by the
-lcm of its denominators (``scale_row``):
+lcm of its denominators (``rationals.scale_row``):
 
 * ``item_set_evaluator`` values subsets of an item list as bitmasks.
   ``bundle_value`` runs it on a bundle's own items and charges one query;
@@ -28,11 +28,10 @@ greedily along such an order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .rationals import parse_rational
+from .rationals import parse_rational, scale_row
 from .setsystem import Capacity, ExplicitMaximal, SetSystemSpec, coerce_items
 
 ZERO = Fraction(0)
@@ -52,7 +51,7 @@ class Valuation:
         vals = []
         for v in values:
             f = v if isinstance(v, Fraction) else parse_rational(v)
-            if f < 0:
+            if f.numerator < 0:
                 raise InputError(f"item values must be nonnegative, got {f}")
             vals.append(f)
         self._values: tuple[Fraction, ...] = tuple(vals)
@@ -86,13 +85,6 @@ class Valuation:
 
     def __repr__(self) -> str:
         return f"Valuation({len(self._values)} items)"
-
-
-def scale_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(L, row * L)``: L is the lcm of the values' denominators, so every
-    scaled value is an integer.  An empty row has L = 1."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def _by_class(spec: Capacity, firsts: Sequence[int], row: Sequence[int]) -> list[list[int]]:

@@ -6,8 +6,10 @@ The oracles here deliberately avoid the production evaluation paths:
 ``brute_bundle_value`` enumerates every subset and filters through the
 feasibility query, ``brute_mms`` enumerates labeled part assignments
 directly, and ``value_of_subset`` values item sets in ``Fraction``s
-without the package's integer evaluator.  They exist to cross-check the
-fast implementations.
+without the package's integer evaluator, and
+``reference_equivalence_classes`` groups items on tuples of ``Fraction``
+values instead of scaled integers.  They exist to cross-check the fast
+implementations.
 """
 from __future__ import annotations
 
@@ -192,6 +194,38 @@ def reference_mms_exact(spec, valuation, n):
 
     search(0, [])
     return best, best_parts + (frozenset(),) * (n - len(best_parts))
+
+
+def reference_equivalence_classes(spec, item_values) -> tuple[frozenset[int], ...]:
+    """``equivalence_classes`` as it grouped items before integer keys: on
+    the feasibility key and the tuple of each unique row's ``Fraction``
+    value, blocks ordered by their least item."""
+    m = spec.num_items
+    unique_rows = []
+    seen: set[int] = set()
+    for row in item_values:
+        if len(row) != m:
+            raise InputError(f"value row has {len(row)} entries, expected {m}")
+        if id(row) not in seen:
+            seen.add(id(row))
+            unique_rows.append(row)
+
+    if isinstance(spec, Capacity):
+        feas_key = spec.class_of
+    else:
+        masks = [0] * m
+        for t, maximal in enumerate(spec.maximal_sets):
+            bit = 1 << t
+            for j in maximal:
+                masks[j] |= bit
+        feas_key = masks
+
+    groups: dict[tuple, list[int]] = {}
+    for j in range(m):
+        key = (feas_key[j], tuple(row[j] for row in unique_rows))
+        groups.setdefault(key, []).append(j)
+    blocks = sorted(groups.values(), key=lambda b: b[0])
+    return tuple(frozenset(b) for b in blocks)
 
 
 def suite_instance(i: int, base_seed: int) -> Instance:

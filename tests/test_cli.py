@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ import fairdiv
 from fairdiv import (
     ParseError,
     footnote_instance,
+    mms_exact,
     parse_allocation,
     parse_instance,
     random_instance,
+    replicate_agents,
     serialize_instance,
     table1_instance,
 )
@@ -411,6 +414,34 @@ def test_verify_exact_mms_fails_an_agent_left_without_a_bundle(tmp_path, capsys)
     assert run_cli(capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "mu")[0] == 0
 
 
+def test_verify_exact_mms_computes_one_share_per_shared_row(tmp_path, capsys, monkeypatch):
+    """Identical agents share one value row, so their exact share is
+    computed once, and every agent still gets its floor."""
+    inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst_path.write_text(serialize_instance(replicate_agents(footnote_instance(), 4)))
+    assert run_cli(capsys, "solve", str(inst_path), "-o", str(alloc_path))[0] == 0
+    shares, floors = [], {}
+    verify_allocation = fairdiv.cli.verify_allocation
+
+    def counting_mms_exact(*args, **kwargs):
+        result = mms_exact(*args, **kwargs)
+        shares.append(result.value)
+        return result
+
+    def capturing_verify(instance, allocation, agent_floors):
+        floors.update(agent_floors)
+        return verify_allocation(instance, allocation, agent_floors)
+
+    monkeypatch.setattr(fairdiv.cli, "mms_exact", counting_mms_exact)
+    monkeypatch.setattr(fairdiv.cli, "verify_allocation", capturing_verify)
+    code, _, _ = run_cli(
+        capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "exact-mms"
+    )
+    assert code == 0
+    assert len(shares) == 1
+    assert floors == {agent: Fraction(11, 30) * Fraction(15, 16) * shares[0] for agent in range(4)}
+
+
 def test_verify_rejects_unallocated_agent_beyond_n(solved, capsys):
     inst_path, alloc_path = solved
     _rewrite_document(alloc_path, _without_summary(lambda doc: doc.update(unallocated_agents=[7])))
@@ -621,6 +652,10 @@ def _rename_value_key(doc, old, new):
             "n",
         ),
         (lambda doc: doc["set_system"].update(type="matroid"), "set_system.type"),
+        # an earlier entry holds JSON 1, which a later true, 1.0 or null must not reuse
+        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": True}), "valuations[0].values.3"),
+        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": 1.0}), "valuations[0].values.3"),
+        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": None}), "valuations[0].values.3"),
     ],
     ids=[
         "set-system-int",
@@ -646,6 +681,9 @@ def _rename_value_key(doc, old, new):
         "valuations-object",
         "n-above-max-agents",
         "set-system-type-unknown",
+        "value-bool-after-int",
+        "value-float-after-int",
+        "value-null-after-int",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,10 +13,12 @@ from fairdiv import (
     explicit_maximal,
     footnote_instance,
     is_feasible,
+    parse_instance,
     random_instance,
+    serialize_instance,
     table1_instance,
 )
-from support import capacity_as_explicit, random_subset
+from support import FAMILIES, capacity_as_explicit, random_subset, reference_equivalence_classes
 
 
 def test_footnote_maximal_sets():
@@ -167,3 +170,40 @@ def test_equivalence_swap_soundness(seed):
         for x in sorted(s):
             for y in sorted(blocks[block_of[x]] - s):
                 assert is_feasible(inst.spec, (s - {x}) | {y})
+
+
+def _rows(inst):
+    return [v.values for v in inst.valuations]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_equivalence_matches_the_fraction_oracle(family):
+    """Integer keys give the blocks of the ``Fraction``-tuple grouping, in
+    the same order, on rows with shared values and several denominators."""
+    merged = 0
+    for seed in range(12):
+        for value_range in ((2, 3), (3, 2), (8, 4)):
+            inst = random_instance(seed, m=14, n=2 + seed % 3, family=family, value_range=value_range)
+            assert len({id(row) for row in _rows(inst)}) == inst.n
+            blocks = equivalence_classes(inst.spec, _rows(inst))
+            assert blocks == reference_equivalence_classes(inst.spec, _rows(inst))
+            merged += len(blocks) < inst.num_items
+    assert merged > 0
+
+
+def test_equivalence_matches_the_fraction_oracle_on_table1():
+    inst = table1_instance(330)
+    assert equivalence_classes(inst.spec, _rows(inst)) == reference_equivalence_classes(
+        inst.spec, _rows(inst)
+    )
+
+
+def test_equivalence_of_one_value_spelled_three_ways():
+    """JSON 2, "2" and "2/1" parse to one value, so their items share a block."""
+    doc = json.loads(serialize_instance(random_instance(4, m=6, n=2, family="free")))
+    for i, row in enumerate(doc["valuations"]):
+        row["values"].update({"0": 2, "1": "2", "2": "2/1"} if i == 0 else dict.fromkeys("012", "1/3"))
+    inst = parse_instance(json.dumps(doc))
+    blocks = equivalence_classes(inst.spec, _rows(inst))
+    assert blocks == reference_equivalence_classes(inst.spec, _rows(inst))
+    assert frozenset({0, 1, 2}) <= blocks[0]
