@@ -239,9 +239,6 @@ class _Roster:
     def __bool__(self) -> bool:
         return bool(self.ascending)
 
-    def __contains__(self, pos: int) -> bool:
-        return pos in self._alive
-
     def discard(self, pos: int) -> None:
         self._alive.remove(pos)
         del self.ascending[bisect_left(self.ascending, pos)]

@@ -392,29 +392,24 @@ def parse_instance(text: str) -> Instance:
     val_docs = _require(doc, "valuations", "instance")
     if not isinstance(val_docs, list) or not val_docs:
         raise ParseError("valuations must be a non-empty list", location="valuations")
+    if identical and len(val_docs) != 1:
+        raise ParseError(
+            "identical_agents instances carry exactly one valuation row", location="valuations"
+        )
+    if not identical and len(val_docs) != n:
+        raise ParseError(f"expected {n} valuation rows, got {len(val_docs)}", location="valuations")
+    rows = []
+    for i, entry in enumerate(val_docs):
+        agent = _require(entry, "agent", f"valuations[{i}]")
+        if not _is_int(agent) or agent != i:
+            raise ParseError(
+                f"valuation rows must be in agent order; row {i} is for {agent!r}",
+                location=f"valuations[{i}]",
+            )
+        rows.append(_parse_values_row(entry, item_of_key, f"valuations[{i}]"))
     if identical:
-        if len(val_docs) != 1:
-            raise ParseError(
-                "identical_agents instances carry exactly one valuation row",
-                location="valuations",
-            )
-        row = _parse_values_row(val_docs[0], item_of_key, "valuations[0]")
-        valuations = tuple(Valuation._wrap(row) for _ in range(n))
-    else:
-        if len(val_docs) != n:
-            raise ParseError(
-                f"expected {n} valuation rows, got {len(val_docs)}", location="valuations"
-            )
-        rows = []
-        for i, entry in enumerate(val_docs):
-            agent = _require(entry, "agent", f"valuations[{i}]")
-            if not _is_int(agent) or agent != i:
-                raise ParseError(
-                    f"valuation rows must be in agent order; row {i} is for {agent!r}",
-                    location=f"valuations[{i}]",
-                )
-            rows.append(_parse_values_row(entry, item_of_key, f"valuations[{i}]"))
-        valuations = tuple(Valuation._wrap(row) for row in rows)
+        rows *= n  # one shared row object, which ``BlockTable`` groups on
+    valuations = tuple(Valuation._wrap(row) for row in rows)
 
     return Instance(
         name=name,

@@ -102,23 +102,18 @@ def _set_members(spec: ExplicitMaximal, firsts: Sequence[int]) -> list[list[int]
     return [[u for u, j in enumerate(firsts) if j in maximal] for maximal in spec.maximal_sets]
 
 
-def _take(
-    order: Sequence[int], start: int, places: int, counts: Mapping[int, int], row: Sequence[int]
-) -> tuple[int, int, int]:
+def _take(order: Sequence[int], places: int, counts: Mapping[int, int], row: Sequence[int]) -> int:
     """Value of the first ``places`` items that ``counts`` holds along
-    ``order[start:]``, and where the walk stopped: the place in ``order``
-    of the block that filled the last place and how many of its items
-    were taken, or (-1, 0) when the items ran out first."""
+    ``order``."""
     acc = 0
-    for i in range(start, len(order)):
-        b = order[i]
+    for b in order:
         k = counts.get(b, 0)
         if k:
             if k >= places:
-                return acc + row[b] * places, i, places
+                return acc + row[b] * places
             acc += row[b] * k
             places -= k
-    return acc, -1, 0
+    return acc
 
 
 def item_set_evaluator(
@@ -229,7 +224,6 @@ class BlockTable:
         valuations: Sequence[Valuation],
         blocks: Iterable[frozenset[int]],
     ):
-        self.num_items = spec.num_items
         self.group_of: list[int] = []
         self.reps: list[Valuation] = []
         seen: dict[int, int] = {}
@@ -260,16 +254,8 @@ class BlockTable:
             self.greedy_orders = [
                 sorted(range(nb), key=row.__getitem__, reverse=True) for row in self.val
             ]
-            # per group: each class's blocks in greedy order, and each
-            # block's place in its class's order
+            # per group: each class's blocks in greedy order
             self.class_orders = [_by_class(spec, firsts, row) for row in self.val]
-            self.class_rank: list[list[int]] = []
-            for by_class in self.class_orders:
-                rank = [0] * nb
-                for order in by_class:
-                    for i, b in enumerate(order):
-                        rank[b] = i
-                self.class_rank.append(rank)
         else:
             set_blocks = _set_members(spec, firsts)
             self.set_orders = [
@@ -304,7 +290,7 @@ class BlockTable:
         total = 0
         if not self.capacity:
             for order in self.set_orders[group]:
-                acc = _take(order, 0, left, counts, vrow)[0]
+                acc = _take(order, left, counts, vrow)
                 if acc > total:
                     total = acc
             return total
@@ -330,7 +316,7 @@ class BlockTable:
         """``value`` without a size cap, in time linear in the multiset's
         blocks: explicit systems add each block to the maximal sets that
         hold it (``sets_of``), capacity systems take each class's best
-        ``cap`` items along the class's greedy order (``class_rank``)."""
+        ``cap`` items, its blocks sorted by descending value."""
         if not self.capacity:
             sums: dict[int, int] = {}
             for b, k in counts.items():
@@ -343,11 +329,10 @@ class BlockTable:
         for b, k in counts.items():
             if k:
                 by_class.setdefault(self.block_class[b], []).append(b)
-        rank = self.class_rank[group]
         total = 0
         for c, blocks in by_class.items():
             room = self.caps[c]
-            blocks.sort(key=rank.__getitem__)
+            blocks.sort(key=vrow.__getitem__, reverse=True)
             for b in blocks:
                 if not room:
                     break
@@ -372,12 +357,9 @@ class RunningValues:
     items.  The state keeps per (group, class) that best value and the
     class's plain sum, plus each group's total.  A class holding at most
     ``cap`` items is worth its plain sum.  A class over its cap is walked
-    greedily over its own blocks when it changes, and the walk records
-    where the cap fills: the fill block's place in the class order and
-    how many of its items are taken.  ``without`` then only looks past
-    that point, for the items that would move up into the freed places.
-    The start state adds every count first and then walks each touched
-    class once.
+    greedily along its own blocks, on ``change`` and again on ``without``,
+    which lowers b's count for the walk and puts it back.  The start
+    state adds every count first and then walks each touched class once.
 
     Explicit systems keep a running sum per (group, maximal set); a value
     is the largest sum.
@@ -394,8 +376,6 @@ class RunningValues:
             self.class_count = [0] * num_classes
             self.plain = [[0] * num_classes for _ in range(num_groups)]
             self.best = [[0] * num_classes for _ in range(num_groups)]
-            self.fill = [[0] * num_classes for _ in range(num_groups)]
-            self.used = [[0] * num_classes for _ in range(num_groups)]
             self.total = [0] * num_groups
         else:
             self.sums = [[0] * table.num_sets for _ in range(num_groups)]
@@ -433,9 +413,7 @@ class RunningValues:
                 plain = self.plain[g]
                 plain[c] += vrow[b] * k
                 if in_class > cap:
-                    v, self.fill[g][c], self.used[g][c] = _take(
-                        table.class_orders[g][c], 0, cap, counts, vrow
-                    )
+                    v = _take(table.class_orders[g][c], cap, counts, vrow)
                 else:
                     v = plain[c]
                 best = self.best[g]
@@ -462,26 +440,15 @@ class RunningValues:
         vrow = table.val[g]
         if self.capacity:
             c = table.block_class[b]
-            total = self.total[g]
-            if self.class_count[c] - k <= table.caps[c]:
-                return total - self.best[g][c] + self.plain[g][c] - vrow[b] * k
-            fill = self.fill[g][c]
-            rank = table.class_rank[g][b]
-            if rank > fill:
-                return total  # none of b's items is among the best
-            order = table.class_orders[g][c]
-            spare = self.counts[order[fill]] - self.used[g][c]
-            if rank == fill:
-                # b's untaken items go first
-                lost = k - spare
-                if lost <= 0:
-                    return total
-                return total - vrow[b] * lost + _take(order, fill + 1, lost, self.counts, vrow)[0]
-            # b is fully taken; the fill block's spare items move up first
-            gain = vrow[order[fill]] * min(k, spare)
-            if k > spare:
-                gain += _take(order, fill + 1, k - spare, self.counts, vrow)[0]
-            return total - vrow[b] * k + gain
+            rest = self.total[g] - self.best[g][c]
+            cap = table.caps[c]
+            if self.class_count[c] - k <= cap:
+                return rest + self.plain[g][c] - vrow[b] * k
+            counts = self.counts
+            counts[b] -= k
+            v = _take(table.class_orders[g][c], cap, counts, vrow)
+            counts[b] += k
+            return rest + v
         # Walk the sets by descending sum: the first set holding b is the
         # best of those, less b's share; the first set without b ends it.
         sums = self.sums[g]

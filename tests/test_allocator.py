@@ -340,6 +340,7 @@ def test_running_values_match_block_value_oracle(family, seed):
                     (c, j): state.without(g, c, j) for c, kc in counts.items() for j in range(1, kc + 1)
                 }
                 assert queries() == before + 1 + len(got_without)
+                assert state.counts == counts
                 assert got == table.value(g, counts)
                 for (c, j), v in got_without.items():
                     assert v == table.value(g, {**counts, c: counts[c] - j})
@@ -642,22 +643,39 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
 
 
 @pytest.mark.parametrize(
-    "family, queries, digest",
+    "family, m, n, queries, digest",
     [
-        ("capacity", 14777, "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8"),
+        (
+            "capacity",
+            60,
+            8,
+            14777,
+            "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8",
+        ),
         (
             "explicit-antichain",
+            60,
+            8,
             14241,
             "624e70b5e304ef010c3f66b9af7b337e6a8d8fb9ac65e39c6e3a7b8748f18ca7",
         ),
+        (
+            "capacity",
+            120,
+            12,
+            67857,
+            "d7813aae1d992c67178cd449c7919331336b1318b1885968f618524864725e23",
+        ),
     ],
-    ids=["capacity", "explicit-antichain"],
+    ids=["capacity-m60", "explicit-antichain-m60", "capacity-m120"],
 )
-def test_fair_divide_cost_model_is_pinned_at_m60(family, queries, digest):
-    """The queries and the trace of one run well beyond the benchmark's
+def test_fair_divide_cost_model_is_pinned(family, m, n, queries, digest):
+    """The queries and the trace of runs well beyond the benchmark's
     m <= 24, where the removal scan dominates, pinned so that any change
-    to either is a deliberate edit."""
-    inst = random_instance(0, 60, 8, family)
+    to either is a deliberate edit.  At m=120 capacity classes hold many
+    blocks, so removability tests walk over-cap classes whose removed
+    block sits anywhere in the class's greedy order."""
+    inst = random_instance(0, m, n, family)
     alloc, _ = fair_divide(inst, ALPHA, DELTA)
     assert sum(val.query_count for val in inst.valuations) == queries
     assert hashlib.sha256("\n".join(alloc.trace_records()).encode()).hexdigest() == digest

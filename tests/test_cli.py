@@ -615,6 +615,13 @@ def _rename_value_key(doc, old, new):
     values[new] = values.pop(old)
 
 
+def _one_shared_row(doc, **agent):
+    """Make ``doc`` an identical-agents document whose one row carries
+    ``agent`` (none when not given) and agent 0's values."""
+    row = {**agent, "values": doc["valuations"][0]["values"]}
+    doc.update(identical_agents=True, valuations=[row])
+
+
 @pytest.mark.parametrize(
     "edit, location",
     [
@@ -656,6 +663,10 @@ def _rename_value_key(doc, old, new):
         (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": True}), "valuations[0].values.3"),
         (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": 1.0}), "valuations[0].values.3"),
         (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": None}), "valuations[0].values.3"),
+        # the one row of an identical-agents document is agent 0's
+        (lambda doc: _one_shared_row(doc, agent=7), "valuations[0]"),
+        (lambda doc: _one_shared_row(doc, agent=True), "valuations[0]"),
+        (lambda doc: _one_shared_row(doc), "valuations[0]"),
     ],
     ids=[
         "set-system-int",
@@ -684,6 +695,9 @@ def _rename_value_key(doc, old, new):
         "value-bool-after-int",
         "value-float-after-int",
         "value-null-after-int",
+        "identical-agents-row-agent-7",
+        "identical-agents-row-agent-bool",
+        "identical-agents-row-agent-missing",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):
