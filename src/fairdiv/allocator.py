@@ -688,7 +688,8 @@ def fair_divide(
     """Estimate-driven driver around ``allocate_from_estimates``.
 
     Estimates start at ``mms_bounds(val, n).upper``, m * (n-th largest
-    item value), a certified upper bound on each agent's maximin share.
+    item value), a certified upper bound on each agent's maximin share,
+    taken once per value group (agents sharing one value row).
     Each round reruns the allocation from scratch on one block table built
     for the whole run (it depends only on the instance); if everyone is
     allocated it returns, otherwise every unallocated agent's estimate
@@ -705,10 +706,11 @@ def fair_divide(
     check_parameters(alpha=alpha, delta=delta)
     n = instance.n
     m = instance.num_items
-    mu = [mms_bounds(val, n).upper for val in instance.valuations]
+    table = _block_table(instance.spec, instance.valuations)
+    uppers = [mms_bounds(rep, n).upper for rep in table.reps]
+    mu = [uppers[g] for g in table.group_of]
     shrink = ONE - delta
     allowed = iteration_bound(n, m, delta)
-    table = _block_table(instance.spec, instance.valuations)
 
     for _ in range(allowed):
         estimates = EstimateVector(tuple(mu))

@@ -1,10 +1,12 @@
 """Instance builders, random families, and JSON wire formats.
 
 An instance bundles a hereditary set system with one valuation per
-agent.  Serialized instances are single JSON documents; identical-agent
-instances store one valuation row with an ``identical_agents`` flag to
-keep large symmetric fixtures small.  Allocations serialize to a JSON
-document mirroring the trace plus a summary block.
+agent.  A serialized instance is one JSON document in which position
+implies every item and agent id: ``valuations`` holds either one row that
+every agent shares or n rows in agent order, each row a list of m
+canonical rationals with item j's value at position j, and the optional
+``item_classes`` holds item j's label at position j.  Allocations
+serialize to a JSON document mirroring the trace plus a summary block.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from .setsystem import Capacity, SetSystemSpec, capacity, explicit_maximal
 from .valuation import Valuation
 
 RANDOM_FAMILIES = ("free", "explicit-antichain", "capacity")
-# The most agents a document may declare: an ``identical_agents`` document
-# of a few hundred bytes otherwise builds one Valuation per agent.
+# The most agents a document may declare: a one-row document of a few
+# hundred bytes otherwise builds one Valuation per agent.
 MAX_AGENTS = 100_000
 
 _EVENT_KINDS = (PHASE, MINIMAL, ZERO_ESTIMATE)
@@ -220,36 +222,18 @@ def _spec_to_doc(spec: SetSystemSpec) -> dict[str, Any]:
 
 
 def serialize_instance(instance: Instance) -> str:
-    items: list[dict[str, Any]] = []
-    for j in range(instance.num_items):
-        entry: dict[str, Any] = {"id": j}
-        if instance.item_classes is not None:
-            entry["class"] = instance.item_classes[j]
-        items.append(entry)
-    if instance.identical_agents:
-        val_docs = [_valuation_to_doc(0, instance.valuations[0])]
-    else:
-        val_docs = [
-            _valuation_to_doc(i, val) for i, val in enumerate(instance.valuations)
-        ]
-    doc: dict[str, Any] = {
-        "name": instance.name,
-        "n": instance.n,
-        "items": items,
-        "set_system": _spec_to_doc(instance.spec),
-        "identical_agents": instance.identical_agents,
-        "valuations": val_docs,
-    }
+    """Render an instance document: item j at position j of every row and
+    of ``item_classes``, and one value row when all agents share one
+    (``Instance.identical_agents``), else n rows in agent order."""
+    doc: dict[str, Any] = {"name": instance.name, "n": instance.n}
+    if instance.item_classes is not None:
+        doc["item_classes"] = list(instance.item_classes)
+    doc["set_system"] = _spec_to_doc(instance.spec)
+    rows = instance.valuations[:1] if instance.identical_agents else instance.valuations
+    doc["valuations"] = [[format_rational(v) for v in val.values] for val in rows]
     if instance.seed is not None:
         doc["seed"] = instance.seed
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _valuation_to_doc(agent: int, val: Valuation) -> dict[str, Any]:
-    return {
-        "agent": agent,
-        "values": {str(j): format_rational(v) for j, v in enumerate(val.values)},
-    }
 
 
 def _load_json(text: str) -> Any:
@@ -298,40 +282,29 @@ def _nonnegative(text: Any, what: str, location: str) -> Fraction:
     return value
 
 
-def _parse_values_row(
-    entry: dict[str, Any], item_of_key: dict[str, int], where: str
-) -> tuple[Fraction, ...]:
-    """One agent's values; ``item_of_key`` maps each canonical key str(j)
-    to its item j, so a key such as "01" or " 1" is rejected, and since
-    JSON object keys arrive distinct no item can get two values.  Each
-    distinct value string is checked and parsed once per row; only strings
-    are memoized, since JSON ``true`` and ``1.0`` hash like ``1``."""
-    raw = _require(entry, "values", where)
-    if not isinstance(raw, dict):
-        raise ParseError("values must be an object keyed by item id", location=where)
-    m = len(item_of_key)
-    row: list[Fraction | None] = [None] * m
+def _parse_values_row(row: Any, m: int, where: str) -> tuple[Fraction, ...]:
+    """One agent's values, item j's at position j.  Each distinct value
+    string is checked and parsed once per row; only strings are memoized,
+    since JSON ``true`` and ``1.0`` hash like ``1``."""
+    if not isinstance(row, list) or len(row) != m:
+        raise ParseError(f"expected a list of {m} rationals, like the first row", location=where)
+    values = []
     parsed: dict[str, Fraction] = {}
-    for key, text in raw.items():
-        j = item_of_key.get(key)
-        if j is None:
-            raise ParseError(
-                f"bad item id {key!r}: expected a decimal id in [0, {m}) with no leading zeros",
-                location=f"{where}.values",
-            )
+    for j, text in enumerate(row):
         value = parsed.get(text) if type(text) is str else None
         if value is None:
-            value = _nonnegative(text, "item values", f"{where}.values.{key}")
+            value = _nonnegative(text, "item values", f"{where}[{j}]")
             if type(text) is str:
                 parsed[text] = value
-        row[j] = value
-    if len(raw) < m:
-        missing = [j for j in range(m) if row[j] is None]
-        raise ParseError(f"missing values for items {missing}", location=f"{where}.values")
-    return tuple(row)  # type: ignore[arg-type]
+        values.append(value)
+    return tuple(values)
 
 
 def parse_instance(text: str) -> Instance:
+    """Read an instance document, which holds no item or agent ids: m is
+    the length of the first value row, and ``valuations`` holds one row
+    that every agent shares or n rows in agent order.  Any fault is a
+    located ``ParseError``, raised before any ``Valuation`` is built."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -343,28 +316,25 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"n must be a positive integer, got {n!r}", location="n")
     if n > MAX_AGENTS:
         raise ParseError(f"n must be at most {MAX_AGENTS}, got {n}", location="n")
-    items = _require(doc, "items", "instance")
-    if not isinstance(items, list):
-        raise ParseError("items must be a list", location="items")
-    m = len(items)
-    labels: list[str] | None = None
-    for idx, entry in enumerate(items):
-        ident = entry.get("id") if isinstance(entry, dict) else None
-        # true == 1 and 1.0 == 1, so compare the type as well
-        if type(ident) is not int or ident != idx:
-            raise ParseError(
-                f"items must carry dense ids in order; entry {idx} is {entry!r}",
-                location=f"items[{idx}]",
-            )
-        if "class" in entry:
-            label = entry["class"]
+    val_docs = _require(doc, "valuations", "instance")
+    if not isinstance(val_docs, list) or len(val_docs) not in (1, n):
+        raise ParseError(
+            f"valuations must hold one row that every agent shares or {n} rows",
+            location="valuations",
+        )
+    if not isinstance(val_docs[0], list):
+        raise ParseError("a value row must be a list of rationals", location="valuations[0]")
+    m = len(val_docs[0])
+
+    labels = doc.get("item_classes")
+    if "item_classes" in doc:
+        if not isinstance(labels, list) or len(labels) != m:
+            raise ParseError(f"item_classes must be a list of {m} strings", location="item_classes")
+        for j, label in enumerate(labels):
             if not isinstance(label, str):
                 raise ParseError(
-                    f"class must be a string, got {label!r}", location=f"items[{idx}].class"
+                    f"item class must be a string, got {label!r}", location=f"item_classes[{j}]"
                 )
-            if labels is None:
-                labels = [""] * m
-            labels[idx] = label
 
     ss = _require(doc, "set_system", "instance")
     sstype = _require(ss, "type", "set_system")
@@ -379,35 +349,11 @@ def parse_instance(text: str) -> Instance:
     except (InputError, KeyError, TypeError) as exc:
         raise ParseError(f"bad set system: {exc}", location="set_system") from exc
 
-    identical = doc.get("identical_agents", False)
-    if not isinstance(identical, bool):
-        raise ParseError(
-            f"identical_agents must be true or false, got {identical!r}",
-            location="identical_agents",
-        )
     seed = doc.get("seed")
     if "seed" in doc and not _is_int(seed):
         raise ParseError(f"seed must be an integer, got {seed!r}", location="seed")
-    item_of_key = {str(j): j for j in range(m)}
-    val_docs = _require(doc, "valuations", "instance")
-    if not isinstance(val_docs, list) or not val_docs:
-        raise ParseError("valuations must be a non-empty list", location="valuations")
-    if identical and len(val_docs) != 1:
-        raise ParseError(
-            "identical_agents instances carry exactly one valuation row", location="valuations"
-        )
-    if not identical and len(val_docs) != n:
-        raise ParseError(f"expected {n} valuation rows, got {len(val_docs)}", location="valuations")
-    rows = []
-    for i, entry in enumerate(val_docs):
-        agent = _require(entry, "agent", f"valuations[{i}]")
-        if not _is_int(agent) or agent != i:
-            raise ParseError(
-                f"valuation rows must be in agent order; row {i} is for {agent!r}",
-                location=f"valuations[{i}]",
-            )
-        rows.append(_parse_values_row(entry, item_of_key, f"valuations[{i}]"))
-    if identical:
+    rows = [_parse_values_row(row, m, f"valuations[{i}]") for i, row in enumerate(val_docs)]
+    if len(rows) == 1:
         rows *= n  # one shared row object, which ``BlockTable`` groups on
     valuations = tuple(Valuation._wrap(row) for row in rows)
 

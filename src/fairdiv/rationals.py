@@ -36,9 +36,10 @@ def parse_rational(value: str | int) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def _parse_text(value: str) -> Fraction:
-    # A value row parses each distinct string once through its own memo
-    # (``instances._parse_values_row``); this cache serves the values and
-    # thresholds of ``parse_allocation``, which repeat across events.
+    # An instance's value row, a JSON list, parses each distinct string
+    # once through its own memo (``instances._parse_values_row``); this
+    # cache serves the values and thresholds of ``parse_allocation``,
+    # which repeat across events.
     match = _RATIONAL_RE.fullmatch(value)
     if match is None:
         raise ParseError(f"not a canonical rational: {value!r}")

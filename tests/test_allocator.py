@@ -804,6 +804,28 @@ def test_fair_divide_all_zero_values():
     assert not alloc.unallocated_agents
 
 
+@pytest.mark.parametrize(
+    "instance, calls",
+    [
+        (replicate_agents(footnote_instance(), 4), 1),
+        (random_instance(5, m=6, n=3, family="capacity"), 3),
+    ],
+    ids=["shared-row", "own-rows"],
+)
+def test_fair_divide_bounds_each_value_row_once(monkeypatch, instance, calls):
+    """Agents sharing one value row share its starting estimate, which is
+    still each agent's ``mms_bounds(val, n).upper``."""
+    bounds = fairdiv.allocator.mms_bounds
+    seen = []
+    monkeypatch.setattr(
+        fairdiv.allocator, "mms_bounds", lambda val, n: seen.append(val) or bounds(val, n)
+    )
+    stats = RunStats()
+    fair_divide(instance, ALPHA, DELTA, stats=stats)
+    assert len(seen) == calls
+    assert stats.rounds[0][0] == tuple(bounds(val, instance.n).upper for val in instance.valuations)
+
+
 def test_fair_divide_validates_delta(footnote2):
     with pytest.raises(InputError, match="delta"):
         fair_divide(footnote2, ALPHA, Fraction(0))

@@ -610,79 +610,65 @@ def test_solve_that_does_not_converge_above_the_proven_alpha_is_an_input_error(
     assert "proven only for alpha <= 11/30, got alpha = 2" in err
 
 
-def _rename_value_key(doc, old, new):
-    values = doc["valuations"][0]["values"]
-    values[new] = values.pop(old)
+def _set_values(doc, *pairs):
+    """Set agent 0's value of item j to ``value`` for each (j, value) pair."""
+    for j, value in pairs:
+        doc["valuations"][0][j] = value
 
 
-def _one_shared_row(doc, **agent):
-    """Make ``doc`` an identical-agents document whose one row carries
-    ``agent`` (none when not given) and agent 0's values."""
-    row = {**agent, "values": doc["valuations"][0]["values"]}
-    doc.update(identical_agents=True, valuations=[row])
+def _parent_format(doc):
+    """Rewrite ``doc`` in the earlier keyed form: an ``items`` list of ids
+    and one ``values`` object per agent, keyed by item id."""
+    rows = doc["valuations"]
+    doc["items"] = [{"id": j} for j in range(len(rows[0]))]
+    doc["valuations"] = [
+        {"agent": i, "values": {str(j): v for j, v in enumerate(row)}} for i, row in enumerate(rows)
+    ]
 
 
 @pytest.mark.parametrize(
     "edit, location",
     [
         (lambda doc: doc.update(set_system=5), "set_system"),
-        (lambda doc: doc["valuations"].__setitem__(0, [1]), "valuations[0]"),
-        (lambda doc: doc["valuations"][0]["values"].update({"3": "-5"}), "valuations[0].values.3"),
+        (lambda doc: doc["valuations"].__setitem__(0, 5), "valuations[0]"),
+        (lambda doc: _set_values(doc, (3, "-5")), "valuations[0][3]"),
         (lambda doc: doc.update(n=True), "n"),
         (lambda doc: doc["set_system"]["classes"][0].update(capacity=1.5), "set_system"),
         (lambda doc: doc["set_system"]["classes"][0].update(capacity=True), "set_system"),
         (lambda doc: doc["set_system"]["classes"][0]["items"].__setitem__(1, True), "set_system"),
-        (lambda doc: doc["items"][1].update(id=True), "items[1]"),
-        (lambda doc: doc["valuations"][1].update(agent=True), "valuations[1]"),
-        (
-            lambda doc: doc.update(identical_agents="false", valuations=doc["valuations"][:1]),
-            "identical_agents",
-        ),
         (lambda doc: doc.update(seed="21"), "seed"),
-        (lambda doc: doc["items"][0].update({"class": 5}), "items[0].class"),
+        (lambda doc: doc.update(item_classes=[5] + ["A"] * 6), "item_classes[0]"),
         (lambda doc: doc.update(name=None), "name"),
-        (lambda doc: _rename_value_key(doc, "1", "01"), "valuations[0].values"),
         (lambda doc: doc.update(n="@huge-int@"), "document"),
         (lambda doc: doc.update(set_system="@deep-lists@"), "document"),
-        (lambda doc: doc["valuations"][0]["values"].update({"3": _DIGITS}), "valuations[0].values.3"),
-        (
-            lambda doc: doc.update(identical_agents=True, valuations=doc["valuations"][:2]),
-            "valuations",
-        ),
+        (lambda doc: _set_values(doc, (3, _DIGITS)), "valuations[0][3]"),
+        # equal rows held apart are two rows, not one shared row
+        (lambda doc: doc.update(valuations=[doc["valuations"][0]] * 2), "valuations"),
         (lambda doc: doc.update(valuations=doc["valuations"][:2]), "valuations"),
         (lambda doc: doc.update(valuations=[]), "valuations"),
         (lambda doc: doc.update(valuations=doc["valuations"][0]), "valuations"),
-        (
-            lambda doc: doc.update(
-                n=MAX_AGENTS + 1, identical_agents=True, valuations=doc["valuations"][:1]
-            ),
-            "n",
-        ),
+        (lambda doc: doc.update(n=MAX_AGENTS + 1, valuations=doc["valuations"][:1]), "n"),
         (lambda doc: doc["set_system"].update(type="matroid"), "set_system.type"),
         # an earlier entry holds JSON 1, which a later true, 1.0 or null must not reuse
-        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": True}), "valuations[0].values.3"),
-        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": 1.0}), "valuations[0].values.3"),
-        (lambda doc: doc["valuations"][0]["values"].update({"0": 1, "3": None}), "valuations[0].values.3"),
-        # the one row of an identical-agents document is agent 0's
-        (lambda doc: _one_shared_row(doc, agent=7), "valuations[0]"),
-        (lambda doc: _one_shared_row(doc, agent=True), "valuations[0]"),
-        (lambda doc: _one_shared_row(doc), "valuations[0]"),
+        (lambda doc: _set_values(doc, (0, 1), (3, True)), "valuations[0][3]"),
+        (lambda doc: _set_values(doc, (0, 1), (3, 1.0)), "valuations[0][3]"),
+        (lambda doc: _set_values(doc, (0, 1), (3, None)), "valuations[0][3]"),
+        (_parent_format, "valuations[0]"),
+        (lambda doc: doc["valuations"][1].pop(), "valuations[1]"),
+        (lambda doc: doc.update(item_classes=["A"] * 6), "item_classes"),
+        (lambda doc: doc["set_system"]["classes"][0]["items"].append(7), "set_system"),
     ],
     ids=[
         "set-system-int",
-        "valuation-row-list",
+        "valuation-row-int",
         "value-negative",
         "n-bool",
         "capacity-float",
         "capacity-bool",
         "class-item-bool",
-        "item-id-bool",
-        "agent-bool",
-        "identical-agents-string",
         "seed-string",
         "class-label-int",
         "name-null",
-        "value-key-leading-zero",
         "n-huge",
         "set-system-nested-deep",
         "value-huge",
@@ -695,9 +681,10 @@ def _one_shared_row(doc, **agent):
         "value-bool-after-int",
         "value-float-after-int",
         "value-null-after-int",
-        "identical-agents-row-agent-7",
-        "identical-agents-row-agent-bool",
-        "identical-agents-row-agent-missing",
+        "parent-format",
+        "value-row-short",
+        "item-classes-short",
+        "class-item-beyond-m",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):

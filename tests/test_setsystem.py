@@ -202,7 +202,7 @@ def test_equivalence_of_one_value_spelled_three_ways():
     """JSON 2, "2" and "2/1" parse to one value, so their items share a block."""
     doc = json.loads(serialize_instance(random_instance(4, m=6, n=2, family="free")))
     for i, row in enumerate(doc["valuations"]):
-        row["values"].update({"0": 2, "1": "2", "2": "2/1"} if i == 0 else dict.fromkeys("012", "1/3"))
+        row[:3] = [2, "2", "2/1"] if i == 0 else ["1/3"] * 3
     inst = parse_instance(json.dumps(doc))
     blocks = equivalence_classes(inst.spec, _rows(inst))
     assert blocks == reference_equivalence_classes(inst.spec, _rows(inst))
