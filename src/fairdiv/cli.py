@@ -138,9 +138,9 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 def _parse_rational_flags(args: argparse.Namespace) -> None:
     """Replace each rational flag's text by its value, then range-check
     alpha, delta, the desk cap, the alpha 40/107 + epsilon that epsilon
-    sets and the agent counts ``--n`` and ``--agents``, which no document
-    may hold beyond ``MAX_AGENTS``; a bad spelling or an agent count past
-    the cap is a ``ParseError`` at the flag."""
+    sets and the agent counts ``--n`` and ``--agents``, which a document
+    holds from 1 to ``MAX_AGENTS``; a bad spelling or an agent count
+    outside that range is a ``ParseError`` at the flag."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
@@ -149,8 +149,9 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
                 raise ParseError(str(exc), location=f"--{flag}") from None
     for flag in ("n", "agents"):
         count = getattr(args, flag, None)
-        if count is not None and count > MAX_AGENTS:
-            raise ParseError(f"must be at most {MAX_AGENTS}, got {count}", location=f"--{flag}")
+        if count is not None and not 1 <= count <= MAX_AGENTS:
+            bound = "at least 1" if count < 1 else f"at most {MAX_AGENTS}"
+            raise ParseError(f"must be {bound}, got {count}", location=f"--{flag}")
     cap = getattr(args, "cap", getattr(args, "naive_cap", None))
     check_parameters(getattr(args, "alpha", None), getattr(args, "delta", None), cap)
     epsilon = getattr(args, "epsilon", None)

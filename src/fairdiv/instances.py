@@ -4,9 +4,10 @@ An instance bundles a hereditary set system with one valuation per
 agent.  A serialized instance is one JSON document in which position
 implies every item and agent id: ``valuations`` holds either one row that
 every agent shares or n rows in agent order, each row a list of m
-canonical rationals with item j's value at position j, and the optional
-``item_classes`` holds item j's label at position j.  Allocations
-serialize to a JSON document mirroring the trace plus a summary block.
+canonical rationals with item j's value at position j, and a capacity
+set system's ``class_of`` holds item j's class at position j, indexing
+its ``caps``.  Allocations serialize to a JSON document mirroring the
+trace plus a summary block.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class Instance:
     n: int
     spec: SetSystemSpec
     valuations: tuple[Valuation, ...]
-    item_classes: tuple[str, ...] | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -54,8 +54,6 @@ class Instance:
                     f"valuation {i} covers {val.num_items} items, "
                     f"spec has {self.spec.num_items}"
                 )
-        if self.item_classes is not None and len(self.item_classes) != self.spec.num_items:
-            raise InputError("item_classes length must match the item count")
 
     @property
     def num_items(self) -> int:
@@ -91,51 +89,41 @@ def replicate_agents(instance: Instance, n: int) -> Instance:
         n=n,
         spec=instance.spec,
         valuations=tuple(Valuation._wrap(row) for _ in range(n)),
-        item_classes=instance.item_classes,
         seed=instance.seed,
     )
 
 
-_ADVERSARIAL_ROWS: tuple[tuple[str, Fraction, int], ...] = (
-    ("A", Fraction(40, 107), 2),
-    ("B", Fraction(23, 107), 1),
-    ("C", Fraction(17, 107), 2),
-    ("D", Fraction(10, 107), 5),
-    ("E", Fraction(4, 107), 11),
-    ("F", Fraction(1, 107), 40),
+# Table 1's classes A..F, as classes 0..5: (value, capacity).
+_ADVERSARIAL_ROWS: tuple[tuple[Fraction, int], ...] = (
+    (Fraction(40, 107), 2),
+    (Fraction(23, 107), 1),
+    (Fraction(17, 107), 2),
+    (Fraction(10, 107), 5),
+    (Fraction(4, 107), 11),
+    (Fraction(1, 107), 40),
 )
 
 
 def table1_instance(n: int) -> Instance:
     """The adversarial capacity instance with identical agents.
 
-    Six item classes A..F with quantities (n, n/3, 2n/3, 2n/3, n/3, 40n),
-    values (40, 23, 17, 10, 4, 1)/107 and capacities (2, 1, 2, 5, 11, 40).
-    n must be a positive multiple of 330 so all quantities are integers.
-    Items are laid out class by class, A first.
+    Six item classes A..F, which are classes 0..5, with quantities
+    (n, n/3, 2n/3, 2n/3, n/3, 40n), values (40, 23, 17, 10, 4, 1)/107 and
+    capacities (2, 1, 2, 5, 11, 40).  n must be a positive multiple of
+    330 so all quantities are integers.  Items are laid out class by
+    class, A first.
     """
     if n <= 0 or n % 330:
         raise InputError(f"agent count must be a positive multiple of 330, got {n}")
-    quantities = {"A": n, "B": n // 3, "C": 2 * n // 3, "D": 2 * n // 3, "E": n // 3, "F": 40 * n}
-    classes: list[tuple[frozenset[int], int]] = []
-    values: list[Fraction] = []
-    labels: list[str] = []
-    next_id = 0
-    for label, value, cap in _ADVERSARIAL_ROWS:
-        count = quantities[label]
-        members = frozenset(range(next_id, next_id + count))
-        next_id += count
-        classes.append((members, cap))
-        values.extend([value] * count)
-        labels.extend([label] * count)
-    spec = capacity(next_id, classes)
-    row = tuple(values)
+    quantities = (n, n // 3, 2 * n // 3, 2 * n // 3, n // 3, 40 * n)
+    class_of = [c for c, count in enumerate(quantities) for _ in range(count)]
+    spec = capacity(class_of, [cap for _, cap in _ADVERSARIAL_ROWS])
+    row = tuple(_ADVERSARIAL_ROWS[c][0] for c in class_of)
     return Instance(
         name=f"table1-n{n}",
         n=n,
         spec=spec,
         valuations=tuple(Valuation._wrap(row) for _ in range(n)),
-        item_classes=tuple(labels),
     )
 
 
@@ -178,12 +166,11 @@ def random_instance(
     elif family == "capacity":
         k = rng.randint(1, max(1, m))
         assignment = [rng.randrange(k) for _ in range(m)]
-        classes = []
-        for c in range(k):
-            members = [j for j in range(m) if assignment[j] == c]
-            if members:
-                classes.append((members, rng.randint(1, len(members))))
-        spec = capacity(m, classes)
+        # classes in drawn order, the empty ones left out
+        drawn = sorted(set(assignment))
+        caps = [rng.randint(1, assignment.count(c)) for c in drawn]
+        index = {c: i for i, c in enumerate(drawn)}
+        spec = capacity([index[c] for c in assignment], caps)
     else:
         num_sets = rng.randint(1, max(2, m))
         sets: list[set[int]] = []
@@ -208,13 +195,7 @@ def random_instance(
 
 def _spec_to_doc(spec: SetSystemSpec) -> dict[str, Any]:
     if isinstance(spec, Capacity):
-        return {
-            "type": "capacity",
-            "classes": [
-                {"items": sorted(members), "capacity": cap}
-                for members, cap in spec.classes
-            ],
-        }
+        return {"type": "capacity", "caps": list(spec.caps), "class_of": list(spec.class_of)}
     return {
         "type": "explicit",
         "maximal_sets": [sorted(s) for s in spec.maximal_sets],
@@ -223,17 +204,15 @@ def _spec_to_doc(spec: SetSystemSpec) -> dict[str, Any]:
 
 def serialize_instance(instance: Instance) -> str:
     """Render an instance document: item j at position j of every row and
-    of ``item_classes``, and one value row when all agents share one
+    of ``class_of``, and one value row when all agents share one
     (``Instance.identical_agents``), else n rows in agent order."""
     doc: dict[str, Any] = {"name": instance.name, "n": instance.n}
-    if instance.item_classes is not None:
-        doc["item_classes"] = list(instance.item_classes)
     doc["set_system"] = _spec_to_doc(instance.spec)
     rows = instance.valuations[:1] if instance.identical_agents else instance.valuations
     doc["valuations"] = [[format_rational(v) for v in val.values] for val in rows]
     if instance.seed is not None:
         doc["seed"] = instance.seed
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def _load_json(text: str) -> Any:
@@ -326,27 +305,19 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("a value row must be a list of rationals", location="valuations[0]")
     m = len(val_docs[0])
 
-    labels = doc.get("item_classes")
-    if "item_classes" in doc:
-        if not isinstance(labels, list) or len(labels) != m:
-            raise ParseError(f"item_classes must be a list of {m} strings", location="item_classes")
-        for j, label in enumerate(labels):
-            if not isinstance(label, str):
-                raise ParseError(
-                    f"item class must be a string, got {label!r}", location=f"item_classes[{j}]"
-                )
-
     ss = _require(doc, "set_system", "instance")
     sstype = _require(ss, "type", "set_system")
     if sstype not in ("capacity", "explicit"):
         raise ParseError(f"unknown set_system type {sstype!r}", location="set_system.type")
-    body = _require(ss, "classes" if sstype == "capacity" else "maximal_sets", "set_system")
     try:
         if sstype == "capacity":
-            spec: SetSystemSpec = capacity(m, [(e["items"], e["capacity"]) for e in body])
+            caps, class_of = (_require(ss, key, "set_system") for key in ("caps", "class_of"))
+            if not isinstance(caps, list) or not isinstance(class_of, list) or len(class_of) != m:
+                raise InputError(f"caps must be a list and class_of a list of {m} classes")
+            spec: SetSystemSpec = capacity(class_of, caps)
         else:
-            spec = explicit_maximal(m, body)
-    except (InputError, KeyError, TypeError) as exc:
+            spec = explicit_maximal(m, _require(ss, "maximal_sets", "set_system"))
+    except (InputError, TypeError) as exc:
         raise ParseError(f"bad set system: {exc}", location="set_system") from exc
 
     seed = doc.get("seed")
@@ -362,7 +333,6 @@ def parse_instance(text: str) -> Instance:
         n=n,
         spec=spec,
         valuations=valuations,
-        item_classes=tuple(labels) if labels is not None else None,
         seed=seed,
     )
 

@@ -4,8 +4,9 @@ Two concrete families sit behind one feasibility interface:
 
 * ``ExplicitMaximal`` -- the downward closure of an antichain of maximal
   sets.  A set is feasible iff it is contained in some listed maximal set.
-* ``Capacity`` -- per-class item limits (a partition matroid).  A set is
-  feasible iff it takes at most ``capacity`` items from every class.
+* ``Capacity`` -- per-class item limits (a partition matroid): item j
+  is in class ``class_of[j]``, and a set is feasible iff it takes at
+  most ``caps[c]`` items from every class c.
 
 Both families are downward closed by construction, so heredity never has
 to be checked at query time.
@@ -30,15 +31,16 @@ class ExplicitMaximal:
 
 @dataclass(frozen=True)
 class Capacity:
-    """Feasible sets take at most ``capacity`` items from each class.
+    """Feasible sets take at most ``caps[c]`` items from each class c;
+    ``class_of[j]`` is item j's class, so the classes partition the
+    ground set by construction."""
 
-    ``classes`` partition the ground set; ``class_of`` maps each item to
-    the index of its class.
-    """
-
-    num_items: int
-    classes: tuple[tuple[frozenset[int], int], ...]
     class_of: tuple[int, ...]
+    caps: tuple[int, ...]
+
+    @property
+    def num_items(self) -> int:
+        return len(self.class_of)
 
 
 SetSystemSpec = ExplicitMaximal | Capacity
@@ -61,25 +63,18 @@ def explicit_maximal(num_items: int, maximal_sets: Iterable[Iterable[int]]) -> E
     return ExplicitMaximal(num_items, tuple(kept))
 
 
-def capacity(num_items: int, classes: Iterable[tuple[Iterable[int], int]]) -> Capacity:
-    """Build a capacity spec; classes must partition the ground set."""
-    if num_items < 0:
-        raise InputError(f"num_items must be >= 0, got {num_items}")
-    norm: list[tuple[frozenset[int], int]] = []
-    class_of = [-1] * num_items
-    for idx, (members, cap) in enumerate(classes):
-        ms = _item_set(members, num_items)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise InputError(f"class {idx}: capacity must be an integer >= 0, got {cap!r}")
-        for j in ms:
-            if class_of[j] != -1:
-                raise InputError(f"item {j} appears in more than one class")
-            class_of[j] = idx
-        norm.append((ms, cap))
-    missing = [j for j in range(num_items) if class_of[j] == -1]
-    if missing:
-        raise InputError(f"items not covered by any class: {missing}")
-    return Capacity(num_items, tuple(norm), tuple(class_of))
+def capacity(class_of: Iterable[int], caps: Iterable[int]) -> Capacity:
+    """Build a capacity spec: item j in class ``class_of[j]``, class c
+    admitting at most ``caps[c]`` items."""
+    caps = tuple(caps)
+    for c, cap in enumerate(caps):
+        if type(cap) is not int or cap < 0:
+            raise InputError(f"class {c}: capacity must be an integer >= 0, got {cap!r}")
+    class_of = tuple(class_of)
+    for j, c in enumerate(class_of):
+        if type(c) is not int or not 0 <= c < len(caps):
+            raise InputError(f"item {j}: class must be an integer in [0, {len(caps)}), got {c!r}")
+    return Capacity(class_of, caps)
 
 
 def _item_set(items: Iterable[int], num_items: int) -> frozenset[int]:
@@ -107,11 +102,11 @@ def is_feasible(spec: SetSystemSpec, items: Iterable[int]) -> bool:
     if not s:
         return True
     if isinstance(spec, Capacity):
-        used = [0] * len(spec.classes)
+        used = [0] * len(spec.caps)
         for j in s:
             c = spec.class_of[j]
             used[c] += 1
-            if used[c] > spec.classes[c][1]:
+            if used[c] > spec.caps[c]:
                 return False
         return True
     return any(s <= maximal for maximal in spec.maximal_sets)

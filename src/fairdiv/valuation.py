@@ -90,7 +90,7 @@ class Valuation:
 def _by_class(spec: Capacity, firsts: Sequence[int], row: Sequence[int]) -> list[list[int]]:
     """Per class of ``spec``, its units by descending ``row`` value, ties
     by unit; unit u stands for item ``firsts[u]``."""
-    by_class: list[list[int]] = [[] for _ in spec.classes]
+    by_class: list[list[int]] = [[] for _ in spec.caps]
     for u in sorted(range(len(firsts)), key=row.__getitem__, reverse=True):
         by_class[spec.class_of[firsts[u]]].append(u)
     return by_class
@@ -141,7 +141,7 @@ def item_set_evaluator(
         # a mask takes the first ``cap`` of them it holds.
         classes = [
             (sum(1 << b for b in bits), cap, [(1 << b, scaled[b]) for b in bits])
-            for bits, (_, cap) in zip(_by_class(spec, items, scaled), spec.classes)
+            for bits, cap in zip(_by_class(spec, items, scaled), spec.caps)
             if bits and cap
         ]
 
@@ -249,7 +249,7 @@ class BlockTable:
 
         self.capacity = isinstance(spec, Capacity)
         if self.capacity:
-            self.caps = tuple(cap for _, cap in spec.classes)
+            self.caps = spec.caps
             self.block_class = tuple(spec.class_of[j] for j in firsts)
             self.greedy_orders = [
                 sorted(range(nb), key=row.__getitem__, reverse=True) for row in self.val

@@ -41,6 +41,11 @@ EXPLICIT_EXPANSION_CAP = 200_000
 ZERO = Fraction(0)
 
 
+def table1_labels(instance: Instance) -> list[str]:
+    """Each item's Table 1 class letter: classes 0..5 are A..F."""
+    return ["ABCDEF"[c] for c in instance.spec.class_of]
+
+
 def value_of_subset(spec, values, s: frozenset[int]) -> Fraction:
     """Max over feasible subsets of ``s`` of the value sum, in ``Fraction``s
     over item sets: per class the ``cap`` largest values, or the best
@@ -54,7 +59,7 @@ def value_of_subset(spec, values, s: frozenset[int]) -> Fraction:
             buckets.setdefault(spec.class_of[j], []).append(values[j])
         total = ZERO
         for c, vals in buckets.items():
-            cap = spec.classes[c][1]
+            cap = spec.caps[c]
             if cap <= 0:
                 continue
             if len(vals) > cap:
@@ -82,9 +87,9 @@ def capacity_as_explicit(spec: Capacity) -> ExplicitMaximal:
     """
     per_class: list[list[tuple[int, ...]]] = []
     total = 1
-    for members, cap in spec.classes:
-        take = min(cap, len(members))
-        combos = list(combinations(sorted(members), take))
+    for c, cap in enumerate(spec.caps):
+        members = [j for j, k in enumerate(spec.class_of) if k == c]
+        combos = list(combinations(members, min(cap, len(members))))
         total *= len(combos)
         if total > EXPLICIT_EXPANSION_CAP:
             raise DeskCapError(

@@ -49,6 +49,7 @@ from support import (
     reference_minimal_set,
     reference_pick,
     round_query_bound,
+    table1_labels,
     value_of_subset,
 )
 
@@ -90,7 +91,7 @@ def test_naive_table1_phase_histogram(table1):
     hist = Counter(e.phase for e in alloc.trace)
     assert dict(hist) == {2: 165, 3: 110, 5: 44, 11: 10}
     assert len(alloc.unallocated_agents) == 1
-    labels = table1.item_classes
+    labels = table1_labels(table1)
     compositions = {2: "AA", 3: "BCC", 5: "DDDDD", 11: "E" * 11}
     for event in alloc.trace:
         assert "".join(sorted(labels[j] for j in event.bundle)) == compositions[event.phase]
@@ -113,7 +114,7 @@ def test_naive_node_budget_is_a_desk_cap(footnote2, monkeypatch):
 
 
 def test_minimal_set_spec_states(table1):
-    labels = table1.item_classes
+    labels = table1_labels(table1)
     vals = {i: table1.valuations[i] for i in range(4)}
     thresholds = {i: UPPER_ALPHA for i in range(4)}
     def_items = [j for j in range(table1.num_items) if labels[j] in "DEF"]
@@ -277,7 +278,7 @@ def test_uncapped_block_value_matches_the_fraction_oracle(family):
         zero_counts += 0 in counts.values()
         if family == "capacity":
             held = Counter(spec.class_of[j] for j in items)
-            over_cap += any(k > spec.classes[c][1] for c, k in held.items())
+            over_cap += any(k > spec.caps[c] for c, k in held.items())
         else:
             uncovered += not any(items <= maximal for maximal in spec.maximal_sets)
     assert zero_counts
@@ -375,7 +376,7 @@ def test_group_pick_matches_one_at_a_time_scan():
     assert zero_group_picks >= 100
 
 
-@pytest.mark.parametrize("spec", [explicit_maximal(3, [{0, 1, 2}]), capacity(3, [({0, 1, 2}, 3)])])
+@pytest.mark.parametrize("spec", [explicit_maximal(3, [{0, 1, 2}]), capacity([0, 0, 0], [3])])
 def test_minimal_set_threshold_equal_to_value_is_met(spec):
     """Integer thresholds ceil(t * L) keep the comparison exact: a
     threshold equal to a bundle's value qualifies, one a hair above it
@@ -397,7 +398,7 @@ def test_batch_stops_before_an_equal_value_front():
     the same value, precedes item 2 in the scan order: the one-item scan
     removes 0, then 1, and keeps {2}, so a batch of two off {0, 2} is
     wrong although it changes no group's value."""
-    spec = capacity(3, [({0, 1, 2}, 1)])
+    spec = capacity([0, 0, 0], [1])
     vals = {0: Valuation([1, 1, 1]), 1: Valuation([1, 2, 1])}
     thresholds = {0: Fraction(2, 5), 1: Fraction(4, 5)}
     assert minimal_set(spec, vals, range(3), thresholds) == (frozenset({2}), 0)
@@ -424,7 +425,7 @@ def test_rival_search_walks_past_a_dead_block():
     removes 0 and then 2; a rival search that stopped at {1} would batch
     0 and 3 off together, since neither group's value changes, and keep
     {1, 2}."""
-    spec = capacity(4, [({0, 2, 3}, 1), ({1}, 1)])
+    spec = capacity([0, 1, 0, 0], [1, 1])
     vals = {0: Valuation([1, 1, 1, 1]), 1: Valuation([1, 0, 2, 1])}
     thresholds = {0: Fraction(2), 1: Fraction(100)}
     assert reference_minimal_set(spec, vals, range(4), thresholds) == (frozenset({1, 3}), 0)
@@ -559,7 +560,7 @@ def test_estimates_footnote(footnote2):
 
 
 def test_estimates_no_items():
-    spec = capacity(0, [])
+    spec = capacity([], [])
     inst = Instance(
         name="empty",
         n=2,
@@ -585,13 +586,25 @@ def test_estimates_reject_bad_estimate_vectors(footnote2, mu, message):
 
 
 def test_estimates_thresholds_vary_within_identical_agents(footnote2):
-    """Identical valuations with different estimates qualify independently."""
+    """Identical valuations with different estimates qualify independently.
+    With the shared row (2, 3, 3), item 0 meets only agent 1's need, so
+    the pick steps past agent 0, the group's least index."""
     mu = EstimateVector((Fraction(6), Fraction(3)))
     alloc = allocate_from_estimates(footnote2, mu, ALPHA)
     assert [(e.phase, e.agent, e.bundle, e.threshold) for e in alloc.trace] == [
         (1, 0, (0,), Fraction(11, 5)),
         (1, 1, (1,), Fraction(11, 10)),
     ]
+    row = Valuation([2, 3, 3])
+    shared = Instance("shared", 2, footnote2.spec, (row, row))
+    alloc = allocate_from_estimates(shared, mu, ALPHA)
+    assert [(e.agent, e.bundle, e.threshold) for e in alloc.trace] == [
+        (1, (0,), Fraction(11, 10)),
+        (0, (1,), Fraction(11, 5)),
+    ]
+    events, unallocated = reference_allocate_from_estimates(shared, mu, ALPHA)
+    assert [(e.kind, e.phase, e.agent, e.bundle, e.value, e.threshold) for e in alloc.trace] == events
+    assert alloc.unallocated_agents == unallocated
 
 
 def test_estimates_zero_mu_grants_empty_bundle(footnote2):

@@ -57,12 +57,17 @@ def test_gen_table1_bad_n(capsys):
         (("gen", "table1", "--n", "{over330}", "-o", "{out}"), "--n"),
         (("mms", "{fn}", "--agents", "{over}"), "--agents"),
         (("repro-upper-bound", "--n", "{over330}"), "--n"),
+        (("gen", "random", "--seed", "0", "--m", "0", "--n", "0", "-o", "{out}"), "--n"),
+        (("gen", "table1", "--n", "0", "-o", "{out}"), "--n"),
+        (("mms", "{fn}", "--agents", "0"), "--agents"),
+        (("repro-upper-bound", "--n", "0"), "--n"),
     ],
-    ids=["gen-random", "gen-table1", "mms-agents", "repro"],
+    ids=["gen-random", "gen-table1", "mms-agents", "repro"]
+    + ["gen-random-zero", "gen-table1-zero", "mms-agents-zero", "repro-zero"],
 )
 def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag):
-    """No document may hold more than MAX_AGENTS agents, so neither may a
-    flag: the count is refused before anything is built or written."""
+    """A document holds 1 to MAX_AGENTS agents, and so may a flag: a count
+    outside that range is refused before anything is built or written."""
     fn = tmp_path / "fn.json"
     fn.write_text(serialize_instance(footnote_instance()))
     out = tmp_path / "out.json"
@@ -71,7 +76,8 @@ def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag
     code, stdout, err = run_cli(capsys, *(arg.format(**fields) for arg in argv))
     assert code == 2
     count = argv[argv.index(flag) + 1].format(**fields)
-    assert err == f"error: {flag}: must be at most {MAX_AGENTS}, got {count}\n"
+    bound = "at least 1" if count == "0" else f"at most {MAX_AGENTS}"
+    assert err == f"error: {flag}: must be {bound}, got {count}\n"
     assert stdout == "" and not out.exists()
 
 
@@ -626,6 +632,17 @@ def _parent_format(doc):
     ]
 
 
+def _classes_format(doc):
+    """Rewrite ``doc``'s set system in the earlier form: one object per
+    class listing its item ids and capacity."""
+    ss = doc["set_system"]
+    ss["classes"] = [
+        {"items": [j for j, k in enumerate(ss["class_of"]) if k == c], "capacity": cap}
+        for c, cap in enumerate(ss.pop("caps"))
+    ]
+    del ss["class_of"]
+
+
 @pytest.mark.parametrize(
     "edit, location",
     [
@@ -633,11 +650,10 @@ def _parent_format(doc):
         (lambda doc: doc["valuations"].__setitem__(0, 5), "valuations[0]"),
         (lambda doc: _set_values(doc, (3, "-5")), "valuations[0][3]"),
         (lambda doc: doc.update(n=True), "n"),
-        (lambda doc: doc["set_system"]["classes"][0].update(capacity=1.5), "set_system"),
-        (lambda doc: doc["set_system"]["classes"][0].update(capacity=True), "set_system"),
-        (lambda doc: doc["set_system"]["classes"][0]["items"].__setitem__(1, True), "set_system"),
+        (lambda doc: doc["set_system"]["caps"].__setitem__(0, 1.5), "set_system"),
+        (lambda doc: doc["set_system"]["caps"].__setitem__(0, True), "set_system"),
+        (lambda doc: doc["set_system"]["class_of"].__setitem__(1, True), "set_system"),
         (lambda doc: doc.update(seed="21"), "seed"),
-        (lambda doc: doc.update(item_classes=[5] + ["A"] * 6), "item_classes[0]"),
         (lambda doc: doc.update(name=None), "name"),
         (lambda doc: doc.update(n="@huge-int@"), "document"),
         (lambda doc: doc.update(set_system="@deep-lists@"), "document"),
@@ -655,8 +671,10 @@ def _parent_format(doc):
         (lambda doc: _set_values(doc, (0, 1), (3, None)), "valuations[0][3]"),
         (_parent_format, "valuations[0]"),
         (lambda doc: doc["valuations"][1].pop(), "valuations[1]"),
-        (lambda doc: doc.update(item_classes=["A"] * 6), "item_classes"),
-        (lambda doc: doc["set_system"]["classes"][0]["items"].append(7), "set_system"),
+        (lambda doc: doc["set_system"]["class_of"].append(0), "set_system"),
+        (_classes_format, "set_system"),
+        (lambda doc: doc["set_system"]["class_of"].__setitem__(0, 99), "set_system"),
+        (lambda doc: doc["set_system"].update(caps={}), "set_system"),
     ],
     ids=[
         "set-system-int",
@@ -667,7 +685,6 @@ def _parent_format(doc):
         "capacity-bool",
         "class-item-bool",
         "seed-string",
-        "class-label-int",
         "name-null",
         "n-huge",
         "set-system-nested-deep",
@@ -683,8 +700,10 @@ def _parent_format(doc):
         "value-null-after-int",
         "parent-format",
         "value-row-short",
-        "item-classes-short",
         "class-item-beyond-m",
+        "classes-format",
+        "class-beyond-caps",
+        "caps-object",
     ],
 )
 def test_mistyped_instance_fields_are_located_parse_errors(solved, capsys, edit, location):

@@ -23,6 +23,7 @@ from fairdiv import (
 )
 from fairdiv import Allocation, EstimateVector, TraceEvent, allocate_from_estimates, fair_divide
 from fairdiv.instances import MAX_AGENTS
+from support import table1_labels
 
 ALPHA_PRIME = Fraction(40, 107)
 
@@ -36,8 +37,9 @@ def test_table1_shape(table1):
     assert table1.n == 330
     assert table1.num_items == 43 * 330
     assert isinstance(table1.spec, Capacity)
+    assert table1.spec.caps == (2, 1, 2, 5, 11, 40)
     counts = {}
-    for label in table1.item_classes:
+    for label in table1_labels(table1):
         counts[label] = counts.get(label, 0) + 1
     n = 330
     assert counts == {"A": n, "B": n // 3, "C": 2 * n // 3, "D": 2 * n // 3, "E": n // 3, "F": 40 * n}
@@ -46,7 +48,7 @@ def test_table1_shape(table1):
 def test_table1_value_identities(table1):
     """Class values expressed in terms of the 40/107 ratio."""
     value_of = {}
-    for j, label in enumerate(table1.item_classes):
+    for j, label in enumerate(table1_labels(table1)):
         value_of.setdefault(label, table1.valuations[0].values[j])
     assert value_of["A"] == ALPHA_PRIME
     assert value_of["B"] == Fraction(13, 4) * ALPHA_PRIME - 1 == Fraction(23, 107)
@@ -60,7 +62,7 @@ def test_table1_two_part_types_consume_everything(table1):
     """2n/3 parts of one A, C, D + forty F and n/3 parts of one A, B, E +
     forty F partition the items, each part feasible with value 1."""
     by_class: dict[str, list[int]] = {}
-    for j, label in enumerate(table1.item_classes):
+    for j, label in enumerate(table1_labels(table1)):
         by_class.setdefault(label, []).append(j)
     n = table1.n
     f_iter = iter(by_class["F"])
@@ -136,7 +138,6 @@ _ROW = Valuation([3, 2, 2])
         (lambda spec: Instance("x", 0, spec, ()), "at least one agent"),
         (lambda spec: Instance("x", 2, spec, (_ROW,)), "1 valuations for 2 agents"),
         (lambda spec: Instance("x", 1, spec, (Valuation([1, 2]),)), "valuation 0 covers 2 items"),
-        (lambda spec: Instance("x", 1, spec, (_ROW,), item_classes=("A",)), "item_classes"),
         (lambda spec: replicate_agents(Instance("x", 2, spec, (_ROW, _ROW)), 3), "single-agent"),
         (lambda spec: replicate_agents(Instance("x", 1, spec, (_ROW,)), 0), "at least one agent"),
         (lambda spec: random_instance(1, m=-1, n=2, family="free"), "m=-1"),
@@ -146,7 +147,6 @@ _ROW = Valuation([3, 2, 2])
         "no-agents",
         "rows-not-n",
         "row-length",
-        "item-classes-length",
         "replicate-two-agents",
         "replicate-to-zero",
         "random-negative-m",
@@ -168,6 +168,10 @@ def test_instance_round_trips():
     ]
     for inst in fixtures:
         assert parse_instance(serialize_instance(inst)) == inst
+    # the earlier per-item labels are read as any unknown field: not at all
+    doc = json.loads(serialize_instance(fixtures[2]))
+    doc["item_classes"] = ["A"] * 6
+    assert parse_instance(json.dumps(doc)) == fixtures[2]
 
 
 def test_identical_agents_shorthand_keeps_one_row(table1):

@@ -61,6 +61,8 @@ def test_desk_cap():
     with pytest.raises(DeskCapError):
         mms_exact(spec, val, 2)
     mms_exact(spec, val, 2, max_items=13)
+    with pytest.raises(InputError, match="max_items must be nonnegative, got -1"):
+        mms_exact(spec, val, 2, max_items=-1)
 
 
 @pytest.mark.parametrize(
@@ -156,7 +158,7 @@ def test_matches_reference_search_on_suite(family):
 def test_matches_reference_search_on_edge_cases():
     values = Valuation([Fraction(3, 4), 0, Fraction(5, 6), 2, 0, Fraction(1, 7)])
     # a class with cap 0 contributes nothing, whatever it holds
-    spec = capacity(6, [({0, 2}, 0), ({1, 3, 5}, 2), ({4}, 1)])
+    spec = capacity([0, 1, 0, 1, 2, 1], [0, 2, 1])
     for n in (1, 2, 3):
         assert_matches_reference(spec, values, n)
     # zero-valued items only: every partition ties at 0

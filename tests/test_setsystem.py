@@ -18,7 +18,13 @@ from fairdiv import (
     serialize_instance,
     table1_instance,
 )
-from support import FAMILIES, capacity_as_explicit, random_subset, reference_equivalence_classes
+from support import (
+    FAMILIES,
+    capacity_as_explicit,
+    random_subset,
+    reference_equivalence_classes,
+    table1_labels,
+)
 
 
 def test_footnote_maximal_sets():
@@ -32,7 +38,7 @@ def test_footnote_maximal_sets():
 def test_empty_set_always_feasible():
     specs = [
         footnote_instance().spec,
-        capacity(2, [({0, 1}, 0)]),
+        capacity([0, 0], [0]),
         explicit_maximal(3, []),
     ]
     for spec in specs:
@@ -60,25 +66,30 @@ def test_dominated_sets_pruned():
 
 
 def test_capacity_requires_partition():
-    with pytest.raises(InputError):
-        capacity(3, [({0, 1}, 1), ({1, 2}, 1)])
-    with pytest.raises(InputError):
-        capacity(3, [({0, 1}, 1)])
-    with pytest.raises(InputError):
-        capacity(3, [({0, 1}, -1), ({2}, 1)])
+    """Each item names one class among ``caps``, and each cap is an int >= 0."""
+    for class_of, caps in [
+        ([0, 0, 2], [1, 1]),
+        ([0, -1, 1], [1, 1]),
+        ([0, True, 1], [1, 1]),
+        ([0, 0, 1], [-1, 1]),
+        ([0, 0, 1], [1, True]),
+        ([0, 0, 1], [1, 1.0]),
+    ]:
+        with pytest.raises(InputError):
+            capacity(class_of, caps)
+    assert capacity([0, 0, 1], [1, 0]).num_items == 3
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: explicit_maximal(-1, []), "num_items must be >= 0"),
-        (lambda: capacity(-1, []), "num_items must be >= 0"),
         (
             lambda: equivalence_classes(explicit_maximal(3, [range(3)]), [[Fraction(1)] * 2]),
             "value row has 2 entries, expected 3",
         ),
     ],
-    ids=["explicit-negative-m", "capacity-negative-m", "equivalence-short-row"],
+    ids=["explicit-negative-m", "equivalence-short-row"],
 )
 def test_item_counts_must_fit_the_ground_set(build, message):
     with pytest.raises(InputError, match=message):
@@ -86,7 +97,7 @@ def test_item_counts_must_fit_the_ground_set(build, message):
 
 
 def test_zero_capacity_class_is_dead_weight():
-    spec = capacity(3, [({0, 1}, 0), ({2}, 1)])
+    spec = capacity([0, 0, 1], [0, 1])
     assert not is_feasible(spec, {0})
     assert is_feasible(spec, {2})
     assert not is_feasible(spec, {0, 2})
@@ -114,12 +125,8 @@ def test_capacity_explicit_crosscheck(seed):
     m = 10
     k = rng.randint(2, 4)
     assignment = [rng.randrange(k) for _ in range(m)]
-    classes = []
-    for c in range(k):
-        members = [j for j in range(m) if assignment[j] == c]
-        if members:
-            classes.append((members, rng.randint(1, len(members))))
-    cap_spec = capacity(m, classes)
+    caps = [rng.randint(1, max(1, assignment.count(c))) for c in range(k)]
+    cap_spec = capacity(assignment, caps)
     exp_spec = capacity_as_explicit(cap_spec)
     for subset in _all_subsets(m):
         assert is_feasible(cap_spec, subset) == is_feasible(exp_spec, subset)
@@ -141,7 +148,7 @@ def test_equivalence_table1_is_one_block_per_class():
     inst = table1_instance(330)
     blocks = equivalence_classes(inst.spec, [v.values for v in inst.valuations])
     assert len(blocks) == 6
-    labels = inst.item_classes
+    labels = table1_labels(inst)
     for block in blocks:
         assert len({labels[j] for j in block}) == 1
 

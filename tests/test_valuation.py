@@ -19,6 +19,7 @@ from support import (
     brute_bundle_value,
     normalize_to_partition,
     random_subset,
+    table1_labels,
     value_of_subset,
 )
 
@@ -53,7 +54,7 @@ def table1():
 
 
 def test_table1_part_values(table1):
-    labels = table1.item_classes
+    labels = table1_labels(table1)
     by_class = {}
     for j, label in enumerate(labels):
         by_class.setdefault(label, []).append(j)
@@ -65,7 +66,7 @@ def test_table1_part_values(table1):
 
 
 def test_table1_over_capacity(table1):
-    labels = table1.item_classes
+    labels = table1_labels(table1)
     f_items = [j for j, label in enumerate(labels) if label == "F"][:41]
     assert bundle_value(table1.spec, table1.valuations[0], f_items) == Fraction(40, 107)
 
@@ -110,7 +111,7 @@ def test_bool_item_ids_rejected(footnote):
     with pytest.raises(InputError):
         explicit_maximal(3, [[0, True]])
     with pytest.raises(InputError):
-        capacity(3, [([0, True, 2], 1)])
+        capacity([0, True, 0], [1, 1])
     with pytest.raises(InputError):
         bundle_value(footnote.spec, footnote.valuations[0], [0, True])
 
@@ -131,7 +132,7 @@ def test_normalize_identity_on_unit_part():
 
 
 def test_normalize_table1_partition_is_identity(table1):
-    labels = table1.item_classes
+    labels = table1_labels(table1)
     by_class = {}
     for j, label in enumerate(labels):
         by_class.setdefault(label, []).append(j)
@@ -153,7 +154,7 @@ def test_normalize_table1_partition_is_identity(table1):
 
 
 def test_normalize_zero_part_rejected():
-    spec = capacity(2, [({0}, 0), ({1}, 1)])
+    spec = capacity([0, 1], [0, 1])
     val = Valuation([Fraction(5), Fraction(1)])
     with pytest.raises(InputError, match="bundle value 0"):
         normalize_to_partition(val, [{0}, {1}], spec)
@@ -196,7 +197,7 @@ def _edge_specs():
     """Capacity specs with a cap-0 class and explicit specs, each paired
     with a row holding zero values."""
     row = [Fraction(0), Fraction(3, 4), Fraction(0), Fraction(5, 6), Fraction(2, 9), Fraction(1)]
-    yield capacity(6, [({0, 1}, 0), ({2, 3, 4}, 2), ({5}, 1)]), row
+    yield capacity([0, 0, 1, 1, 1, 2], [0, 2, 1]), row
     yield explicit_maximal(6, [{0, 1, 2}, {2, 3, 4, 5}]), row
 
 
