@@ -31,10 +31,11 @@ which charges each value it returns as one query on that group's
 representative.  The phases value from scratch with
 ``BlockTable.value``: their size-capped existence check,
 ``allocate_naive``'s per-size gate, and each (multiset, group) value a
-sweep reads.  The removal scan changes its multiset one block at a
-time and reads a ``RunningValues`` state, whose reads are charged like
-from-scratch values.  Both read lazily, the way accelerated greedy does:
-a value is read only once it can decide a pick.
+sweep reads, once per table (``BlockTable.phase_memo``).  The removal
+scan changes its multiset one block at a time and reads a
+``RunningValues`` state, whose reads are charged like from-scratch
+values.  Both read lazily, the way accelerated greedy does: a value is
+read only once it can decide a pick.
 
 The kernel computes in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -327,7 +328,8 @@ def _run_phase(
     ascending order of their smallest realization (``_realizations``),
     and at each one over the groups in play in ascending order of their
     least remaining index (``_Roster.firsts``), stopping at the first
-    group whose least index comes after the agent already found.  A
+    group whose least index comes after the agent already found (no
+    agent leaves mid-sweep, so leader needs are read once per sweep).  A
     group whose value meets its leader's need offers its least-index
     member of met need (``_Roster.first_meeting``); the first multiset
     with an offer goes to the least offer.  That is the first qualifying
@@ -335,7 +337,12 @@ def _run_phase(
     the pool per group in play, capped at ``size`` items, until a group's
     value meets its leader's need; the phase ends when none does.  It
     runs before the first sweep, and before each later one as soon as
-    that sweep needs a value it has not read.
+    that sweep needs a value not in the memo.  Skipping it never changes
+    a trace: had it failed, no multiset would meet a leader's need.
+
+    The memo, ``table.phase_memo``, keeps each uncapped (multiset, group)
+    value read; it depends only on the table, which ``fair_divide`` shares
+    across rounds and ``allocate_naive`` across sizes.  A hit is free.
 
     The floor: a sweep after an allocation starts above ``key[0]``, the
     first item of the bundle just taken.  Taking items only moves window
@@ -347,10 +354,10 @@ def _run_phase(
     agents only leave, and a group's next leader has a need at least as
     high.  A multiset swept again after its realization rose past the
     floor is answered from the memo, since each (multiset, group) value
-    is read at most once per phase, from scratch with
+    is read at most once per table, from scratch with
     ``BlockTable.value``.  So a phase with G groups in play, B blocks in
     the pool and a allocations spends at most
-    G * (1 + a) + G * C(B+size-1, size) queries.
+    G * (1 + a) + G * C(B+size-1, size) queries, fewer after earlier ones.
     """
     def reachable() -> bool:
         # the best size-`size` bundle of the pool meets some leader's need
@@ -359,16 +366,16 @@ def _run_phase(
 
     if not roster or pool.total() < size or not reachable():
         return
-    memo: dict[Multiset, dict[int, int]] = {}
+    memo = table.phase_memo
     floor, checked = -1, True
     while roster and pool.total() >= size:
-        firsts = roster.firsts()
+        firsts = [(g, first, roster.need[roster.leader(g)]) for g, first in roster.firsts().items()]
         agent = -1
         for key, ms in _realizations(pool, size, floor, budget):
             vals = memo.get(ms)
             if vals is None:
                 vals = memo[ms] = {}
-            for g, first in firsts.items():
+            for g, first, need in firsts:
                 if 0 <= agent < first:
                     break  # no later group has an earlier member
                 v = vals.get(g)
@@ -378,7 +385,7 @@ def _run_phase(
                             return
                         checked = True
                     v = vals[g] = table.value(g, dict(ms))
-                if v >= roster.need[roster.leader(g)]:
+                if v >= need:
                     pos = roster.first_meeting(g, v, first)
                     if agent < 0 or pos < agent:
                         agent, agent_s = pos, v
@@ -691,7 +698,8 @@ def fair_divide(
     item value), a certified upper bound on each agent's maximin share,
     taken once per value group (agents sharing one value row).
     Each round reruns the allocation from scratch on one block table built
-    for the whole run (it depends only on the instance); if everyone is
+    for the whole run (it depends only on the instance; its phase memo
+    spares later rounds the values earlier ones read); if everyone is
     allocated it returns, otherwise every unallocated agent's estimate
     shrinks by (1 - delta).
     For alpha <= 11/30, an agent whose estimate has dropped to its

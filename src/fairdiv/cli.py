@@ -137,10 +137,10 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
     """Replace each rational flag's text by its value, then range-check
-    alpha, delta, the desk cap, the alpha 40/107 + epsilon that epsilon
+    alpha, delta, the desk caps, the alpha 40/107 + epsilon that epsilon
     sets and the agent counts ``--n`` and ``--agents``, which a document
-    holds from 1 to ``MAX_AGENTS``; a bad spelling or an agent count
-    outside that range is a ``ParseError`` at the flag."""
+    holds from 1 to ``MAX_AGENTS``; a bad spelling, a negative cap or an
+    agent count outside that range is a ``ParseError`` at the flag."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
@@ -152,8 +152,11 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
         if count is not None and not 1 <= count <= MAX_AGENTS:
             bound = "at least 1" if count < 1 else f"at most {MAX_AGENTS}"
             raise ParseError(f"must be {bound}, got {count}", location=f"--{flag}")
-    cap = getattr(args, "cap", getattr(args, "naive_cap", None))
-    check_parameters(getattr(args, "alpha", None), getattr(args, "delta", None), cap)
+    for attr, flag in (("cap", "--cap"), ("naive_cap", "--naive-cap")):
+        cap = getattr(args, attr, None)
+        if cap is not None and cap < 0:
+            raise ParseError(f"must be nonnegative, got {cap}", location=flag)
+    check_parameters(getattr(args, "alpha", None), getattr(args, "delta", None))
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None and UPPER_BOUND_RATIO + epsilon <= 0:
         raise InputError(f"--epsilon: 40/107 + epsilon must be positive, got {epsilon}")
@@ -212,7 +215,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_mms(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
     if not 0 <= args.agent < instance.n:
-        raise InputError(f"agent {args.agent} outside [0, {instance.n})")
+        raise ParseError(f"must lie in [0, {instance.n}), got {args.agent}", location="--agent")
     parts = args.agents if args.agents is not None else instance.n
     valuation = instance.valuations[args.agent]
     doc: dict[str, Any] = {"agent": args.agent, "parts": parts}

@@ -216,6 +216,9 @@ class BlockTable:
     binds, so the value touches only the multiset's own blocks and costs
     O(blocks in the multiset).  It is the oracle that ``RunningValues``
     is tested against.
+
+    ``phase_memo``, empty at first, maps a multiset of block counts to
+    its uncapped value per group as the allocator's phases read them.
     """
 
     def __init__(
@@ -238,6 +241,7 @@ class BlockTable:
         self.block_items: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(b)) for b in blocks if b
         )
+        self.phase_memo: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
         nb = len(self.block_items)
         firsts = [block[0] for block in self.block_items]
         self.scale: list[int] = []

@@ -512,15 +512,19 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
     allocations spends at most G·(1 + a) + G·C(B+s-1, s) queries: a
     size-capped existence check per group before the first allocation
     and at most one after each, and at most one read per (size-s
-    multiset, group).  No (multiset, group) value is read twice within a
-    phase."""
+    multiset, group).  The phases' memo lives as long as the block
+    table, so no (multiset, group) value is read twice within a
+    ``fair_divide`` run, nor within one ``allocate_from_estimates`` or
+    ``allocate_naive`` call (whose per-size gate, outside the phases,
+    values the whole pool afresh)."""
     run_phase = fairdiv.allocator._run_phase
     block_value = BlockTable.value
     reads = []
     ratios = []
+    in_phase = [False]
 
     def recorded_value(self, group, counts, size=None):
-        if size is None:
+        if size is None and in_phase[0]:
             reads.append((group, tuple(sorted((b, k) for b, k in counts.items() if k))))
         return block_value(self, group, counts, size)
 
@@ -528,8 +532,9 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
         g, b = len(roster.groups()), len(pool.counts())
         events = len(trace)
         before = sum(rep.query_count for rep in table.reps)
-        reads.clear()
+        in_phase[0] = True
         run_phase(table, pool, size, roster, trace, budget)
+        in_phase[0] = False
         spent = sum(rep.query_count for rep in table.reps) - before
         bound = g * (1 + len(trace) - events) + g * comb(b + size - 1, size)
         assert spent <= bound, (g, b, size, spent, bound)
@@ -541,11 +546,44 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
     monkeypatch.setattr(fairdiv.allocator, "_run_phase", bounded_phase)
     for family in FAMILIES:
         for seed, m, n in ((0, 12, 4), (1, 16, 4), (2, 24, 5), (3, 40, 6)):
+            reads.clear()
             fair_divide(random_instance(seed, m, n, family), ALPHA, DELTA)
+    reads.clear()
     allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
+    reads.clear()
     allocate_naive(table1, UPPER_ALPHA)
     assert len(ratios) > 500
     print(f"worst phase queries/bound over {len(ratios)} phases: {max(ratios):.3f}")
+
+
+def test_warmed_table_replays_a_fresh_one(monkeypatch):
+    """Every round of a ``fair_divide`` run reads a block table whose
+    phase memo earlier rounds have filled; rerun on a fresh table, with
+    an empty memo, the round gives the same trace and stranded agents."""
+    allocate = fairdiv.allocator.allocate_from_estimates
+    rounds = []
+
+    def replayed(instance, mu, alpha, *, _table=None):
+        rounds.append(bool(_table.phase_memo))
+        warmed = allocate(instance, mu, alpha, _table=_table)
+        fresh = allocate(instance, mu, alpha)
+        assert warmed.trace_records() == fresh.trace_records()
+        assert warmed.unallocated_agents == fresh.unallocated_agents
+        return warmed
+
+    monkeypatch.setattr(fairdiv.allocator, "allocate_from_estimates", replayed)
+    driver_configs = [
+        ("capacity", 12, 3),
+        ("free", 12, 3),
+        ("explicit-antichain", 12, 3),
+        ("capacity", 24, 4),
+        ("free", 24, 4),
+        ("explicit-antichain", 16, 4),
+    ]
+    instances = [random_instance(0, m, n, family) for family, m, n in driver_configs]
+    for inst in [*iter_suite(25, base_seed=12_000), *instances]:
+        fair_divide(inst, ALPHA, DELTA)
+    assert len(rounds) > 100 and sum(rounds) > 50
 
 
 def test_estimates_footnote(footnote2):
@@ -679,15 +717,24 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
             67857,
             "d7813aae1d992c67178cd449c7919331336b1318b1885968f618524864725e23",
         ),
+        (
+            "explicit-antichain",
+            16,
+            4,
+            2631,
+            "76c46b6af5667ca11c81138eb7edf9015b46d4ee4689920a9e6fa3c0e06111a8",
+        ),
     ],
-    ids=["capacity-m60", "explicit-antichain-m60", "capacity-m120"],
+    ids=["capacity-m60", "explicit-antichain-m60", "capacity-m120", "explicit-antichain-m16"],
 )
 def test_fair_divide_cost_model_is_pinned(family, m, n, queries, digest):
     """The queries and the trace of runs well beyond the benchmark's
     m <= 24, where the removal scan dominates, pinned so that any change
     to either is a deliberate edit.  At m=120 capacity classes hold many
     blocks, so removability tests walk over-cap classes whose removed
-    block sits anywhere in the class's greedy order."""
+    block sits anywhere in the class's greedy order.  The m=16 run is a
+    ``driver`` config whose many rounds are phase-bound, so its count
+    pins the phase memo's reuse across rounds."""
     inst = random_instance(0, m, n, family)
     alloc, _ = fair_divide(inst, ALPHA, DELTA)
     assert sum(val.query_count for val in inst.valuations) == queries

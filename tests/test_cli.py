@@ -81,6 +81,30 @@ def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("mms", "{fn}", "--cap", "-1"), "--cap: must be nonnegative, got -1"),
+        (
+            ("solve", "{fn}", "--naive-cap", "-3", "-o", "{out}"),
+            "--naive-cap: must be nonnegative, got -3",
+        ),
+        (("mms", "{fn}", "--agent", "5"), "--agent: must lie in [0, 1), got 5"),
+    ],
+    ids=["mms-cap", "solve-naive-cap", "mms-agent"],
+)
+def test_range_flags_are_located_at_the_flag(tmp_path, capsys, argv, message):
+    """A cap or agent index out of range names the flag the user typed,
+    exits 2 and writes nothing."""
+    fn = tmp_path / "fn.json"
+    fn.write_text(serialize_instance(footnote_instance()))
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, *(arg.format(fn=fn, out=out) for arg in argv))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("bound", ["--max-num", "--max-den"])
 def test_gen_random_value_bound_below_one_is_a_usage_error(capsys, bound):
     argv = ("gen", "random", "--seed", "1", "--m", "3", "--n", "2", bound, "0")
@@ -274,8 +298,11 @@ _PARAMETER_EDGES = [
     (("repro-upper-bound", "--epsilon", "1/-2"), "--epsilon: not a canonical rational: '1/-2'"),
     # the naive path reads no delta, but every solve checks it
     (("solve", "{inst}", "--naive", "--delta", "5"), "delta must lie in (0, 1), got 5"),
-    (("mms", "{inst}", "--cap", "-1"), "max_items must be nonnegative, got -1"),
-    (("solve", "{inst}", "--naive", "--naive-cap", "-5"), "max_items must be nonnegative, got -5"),
+    (("mms", "{inst}", "--cap", "-1"), "--cap: must be nonnegative, got -1"),
+    (
+        ("solve", "{inst}", "--naive", "--naive-cap", "-5"),
+        "--naive-cap: must be nonnegative, got -5",
+    ),
     # a negative fraction as its own argument reaches the same check
     (("solve", "{inst}", "--alpha", "-1/2"), "alpha must be positive, got -1/2"),
     (("solve", "{inst}", "--delta", "-1/2"), "delta must lie in (0, 1), got -1/2"),
@@ -291,11 +318,14 @@ _PARAMETER_EDGES = [
         "--epsilon: 40/107 + epsilon must be positive, got -1/2",
     ),
     # a cap the command does not read is checked all the same
-    (("solve", "{inst}", "--naive-cap", "-5"), "max_items must be nonnegative, got -5"),
-    (("verify", "{alloc}", "{inst}", "--cap", "-1"), "max_items must be nonnegative, got -1"),
+    (("solve", "{inst}", "--naive-cap", "-5"), "--naive-cap: must be nonnegative, got -5"),
+    (("verify", "{alloc}", "{inst}", "--cap", "-1"), "--cap: must be nonnegative, got -1"),
     # a path flag takes the fraction as its path; after the bare -- it is the instance
     (("solve", "{inst}", "--trace", "-1/2"), "[Errno 2] No such file or directory: '-1/2'"),
     (("solve", "--", "-1/2"), "[Errno 2] No such file or directory: '-1/2'"),
+    # an agent index outside the instance is located at its flag
+    (("mms", "{inst}", "--agent", "3"), "--agent: must lie in [0, 3), got 3"),
+    (("mms", "{inst}", "--agent", "-1"), "--agent: must lie in [0, 3), got -1"),
 ]
 
 
