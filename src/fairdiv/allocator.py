@@ -30,7 +30,7 @@ counts for one value group through ``valuation``'s block-count kernel,
 which charges each value it returns as one query on that group's
 representative.  The phases value from scratch with
 ``BlockTable.value``: their size-capped existence check,
-``allocate_naive``'s per-size gate, and each (multiset, group) value a
+``allocate_naive``'s gate, and each (multiset, group) value a
 sweep reads, once per table (``BlockTable.phase_memo``).  The removal
 scan changes its multiset one block at a time and reads a
 ``RunningValues`` state, whose reads are charged like from-scratch
@@ -207,9 +207,9 @@ class _Roster:
     (numerator, denominator) pair, for the ratio test in ``pick``.
 
     Agents only ever leave.  ``ascending`` lists the remaining positions
-    in index order.  Each group keeps its members in ascending
-    (threshold, index) order behind a head pointer that skips departed
-    agents, so the group's leader costs amortized O(1).
+    in index order, and ``members[g]`` group g's remaining positions in
+    ascending (threshold, index) order.  ``discard`` deletes an agent
+    from both, so group g's leader is ``members[g][0]``.
     """
 
     def __init__(
@@ -228,30 +228,20 @@ class _Roster:
             self.need.append(-(-scaled // t.denominator))
             self.weight.append((scaled, t.denominator))
         self.ascending = sorted(remaining)
-        self._alive = set(self.ascending)
-        members: list[list[int]] = [[] for _ in scale]
-        for pos in self.ascending:
-            members[group_of[pos]].append(pos)
-        self._by_threshold = [
-            sorted(group, key=lambda p: (thresholds[p], p)) for group in members
-        ]
-        self._head = [0] * len(scale)
+        self.members: list[list[int]] = [[] for _ in scale]
+        for pos in sorted(self.ascending, key=thresholds.__getitem__):  # stable: ties by index
+            self.members[group_of[pos]].append(pos)
 
     def __bool__(self) -> bool:
         return bool(self.ascending)
 
     def discard(self, pos: int) -> None:
-        self._alive.remove(pos)
         del self.ascending[bisect_left(self.ascending, pos)]
+        self.members[self.group_of[pos]].remove(pos)
 
     def leader(self, g: int) -> int:
-        """Group g's remaining member of least (threshold, index), or -1."""
-        order = self._by_threshold[g]
-        i = self._head[g]
-        while i < len(order) and order[i] not in self._alive:
-            i += 1
-        self._head[g] = i
-        return order[i] if i < len(order) else -1
+        """Group g's remaining member of least (threshold, index)."""
+        return self.members[g][0]
 
     def firsts(self) -> dict[int, int]:
         """Each group in play mapped to its least remaining index, in
@@ -276,7 +266,7 @@ class _Roster:
 
     def groups(self) -> list[int]:
         """Groups with a remaining member, ascending."""
-        return [g for g in range(len(self._head)) if self.leader(g) >= 0]
+        return [g for g, group in enumerate(self.members) if group]
 
     def any_meets(self, value_of: Callable[[int], int]) -> bool:
         """Whether some remaining agent's group value ``value_of(g)`` meets
@@ -284,26 +274,26 @@ class _Roster:
         Reads the groups in ascending order and stops at the first hit."""
         return any(value_of(g) >= self.need[self.leader(g)] for g in self.groups())
 
-    def pick(self, group_vals: Mapping[int, int]) -> int:
+    def pick(self, leaders: Sequence[int], group_vals: Mapping[int, int]) -> int:
         """The agent with the highest value-to-threshold ratio, ties by index.
 
-        ``group_vals`` maps every group in play to its scaled value.  Every
-        roster has positive thresholds, so every need is at least 1, and
-        every call has a group whose value meets its leader's need: the
-        first pick follows ``any_meets``, and afterwards the picked group's
-        value never drops below its need.  So the best ratio is positive,
-        and the first agent of best ratio is its group's leader, since a
-        group's members share one value and the leader has the group's
-        least (threshold, index).  A scan over the leaders in index order
-        that keeps its pick unless a later ratio is strictly greater thus
-        replays the scan over every remaining agent.  It runs in integers:
-        S1 / t1 > S2 / t2 reads S1 * (t2 L2) > S2 * (t1 L1), the same test
-        scaled by L1 * L2 > 0.
+        ``leaders`` lists the leader of every group in play in ascending
+        index order, and ``group_vals`` maps each such group to its scaled
+        value.  Every roster has positive thresholds, so every need is at
+        least 1, and every call has a group whose value meets its leader's
+        need: the first pick follows ``any_meets``, and afterwards the
+        picked group's value never drops below its need.  So the best ratio
+        is positive, and the first agent of best ratio is its group's
+        leader, since a group's members share one value and the leader has
+        the group's least (threshold, index).  A scan over the leaders in
+        index order that keeps its pick unless a later ratio is strictly
+        greater thus replays the scan over every remaining agent.  It runs
+        in integers: S1 / t1 > S2 / t2 reads S1 * (t2 L2) > S2 * (t1 L1),
+        the same test scaled by L1 * L2 > 0.
         """
-        candidates = sorted(map(self.leader, group_vals))
-        best = candidates[0]
+        best = leaders[0]
         best_s = group_vals[self.group_of[best]]
-        for pos in candidates[1:]:
+        for pos in leaders[1:]:
             s = group_vals[self.group_of[pos]]
             num, den = self.weight[pos]
             best_num, best_den = self.weight[best]
@@ -461,12 +451,13 @@ def _minimal_set_scan(
     Within a block all items are interchangeable, so removability is
     tested once per block and the front (smallest-index) item is the one
     removed.  The roster does not change during a scan, so the groups in
-    play are fixed up front.  One ``RunningValues`` state holds the
-    scan's pool and answers every query: the first valuation of the
-    pool, each refresh of a stale group value, and each removability
-    test and batch probe (``without``: the value were k items of one
-    block gone).  The state charges each answer as one query, exactly as
-    if it had been valued from scratch.
+    play and their leaders, the only agents a pick can return, are listed
+    once up front, the leaders in index order.  One ``RunningValues``
+    state holds the scan's pool and answers every query: the first
+    valuation of the pool, each refresh of a stale group value, and each
+    removability test and batch probe (``without``: the value were k
+    items of one block gone).  The state charges each answer as one
+    query, exactly as if it had been valued from scratch.
 
     Lazy re-pick: within a scan the roster is fixed and every group's
     value only falls, so a value read earlier is an upper bound on the
@@ -512,6 +503,7 @@ def _minimal_set_scan(
     for the bundle as a fraction).
     """
     groups = roster.groups()
+    leaders = sorted(map(roster.leader, groups))
     state = RunningValues(table, groups, pool.counts())
     local = state.counts
 
@@ -525,7 +517,7 @@ def _minimal_set_scan(
     orders: dict[int, list[tuple[int, int, int]]] = {}
     dead: dict[int, set[int]] = {}
     while True:
-        pick = roster.pick(group_vals)
+        pick = roster.pick(leaders, group_vals)
         gj = table.group_of[pick]
         if gj not in fresh:
             group_vals[gj] = state.value(gj)
@@ -656,10 +648,11 @@ def allocate_naive(
     Exponential in general, so it refuses instances where both the item
     count and the number of equivalence blocks exceed ``max_items``;
     block-level enumeration admits large instances whose items collapse
-    into few blocks.  Before each size the pool is valued once per
-    remaining value group, and the loop stops once no remaining agent
-    values the whole pool at alpha (values are monotone, so nothing can
-    qualify afterwards).
+    into few blocks.  A gate stops the loop once no remaining agent values
+    the whole pool at alpha (values are monotone, so nothing can qualify
+    afterwards).  It values the pool once per remaining value group, first
+    and after each size that allocated: one that allocates nothing leaves
+    the pool and the roster, and so the gate's answer, as they were.
     """
     check_parameters(alpha=alpha, max_items=max_items)
     table = _block_table(instance.spec, instance.valuations)
@@ -674,12 +667,15 @@ def allocate_naive(
     trace: list[TraceEvent] = []
     budget = [NAIVE_NODE_CAP]
 
+    gated = -1  # the trace length at the last gate
     for size in range(1, instance.num_items + 1):
         if pool.total() < size:
             break
-        counts = pool.counts()
-        if not roster.any_meets(lambda g: table.value(g, counts)):
-            break
+        if len(trace) != gated:
+            gated = len(trace)
+            counts = pool.counts()
+            if not roster.any_meets(lambda g: table.value(g, counts)):
+                break
         _run_phase(table, pool, size, roster, trace, budget)
 
     return Allocation(tuple(trace), frozenset(roster.ascending))

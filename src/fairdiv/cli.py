@@ -33,7 +33,6 @@ from .allocator import (
     EstimateVector,
     allocate_from_estimates,
     allocate_naive,
-    check_parameters,
     fair_divide,
     require_fits_instance,
     verify_allocation,
@@ -139,8 +138,8 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
     """Replace each rational flag's text by its value, then range-check
     alpha, delta, the desk caps, the alpha 40/107 + epsilon that epsilon
     sets and the agent counts ``--n`` and ``--agents``, which a document
-    holds from 1 to ``MAX_AGENTS``; a bad spelling, a negative cap or an
-    agent count outside that range is a ``ParseError`` at the flag."""
+    holds from 1 to ``MAX_AGENTS``; a bad spelling or a value out of its
+    range is a ``ParseError`` at the flag's full name."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
@@ -156,10 +155,14 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
         cap = getattr(args, attr, None)
         if cap is not None and cap < 0:
             raise ParseError(f"must be nonnegative, got {cap}", location=flag)
-    check_parameters(getattr(args, "alpha", None), getattr(args, "delta", None))
+    alpha, delta = getattr(args, "alpha", None), getattr(args, "delta", None)
+    if alpha is not None and alpha <= 0:
+        raise ParseError(f"must be positive, got {alpha}", location="--alpha")
+    if delta is not None and not 0 < delta < 1:
+        raise ParseError(f"must lie in (0, 1), got {delta}", location="--delta")
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None and UPPER_BOUND_RATIO + epsilon <= 0:
-        raise InputError(f"--epsilon: 40/107 + epsilon must be positive, got {epsilon}")
+        raise ParseError(f"40/107 + epsilon must be positive, got {epsilon}", location="--epsilon")
 
 
 def _write_output(text: str, target: str) -> None:

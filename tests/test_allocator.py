@@ -103,6 +103,8 @@ def test_naive_desk_cap():
     inst = Instance(name="big", n=1, spec=spec, valuations=(Valuation._wrap(values),))
     with pytest.raises(DeskCapError):
         allocate_naive(inst, Fraction(1))
+    with pytest.raises(InputError, match="max_items must be nonnegative, got -1"):
+        allocate_naive(inst, Fraction(1), max_items=-1)
     # pruning admits large instances whose items collapse into few blocks
     allocate_naive(table1_instance(330), UPPER_ALPHA)
 
@@ -351,7 +353,9 @@ def test_group_pick_matches_one_at_a_time_scan():
     """The pick over each group's least-threshold member equals the ratio
     scan over every remaining agent, for positive thresholds and at least
     one positive group value, while agents leave one at a time; groups of
-    value 0 stay in play."""
+    value 0 stay in play.  After every discard each group's leader is
+    its remaining member of least (threshold, index), and the groups in
+    play are exactly those with a remaining member."""
     rng = random.Random(11)
     zero_group_picks = 0
     for _ in range(400):
@@ -364,15 +368,21 @@ def test_group_pick_matches_one_at_a_time_scan():
         roster = _Roster(group_of, scale, thresholds, remaining)
         while roster:
             groups = roster.groups()
+            assert groups == sorted({group_of[p] for p in roster.ascending})
+            for g in groups:
+                members = [p for p in roster.ascending if group_of[p] == g]
+                assert roster.leader(g) == min(members, key=lambda p: (thresholds[p], p))
             group_vals = {g: rng.choice((0, rng.randint(1, 30))) for g in groups}
             group_vals[rng.choice(groups)] = rng.randint(1, 30)
             values = [
                 Fraction(group_vals.get(group_of[p], 0), scale[group_of[p]]) for p in range(n)
             ]
             expected = reference_pick(values, thresholds, roster.ascending)
-            assert roster.pick(group_vals) == expected
+            leaders = sorted(map(roster.leader, groups))
+            assert roster.pick(leaders, group_vals) == expected
             zero_group_picks += 0 in group_vals.values()
             roster.discard(rng.choice(roster.ascending))
+        assert roster.groups() == []
     assert zero_group_picks >= 100
 
 
@@ -515,17 +525,20 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
     multiset, group).  The phases' memo lives as long as the block
     table, so no (multiset, group) value is read twice within a
     ``fair_divide`` run, nor within one ``allocate_from_estimates`` or
-    ``allocate_naive`` call (whose per-size gate, outside the phases,
-    values the whole pool afresh)."""
+    ``allocate_naive`` call.  ``allocate_naive``'s gate, outside the
+    phases, values the whole pool only after a size that allocated, so
+    none of its (pool, group) reads repeats within one call either."""
     run_phase = fairdiv.allocator._run_phase
     block_value = BlockTable.value
     reads = []
+    gate_reads = []
     ratios = []
     in_phase = [False]
 
     def recorded_value(self, group, counts, size=None):
-        if size is None and in_phase[0]:
-            reads.append((group, tuple(sorted((b, k) for b, k in counts.items() if k))))
+        if size is None:
+            read = (group, tuple(sorted((b, k) for b, k in counts.items() if k)))
+            (reads if in_phase[0] else gate_reads).append(read)
         return block_value(self, group, counts, size)
 
     def bounded_phase(table, pool, size, roster, trace, budget):
@@ -551,7 +564,10 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
     reads.clear()
     allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
     reads.clear()
+    gate_reads.clear()
     allocate_naive(table1, UPPER_ALPHA)
+    assert len(gate_reads) > 1
+    assert len(set(gate_reads)) == len(gate_reads)
     assert len(ratios) > 500
     print(f"worst phase queries/bound over {len(ratios)} phases: {max(ratios):.3f}")
 
@@ -667,8 +683,9 @@ def test_table1_query_counts_are_pinned(table1):
     """The cost model on Table 1 at n=330, pinned so that any change to
     either count is a deliberate edit.  The minimal-bundle tail values
     the pool once per bundle, in the removal scan's first step; the
-    reference path keeps its lazy per-size eligibility check, which
-    stops at the first group that qualifies."""
+    reference path keeps its lazy eligibility check, which runs before
+    the first size and after each size that allocated, and stops at the
+    first group that qualifies."""
 
     def queries(run):
         before = sum(val.query_count for val in table1.valuations)
@@ -677,7 +694,7 @@ def test_table1_query_counts_are_pinned(table1):
 
     mu = EstimateVector((Fraction(1),) * table1.n)
     assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 4321
-    assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 36
+    assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 29
 
 
 def test_table1_event_values_match_both_item_set_evaluators(table1):

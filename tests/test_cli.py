@@ -280,15 +280,15 @@ def solved(tmp_path, capsys):
 
 
 _PARAMETER_EDGES = [
-    (("solve", "{inst}", "--alpha", "0"), "alpha must be positive, got 0"),
-    (("solve", "{inst}", "--delta", "1"), "delta must lie in (0, 1), got 1"),
+    (("solve", "{inst}", "--alpha", "0"), "--alpha: must be positive, got 0"),
+    (("solve", "{inst}", "--delta", "1"), "--delta: must lie in (0, 1), got 1"),
     (
         ("verify", "{alloc}", "{inst}", "--floor-mode", "mu", "--delta", "0"),
-        "delta must lie in (0, 1), got 0",
+        "--delta: must lie in (0, 1), got 0",
     ),
     (
         ("verify", "{alloc}", "{inst}", "--floor-mode", "exact-mms", "--delta", "0"),
-        "delta must lie in (0, 1), got 0",
+        "--delta: must lie in (0, 1), got 0",
     ),
     (
         ("repro-upper-bound", "--epsilon", "-1"),
@@ -297,22 +297,22 @@ _PARAMETER_EDGES = [
     (("solve", "{inst}", "--alpha", "0.5"), "--alpha: not a canonical rational: '0.5'"),
     (("repro-upper-bound", "--epsilon", "1/-2"), "--epsilon: not a canonical rational: '1/-2'"),
     # the naive path reads no delta, but every solve checks it
-    (("solve", "{inst}", "--naive", "--delta", "5"), "delta must lie in (0, 1), got 5"),
+    (("solve", "{inst}", "--naive", "--delta", "5"), "--delta: must lie in (0, 1), got 5"),
     (("mms", "{inst}", "--cap", "-1"), "--cap: must be nonnegative, got -1"),
     (
         ("solve", "{inst}", "--naive", "--naive-cap", "-5"),
         "--naive-cap: must be nonnegative, got -5",
     ),
     # a negative fraction as its own argument reaches the same check
-    (("solve", "{inst}", "--alpha", "-1/2"), "alpha must be positive, got -1/2"),
-    (("solve", "{inst}", "--delta", "-1/2"), "delta must lie in (0, 1), got -1/2"),
+    (("solve", "{inst}", "--alpha", "-1/2"), "--alpha: must be positive, got -1/2"),
+    (("solve", "{inst}", "--delta", "-1/2"), "--delta: must lie in (0, 1), got -1/2"),
     (
         ("repro-upper-bound", "--epsilon", "-1/2"),
         "--epsilon: 40/107 + epsilon must be positive, got -1/2",
     ),
     # and so does one after an abbreviated flag
-    (("solve", "{inst}", "--alph", "-1/2"), "alpha must be positive, got -1/2"),
-    (("solve", "{inst}", "--de", "-1/2"), "delta must lie in (0, 1), got -1/2"),
+    (("solve", "{inst}", "--alph", "-1/2"), "--alpha: must be positive, got -1/2"),
+    (("solve", "{inst}", "--de", "-1/2"), "--delta: must lie in (0, 1), got -1/2"),
     (
         ("repro-upper-bound", "--eps", "-1/2"),
         "--epsilon: 40/107 + epsilon must be positive, got -1/2",
