@@ -2,7 +2,6 @@
 
 from .allocator import (
     Allocation,
-    EstimateVector,
     RunStats,
     TraceEvent,
     VerificationReport,
@@ -20,7 +19,6 @@ from .instances import (
     parse_allocation,
     parse_instance,
     random_instance,
-    replicate_agents,
     serialize_allocation,
     serialize_instance,
     table1_instance,
@@ -34,9 +32,8 @@ from .setsystem import (
     capacity,
     equivalence_classes,
     explicit_maximal,
-    is_feasible,
 )
-from .valuation import Valuation, bundle_value, nth_value
+from .valuation import Valuation, bundle_value
 
 __version__ = "0.1.0"
 
@@ -44,7 +41,6 @@ __all__ = [
     "Allocation",
     "Capacity",
     "DeskCapError",
-    "EstimateVector",
     "ExplicitMaximal",
     "FairdivError",
     "InputError",
@@ -66,16 +62,13 @@ __all__ = [
     "fair_divide",
     "footnote_instance",
     "format_rational",
-    "is_feasible",
     "iteration_bound",
     "mms_bounds",
     "mms_exact",
-    "nth_value",
     "parse_allocation",
     "parse_instance",
     "parse_rational",
     "random_instance",
-    "replicate_agents",
     "serialize_allocation",
     "serialize_instance",
     "table1_instance",

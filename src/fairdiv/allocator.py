@@ -57,7 +57,7 @@ from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
 from .rationals import format_rational
 from .setsystem import SetSystemSpec, equivalence_classes
-from .valuation import BlockTable, RunningValues, Valuation, bundle_value
+from .valuation import BlockTable, RunningValues, Valuation, bundle_value, value_groups
 
 if TYPE_CHECKING:
     from .instances import Instance
@@ -121,11 +121,10 @@ class Allocation:
         return [event.record() for event in self.trace]
 
 
-@dataclass(frozen=True)
-class EstimateVector:
-    """Per-agent share estimates; entries only ever shrink by (1 - delta)."""
-
-    mu: tuple[Fraction, ...]
+# Per-agent share estimates.  Calling the alias builds a plain tuple, which
+# keeps ``EstimateVector(entries)`` working where the benchmark still
+# spells it; the allocator itself takes and returns plain tuples.
+EstimateVector = tuple[Fraction, ...]
 
 
 @dataclass
@@ -136,10 +135,6 @@ class RunStats:
 
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
     queries: list[int] = field(default_factory=list)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.rounds)
 
 
 def check_parameters(
@@ -161,8 +156,9 @@ def _block_table(spec: SetSystemSpec, valuations: Sequence[Valuation]) -> BlockT
     """The block-count table of ``valuations`` over the item-equivalence
     blocks of ``spec``.  The table depends only on the set system and the
     valuations, so one table serves every round of a ``fair_divide`` run."""
-    blocks = equivalence_classes(spec, [val.values for val in valuations])
-    return BlockTable(spec, valuations, blocks)
+    reps, group_of = value_groups(valuations)
+    blocks = equivalence_classes(spec, [rep.values for rep in reps])
+    return BlockTable(spec, reps, group_of, blocks)
 
 
 class _Pool:
@@ -584,7 +580,7 @@ def _minimal_set_scan(
 
 def allocate_from_estimates(
     instance: "Instance",
-    mu: EstimateVector,
+    mu: tuple[Fraction, ...],
     alpha: Fraction,
     *,
     _table: BlockTable | None = None,
@@ -603,24 +599,25 @@ def allocate_from_estimates(
     """
     check_parameters(alpha=alpha)
     n = instance.n
-    if len(mu.mu) != n:
-        raise InputError(f"estimate vector has {len(mu.mu)} entries, expected {n}")
-    for i, entry in enumerate(mu.mu):
+    if len(mu) != n:
+        raise InputError(f"estimate vector has {len(mu)} entries, expected {n}")
+    for i, entry in enumerate(mu):
         if entry < 0:
             raise InputError(f"estimate for agent {i} is negative: {entry}")
 
     table = _block_table(instance.spec, instance.valuations) if _table is None else _table
     pool = _Pool(table)
-    thresholds = [alpha * entry for entry in mu.mu]
-    # A zero estimate certifies a zero maximin share (m * nth_value = 0
-    # bounds it above), so the empty bundle already meets the guarantee.
+    thresholds = [alpha * entry for entry in mu]
+    # A zero estimate gets the empty bundle.  Under ``fair_divide`` an
+    # estimate is zero only where ``mms_bounds`` certifies a zero maximin
+    # share (m * v = 0), so the empty bundle meets the guarantee.
     trace = [
         TraceEvent(ZERO_ESTIMATE, pos, (), ZERO, ZERO)
         for pos in range(n)
-        if mu.mu[pos] == 0
+        if mu[pos] == 0
     ]
     roster = _Roster(
-        table.group_of, table.scale, thresholds, (pos for pos in range(n) if mu.mu[pos])
+        table.group_of, table.scale, thresholds, (pos for pos in range(n) if mu[pos])
     )
 
     for size in (1, 2, 3):
@@ -687,12 +684,13 @@ def fair_divide(
     delta: Fraction,
     *,
     stats: RunStats | None = None,
-) -> tuple[Allocation, EstimateVector]:
+) -> tuple[Allocation, tuple[Fraction, ...]]:
     """Estimate-driven driver around ``allocate_from_estimates``.
 
-    Estimates start at ``mms_bounds(val, n).upper``, m * (n-th largest
-    item value), a certified upper bound on each agent's maximin share,
-    taken once per value group (agents sharing one value row).
+    Estimates start at the upper end of ``mms_bounds(spec, val, n)``,
+    m * (n-th largest value of an item feasible alone), a certified upper
+    bound on each agent's maximin share, taken once per value group
+    (agents sharing one value row).
     Each round reruns the allocation from scratch on one block table built
     for the whole run (it depends only on the instance; its phase memo
     spares later rounds the values earlier ones read); if everyone is
@@ -711,17 +709,17 @@ def fair_divide(
     n = instance.n
     m = instance.num_items
     table = _block_table(instance.spec, instance.valuations)
-    uppers = [mms_bounds(rep, n).upper for rep in table.reps]
+    uppers = [mms_bounds(instance.spec, rep, n)[1] for rep in table.reps]
     mu = [uppers[g] for g in table.group_of]
     shrink = ONE - delta
     allowed = iteration_bound(n, m, delta)
 
     for _ in range(allowed):
-        estimates = EstimateVector(tuple(mu))
+        estimates = tuple(mu)
         before = sum(rep.query_count for rep in table.reps)
         allocation = allocate_from_estimates(instance, estimates, alpha, _table=table)
         if stats is not None:
-            stats.rounds.append((estimates.mu, allocation.unallocated_agents))
+            stats.rounds.append((estimates, allocation.unallocated_agents))
             stats.queries.append(sum(rep.query_count for rep in table.reps) - before)
         if not allocation.unallocated_agents:
             return allocation, estimates

@@ -30,7 +30,6 @@ from .allocator import (
     PHASE,
     ZERO_ESTIMATE,
     Allocation,
-    EstimateVector,
     allocate_from_estimates,
     allocate_naive,
     fair_divide,
@@ -51,6 +50,7 @@ from .instances import (
 )
 from .mms import DEFAULT_MMS_CAP, mms_bounds, mms_exact
 from .rationals import format_rational, parse_rational
+from .valuation import value_groups
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -230,13 +230,13 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         if args.decimal:
             doc["value_decimal"] = float(result.value)
     except DeskCapError:
-        result = mms_bounds(valuation, parts)
+        lower, upper = mms_bounds(instance.spec, valuation, parts)
         doc["mode"] = "bounds"
-        doc["lower"] = format_rational(result.lower)
-        doc["upper"] = format_rational(result.upper)
+        doc["lower"] = format_rational(lower)
+        doc["upper"] = format_rational(upper)
         if args.decimal:
-            doc["lower_decimal"] = float(result.lower)
-            doc["upper_decimal"] = float(result.upper)
+            doc["lower_decimal"] = float(lower)
+            doc["upper_decimal"] = float(upper)
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -252,16 +252,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # agent without an event has no recorded threshold, so no floor.
         floors = {event.agent: event.threshold for event in allocation.trace}
     else:
-        # One exact share per value row object, as ``BlockTable`` groups
-        # agents: identical agents share one row.
+        # One exact share per value group: identical agents share one row.
         scale = (1 - args.delta) * args.alpha
-        shares: dict[int, Fraction] = {}
-        floors = {}
-        for agent, valuation in enumerate(instance.valuations):
-            row = id(valuation.values)
-            if row not in shares:
-                shares[row] = mms_exact(instance.spec, valuation, instance.n, max_items=args.cap).value
-            floors[agent] = scale * shares[row]
+        reps, group_of = value_groups(instance.valuations)
+        shares = [
+            mms_exact(instance.spec, rep, instance.n, max_items=args.cap).value for rep in reps
+        ]
+        floors = {agent: scale * shares[g] for agent, g in enumerate(group_of)}
     report = verify_allocation(instance, allocation, floors)
     doc = {
         "floor_mode": args.floor_mode,
@@ -279,9 +276,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     instance = table1_instance(args.n)
     alpha = UPPER_BOUND_RATIO + args.epsilon
     started = time.monotonic()
-    allocation = allocate_from_estimates(
-        instance, EstimateVector((Fraction(1),) * instance.n), alpha
-    )
+    allocation = allocate_from_estimates(instance, (Fraction(1),) * instance.n, alpha)
     elapsed = time.monotonic() - started
     sizes = Counter((event.kind, event.phase) for event in allocation.trace)
     histogram: dict[str, Any] = {

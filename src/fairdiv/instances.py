@@ -61,7 +61,7 @@ class Instance:
 
     @property
     def identical_agents(self) -> bool:
-        """Whether all agents share one value row object, as ``BlockTable`` groups them."""
+        """Whether all agents share one value row object: one ``value_groups`` group."""
         row = self.valuations[0].values
         return all(val.values is row for val in self.valuations)
 
@@ -76,20 +76,6 @@ def footnote_instance() -> Instance:
         n=1,
         spec=spec,
         valuations=(Valuation._wrap(values),),
-    )
-
-
-def replicate_agents(instance: Instance, n: int) -> Instance:
-    """Clone a single-agent template into n identical agents."""
-    if instance.n != 1:
-        raise InputError("replicate_agents expects a single-agent template")
-    row = instance.valuations[0].values
-    return Instance(
-        name=instance.name,
-        n=n,
-        spec=instance.spec,
-        valuations=tuple(Valuation._wrap(row) for _ in range(n)),
-        seed=instance.seed,
     )
 
 
@@ -325,7 +311,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"seed must be an integer, got {seed!r}", location="seed")
     rows = [_parse_values_row(row, m, f"valuations[{i}]") for i, row in enumerate(val_docs)]
     if len(rows) == 1:
-        rows *= n  # one shared row object, which ``BlockTable`` groups on
+        rows *= n  # one shared row object, which ``value_groups`` groups on
     valuations = tuple(Valuation._wrap(row) for row in rows)
 
     return Instance(

@@ -6,7 +6,8 @@ receiving the worst part.  Exact computation enumerates set partitions
 canonically (item 0 opens part 0; each later item may open at most one
 new part) with branch-and-bound pruning, so it is only offered below a
 configurable item cap.  The bounds variant sandwiches the value between
-the n-th largest item value and m times that value.
+the n-th largest value of an item that is feasible alone and m times
+that value.
 
 The exact search computes in integers: a part is an ``int`` bitmask
 over the items, valued by ``valuation.item_set_evaluator`` and memoized
@@ -20,23 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
 from .errors import DeskCapError, InputError
-from .setsystem import SetSystemSpec
-from .valuation import Valuation, item_set_evaluator, nth_value
+from .setsystem import SetSystemSpec, feasible_alone
+from .valuation import Valuation, item_set_evaluator
 
 DEFAULT_MMS_CAP = 12
 
 
 @dataclass(frozen=True)
 class MmsResult:
-    """Either an exact value with a witness partition, or certified bounds."""
+    """An exact maximin share and a partition that attains it."""
 
-    value: Fraction | None = None
-    witness: tuple[frozenset[int], ...] | None = None
-    lower: Fraction | None = None
-    upper: Fraction | None = None
+    value: Fraction
+    witness: tuple[frozenset[int], ...]
 
 
 class _PartValues(dict):
@@ -131,8 +131,19 @@ def mms_exact(
     return MmsResult(value=Fraction(best, scale), witness=padded)
 
 
-def mms_bounds(valuation: Valuation, n: int) -> MmsResult:
-    """Certified sandwich: nth_value(n) <= maximin share <= m * nth_value(n),
-    with m the valuation's item count."""
-    nth = nth_value(valuation, n)
-    return MmsResult(lower=nth, upper=valuation.num_items * nth)
+def mms_bounds(spec: SetSystemSpec, valuation: Valuation, n: int) -> tuple[Fraction, Fraction]:
+    """Certified sandwich ``(v, m * v)`` around the maximin share over n
+    parts, where v is the n-th largest value of an item feasible alone
+    (0 when fewer than n are) and m the item count.
+
+    Lower: the top n such items, one per part, give every part at least
+    v.  Upper: in any partition some part holds none of the top n - 1
+    such items, so each of its items is worth at most v alone, and an
+    item infeasible alone adds nothing to any set (heredity); the part
+    is worth at most m * v.  Charges no query.
+    """
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    alone = sorted(compress(valuation.values, feasible_alone(spec)), reverse=True)
+    nth = alone[n - 1] if n <= len(alone) else Fraction(0)
+    return nth, spec.num_items * nth

@@ -1,6 +1,6 @@
 """Hereditary set systems over a dense ground set of items 0..m-1.
 
-Two concrete families sit behind one feasibility interface:
+Two concrete families:
 
 * ``ExplicitMaximal`` -- the downward closure of an antichain of maximal
   sets.  A set is feasible iff it is contained in some listed maximal set.
@@ -92,24 +92,15 @@ def coerce_items(spec: SetSystemSpec, items: Iterable[int]) -> frozenset[int]:
     return _item_set(items, spec.num_items)
 
 
-def is_feasible(spec: SetSystemSpec, items: Iterable[int]) -> bool:
-    """Feasibility query.  The empty set is always feasible.
-
-    Downward closed: a true answer for a set implies true for all of its
-    subsets.
-    """
-    s = coerce_items(spec, items)
-    if not s:
-        return True
+def feasible_alone(spec: SetSystemSpec) -> tuple[bool, ...]:
+    """Per item, whether the item alone is feasible: its class has a
+    positive cap, or some maximal set lists it.  By heredity an item that
+    is not feasible alone lies in no feasible set, so it adds nothing to
+    any set's value."""
     if isinstance(spec, Capacity):
-        used = [0] * len(spec.caps)
-        for j in s:
-            c = spec.class_of[j]
-            used[c] += 1
-            if used[c] > spec.caps[c]:
-                return False
-        return True
-    return any(s <= maximal for maximal in spec.maximal_sets)
+        return tuple(spec.caps[c] > 0 for c in spec.class_of)
+    covered = frozenset().union(*spec.maximal_sets)
+    return tuple(j in covered for j in range(spec.num_items))
 
 
 def equivalence_classes(
@@ -125,21 +116,15 @@ def equivalence_classes(
     which is what lets subset searches enumerate multisets over blocks
     instead of raw subsets.
 
-    ``item_values`` holds one row per agent; rows shared between agents
-    (identical-agent instances) are deduplicated by object identity.
-    Items are grouped on integer keys: each unique row is scaled by the
-    lcm of its denominators (``scale_row``), which maps equal values, and
-    only those, to equal integers.
+    ``item_values`` holds one row per value group (the representatives of
+    ``valuation.value_groups``).  Items are grouped on integer keys: each
+    row is scaled by the lcm of its denominators (``scale_row``), which
+    maps equal values, and only those, to equal integers.
     """
     m = spec.num_items
-    unique_rows: list[Sequence[Fraction]] = []
-    seen: set[int] = set()
     for row in item_values:
         if len(row) != m:
             raise InputError(f"value row has {len(row)} entries, expected {m}")
-        if id(row) not in seen:
-            seen.add(id(row))
-            unique_rows.append(row)
 
     if isinstance(spec, Capacity):
         feas_key = spec.class_of
@@ -151,7 +136,7 @@ def equivalence_classes(
                 masks[j] |= bit
         feas_key = masks
 
-    int_rows = [scale_row(row)[1] for row in unique_rows]
+    int_rows = [scale_row(row)[1] for row in item_values]
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, key in enumerate(zip(feas_key, *int_rows)):
         groups.setdefault(key, []).append(j)

@@ -34,8 +34,6 @@ from .errors import InputError
 from .rationals import parse_rational, scale_row
 from .setsystem import Capacity, ExplicitMaximal, SetSystemSpec, coerce_items
 
-ZERO = Fraction(0)
-
 
 class Valuation:
     """Item values plus a valuation-query counter, which this module's
@@ -187,6 +185,22 @@ def bundle_value(spec: SetSystemSpec, valuation: Valuation, items: Iterable[int]
     return Fraction(value_of((1 << len(listed)) - 1), scale)
 
 
+def value_groups(valuations: Iterable[Valuation]) -> tuple[list[Valuation], list[int]]:
+    """``(reps, group_of)``: agents sharing one value row object form a
+    value group (identical agents share one row, ``Valuation._wrap``).
+    ``reps[g]`` is group g's first agent's valuation and ``group_of[i]``
+    agent i's group, so groups are numbered by first appearance."""
+    reps: list[Valuation] = []
+    group_of: list[int] = []
+    index: dict[int, int] = {}
+    for val in valuations:
+        g = index.setdefault(id(val.values), len(reps))
+        if g == len(reps):
+            reps.append(val)
+        group_of.append(g)
+    return reps, group_of
+
+
 class BlockTable:
     """Values of multisets of block counts, per value group.
 
@@ -195,10 +209,10 @@ class BlockTable:
     cut down to some items; empty ones are dropped).  Items in one block
     carry identical value for every agent and an identical feasibility
     role, so a multiset of block counts is worth what ``bundle_value``
-    gives any set realizing it.  Agents sharing one value row form a
-    group, and ``reps[g]`` is group g's representative valuation: every
-    value this kernel returns for group g, here or in ``RunningValues``,
-    charges one query on it.
+    gives any set realizing it.  ``reps`` and ``group_of`` are the
+    agents' ``value_groups``: ``reps[g]`` is group g's representative
+    valuation, and every value this kernel returns for group g, here or
+    in ``RunningValues``, charges one query on it.
 
     ``val[g]`` holds group g's block values as integers over the group's
     scale ``scale[g]`` (L_g, the lcm of the row's denominators), and
@@ -224,20 +238,12 @@ class BlockTable:
     def __init__(
         self,
         spec: SetSystemSpec,
-        valuations: Sequence[Valuation],
+        reps: Sequence[Valuation],
+        group_of: Sequence[int],
         blocks: Iterable[frozenset[int]],
     ):
-        self.group_of: list[int] = []
-        self.reps: list[Valuation] = []
-        seen: dict[int, int] = {}
-        for val in valuations:
-            g = seen.get(id(val.values))
-            if g is None:
-                g = len(self.reps)
-                seen[id(val.values)] = g
-                self.reps.append(val)
-            self.group_of.append(g)
-
+        self.reps = reps
+        self.group_of = group_of
         self.block_items: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(b)) for b in blocks if b
         )
@@ -471,12 +477,3 @@ class RunningValues:
             if hit < 0:
                 hit = s - vrow[b] * k
         return max(hit, 0)
-
-
-def nth_value(valuation: Valuation, n: int) -> Fraction:
-    """The ``n``-th largest item value (order statistic); 0 when n > m."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if n > valuation.num_items:
-        return ZERO
-    return sorted(valuation.values, reverse=True)[n - 1]

@@ -1,5 +1,6 @@
 """Shared test helpers: independent brute-force oracles, seeded suites,
-and the helpers only tests need (``minimal_set``, ``normalize_to_partition``,
+and the helpers only tests need (``is_feasible``, ``replicate_agents``,
+``nth_value``, ``minimal_set``, ``normalize_to_partition``,
 ``round_query_bound``).
 
 The oracles here deliberately avoid the production evaluation paths:
@@ -28,17 +29,57 @@ from fairdiv import (
     bundle_value,
     equivalence_classes,
     explicit_maximal,
-    is_feasible,
     mms_exact,
     random_instance,
 )
 from fairdiv.allocator import _block_table, _minimal_set_scan, _Pool, _Roster
 from fairdiv.setsystem import coerce_items
-from fairdiv.valuation import BlockTable
+from fairdiv.valuation import BlockTable, value_groups
 
 FAMILIES = ("capacity", "explicit-antichain", "free")
 EXPLICIT_EXPANSION_CAP = 200_000
 ZERO = Fraction(0)
+
+
+def is_feasible(spec, items) -> bool:
+    """Feasibility query.  The empty set is always feasible; an item id
+    outside the ground set is an ``InputError``."""
+    s = coerce_items(spec, items)
+    if not s:
+        return True
+    if isinstance(spec, Capacity):
+        used = [0] * len(spec.caps)
+        for j in s:
+            c = spec.class_of[j]
+            used[c] += 1
+            if used[c] > spec.caps[c]:
+                return False
+        return True
+    return any(s <= maximal for maximal in spec.maximal_sets)
+
+
+def replicate_agents(instance: Instance, n: int) -> Instance:
+    """Clone a single-agent template into n identical agents, which share
+    the template's one value row."""
+    if instance.n != 1:
+        raise InputError("replicate_agents expects a single-agent template")
+    row = instance.valuations[0].values
+    return Instance(
+        name=instance.name,
+        n=n,
+        spec=instance.spec,
+        valuations=tuple(Valuation._wrap(row) for _ in range(n)),
+        seed=instance.seed,
+    )
+
+
+def nth_value(valuation, n: int) -> Fraction:
+    """The ``n``-th largest item value (order statistic); 0 when n > m."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    if n > valuation.num_items:
+        return ZERO
+    return sorted(valuation.values, reverse=True)[n - 1]
 
 
 def table1_labels(instance: Instance) -> list[str]:
@@ -399,8 +440,9 @@ def minimal_set(spec, valuations, items, thresholds):
     assert all(t > 0 for t in thr)
     vals = [valuations[a] for a in agents]
     keep = frozenset(items)
-    blocks = [b & keep for b in equivalence_classes(spec, [val.values for val in vals])]
-    table = BlockTable(spec, vals, blocks)
+    reps, group_of = value_groups(vals)
+    blocks = [b & keep for b in equivalence_classes(spec, [rep.values for rep in reps])]
+    table = BlockTable(spec, reps, group_of, blocks)
     roster = _Roster(table.group_of, table.scale, thr, range(len(agents)))
     found = _minimal_set_scan(table, _Pool(table), roster)
     if found is None:
@@ -443,13 +485,13 @@ def reference_allocate_from_estimates(instance, mu, alpha):
     from fairdiv.allocator import MINIMAL, PHASE, ZERO_ESTIMATE
 
     spec, valuations = instance.spec, instance.valuations
-    thresholds = [alpha * entry for entry in mu.mu]
+    thresholds = [alpha * entry for entry in mu]
     events = [
         (ZERO_ESTIMATE, 0, agent, (), ZERO, ZERO)
         for agent in range(instance.n)
-        if mu.mu[agent] == 0
+        if mu[agent] == 0
     ]
-    agents = [agent for agent in range(instance.n) if mu.mu[agent]]
+    agents = [agent for agent in range(instance.n) if mu[agent]]
     pool = list(range(instance.num_items))
 
     def grant(kind, agent, bundle, value):

@@ -20,7 +20,6 @@ from fairdiv import (
     fair_divide,
     iteration_bound,
     mms_exact,
-    nth_value,
     random_instance,
     RunStats,
     serialize_allocation,
@@ -32,6 +31,7 @@ from support import (
     brute_bundle_value,
     iter_suite,
     normalized_by_witnesses,
+    nth_value,
     random_subset,
     round_query_bound,
 )
@@ -185,8 +185,8 @@ def test_criterion_7_complexity_instrumentation(driver_suite):
     _, records = driver_suite
     worst = 0.0
     for inst, _, _, stats, queries, _ in records:
-        assert stats.iterations <= iteration_bound(inst.n, inst.num_items, DELTA)
-        bound = stats.iterations * round_query_bound(inst)
+        assert len(stats.rounds) <= iteration_bound(inst.n, inst.num_items, DELTA)
+        bound = len(stats.rounds) * round_query_bound(inst)
         assert queries <= bound
         worst = max(worst, queries / bound)
     print(

@@ -11,7 +11,6 @@ import pytest
 from fairdiv import (
     Allocation,
     DeskCapError,
-    EstimateVector,
     InputError,
     Instance,
     ParseError,
@@ -28,7 +27,6 @@ from fairdiv import (
     iteration_bound,
     mms_exact,
     random_instance,
-    replicate_agents,
     serialize_allocation,
     table1_instance,
     verify_allocation,
@@ -41,6 +39,7 @@ from fairdiv.valuation import RunningValues as _RunningValues
 from support import (
     FAMILIES,
     brute_bundle_value,
+    is_feasible,
     iter_suite,
     minimal_set,
     normalized_by_witnesses,
@@ -48,6 +47,7 @@ from support import (
     reference_allocate_naive,
     reference_minimal_set,
     reference_pick,
+    replicate_agents,
     round_query_bound,
     table1_labels,
     value_of_subset,
@@ -105,6 +105,8 @@ def test_naive_desk_cap():
         allocate_naive(inst, Fraction(1))
     with pytest.raises(InputError, match="max_items must be nonnegative, got -1"):
         allocate_naive(inst, Fraction(1), max_items=-1)
+    with pytest.raises(InputError, match="alpha must be positive, got 0"):
+        allocate_naive(inst, Fraction(0))
     # pruning admits large instances whose items collapse into few blocks
     allocate_naive(table1_instance(330), UPPER_ALPHA)
 
@@ -210,13 +212,12 @@ def test_every_fair_divide_round_matches_the_literal_run():
         stats = RunStats()
         fair_divide(inst, ALPHA, DELTA, stats=stats)
         for mu, stranded in stats.rounds:
-            estimates = EstimateVector(mu)
-            fast = allocate_from_estimates(inst, estimates, ALPHA)
-            events, unallocated = reference_allocate_from_estimates(inst, estimates, ALPHA)
+            fast = allocate_from_estimates(inst, mu, ALPHA)
+            events, unallocated = reference_allocate_from_estimates(inst, mu, ALPHA)
             got = [(e.kind, e.phase, e.agent, e.bundle, e.value, e.threshold) for e in fast.trace]
             assert got == events, (inst.name, mu)
             assert fast.unallocated_agents == unallocated == stranded
-        rounds += stats.iterations
+        rounds += len(stats.rounds)
     assert rounds > 150
 
 
@@ -512,7 +513,7 @@ def test_scan_queries_stay_within_the_bound(monkeypatch, table1):
         for seed, m, n in ((0, 12, 4), (1, 24, 5), (2, 40, 6), (3, 60, 8)):
             fair_divide(random_instance(seed, m, n, family), ALPHA, DELTA)
         fair_divide(replicate_agents(random_instance(0, 60, 1, family), 3), ALPHA, DELTA)
-    allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
+    allocate_from_estimates(table1, (Fraction(1),) * table1.n, UPPER_ALPHA)
     assert len(ratios) > 1000
     print(f"worst scan queries/bound over {len(ratios)} scans: {max(ratios):.3f}")
 
@@ -562,7 +563,7 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
             reads.clear()
             fair_divide(random_instance(seed, m, n, family), ALPHA, DELTA)
     reads.clear()
-    allocate_from_estimates(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
+    allocate_from_estimates(table1, (Fraction(1),) * table1.n, UPPER_ALPHA)
     reads.clear()
     gate_reads.clear()
     allocate_naive(table1, UPPER_ALPHA)
@@ -603,7 +604,7 @@ def test_warmed_table_replays_a_fresh_one(monkeypatch):
 
 
 def test_estimates_footnote(footnote2):
-    mu = EstimateVector((Fraction(6), Fraction(6)))
+    mu = (Fraction(6), Fraction(6))
     alloc = allocate_from_estimates(footnote2, mu, ALPHA)
     assert [(e.phase, e.agent, e.bundle, e.value) for e in alloc.trace] == [
         (1, 0, (0,), Fraction(3)),
@@ -621,7 +622,7 @@ def test_estimates_no_items():
         spec=spec,
         valuations=(Valuation([]), Valuation([])),
     )
-    alloc = allocate_from_estimates(inst, EstimateVector((Fraction(1), Fraction(1))), ALPHA)
+    alloc = allocate_from_estimates(inst, (Fraction(1), Fraction(1)), ALPHA)
     assert alloc.unallocated_agents == frozenset({0, 1})
     assert alloc.trace == ()
 
@@ -636,14 +637,14 @@ def test_estimates_no_items():
 )
 def test_estimates_reject_bad_estimate_vectors(footnote2, mu, message):
     with pytest.raises(InputError, match=message):
-        allocate_from_estimates(footnote2, EstimateVector(mu), ALPHA)
+        allocate_from_estimates(footnote2, mu, ALPHA)
 
 
 def test_estimates_thresholds_vary_within_identical_agents(footnote2):
     """Identical valuations with different estimates qualify independently.
     With the shared row (2, 3, 3), item 0 meets only agent 1's need, so
     the pick steps past agent 0, the group's least index."""
-    mu = EstimateVector((Fraction(6), Fraction(3)))
+    mu = (Fraction(6), Fraction(3))
     alloc = allocate_from_estimates(footnote2, mu, ALPHA)
     assert [(e.phase, e.agent, e.bundle, e.threshold) for e in alloc.trace] == [
         (1, 0, (0,), Fraction(11, 5)),
@@ -662,7 +663,7 @@ def test_estimates_thresholds_vary_within_identical_agents(footnote2):
 
 
 def test_estimates_zero_mu_grants_empty_bundle(footnote2):
-    mu = EstimateVector((Fraction(0), Fraction(6)))
+    mu = (Fraction(0), Fraction(6))
     alloc = allocate_from_estimates(footnote2, mu, ALPHA)
     assert alloc.bundles[0] == frozenset()
     assert alloc.trace[0].kind == "zero-estimate"
@@ -672,7 +673,7 @@ def test_estimates_zero_mu_grants_empty_bundle(footnote2):
 
 def test_estimates_matches_naive_on_adversarial_instance(table1):
     naive = allocate_naive(table1, UPPER_ALPHA)
-    mu = EstimateVector((Fraction(1),) * table1.n)
+    mu = (Fraction(1),) * table1.n
     fast = allocate_from_estimates(table1, mu, UPPER_ALPHA)
     assert set(naive.bundles) == set(fast.bundles)
     assert naive.unallocated_agents == fast.unallocated_agents
@@ -692,7 +693,7 @@ def test_table1_query_counts_are_pinned(table1):
         run()
         return sum(val.query_count for val in table1.valuations) - before
 
-    mu = EstimateVector((Fraction(1),) * table1.n)
+    mu = (Fraction(1),) * table1.n
     assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 4321
     assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 29
 
@@ -701,7 +702,7 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
     """Block-count values in the trace agree with the integer item-set
     evaluator and the ``Fraction`` oracle on 14190 items, far beyond
     what a brute-force test can reach."""
-    mu = EstimateVector((Fraction(1),) * table1.n)
+    mu = (Fraction(1),) * table1.n
     alloc = allocate_from_estimates(table1, mu, UPPER_ALPHA)
     assert len(alloc.trace) == 329
     for event in alloc.trace:
@@ -761,7 +762,7 @@ def test_fair_divide_cost_model_is_pinned(family, m, n, queries, digest):
 def test_estimates_table1_at_n3300():
     """Table 1 at ten times the base multiple strands exactly ten agents."""
     inst = table1_instance(3300)
-    alloc = allocate_from_estimates(inst, EstimateVector((Fraction(1),) * inst.n), UPPER_ALPHA)
+    alloc = allocate_from_estimates(inst, (Fraction(1),) * inst.n, UPPER_ALPHA)
     assert len(alloc.unallocated_agents) == 10
     phase = Counter(e.phase for e in alloc.trace if e.kind == "phase")
     minimal = Counter(e.phase for e in alloc.trace if e.kind == "minimal")
@@ -784,7 +785,7 @@ def test_estimates_matches_naive_when_all_bundles_small():
         naive = allocate_naive(inst, alpha)
         if any(e.phase > 3 for e in naive.trace):
             continue
-        mu = EstimateVector((Fraction(1),) * inst.n)
+        mu = (Fraction(1),) * inst.n
         fast = allocate_from_estimates(inst, mu, alpha)
         assert fast.trace == naive.trace
         assert fast.unallocated_agents == naive.unallocated_agents
@@ -799,8 +800,6 @@ def test_trace_invariants():
     bundle always contains either a removable item or a smaller subset
     that would have qualified in an earlier phase.
     """
-    from fairdiv import is_feasible
-
     for inst in iter_suite(20, base_seed=7500):
         alloc, _ = fair_divide(inst, ALPHA, DELTA)
         seen: set[int] = set()
@@ -850,9 +849,9 @@ def test_naive_phase_soundness_replay():
 def test_fair_divide_footnote(footnote2):
     stats = RunStats()
     alloc, estimates = fair_divide(footnote2, ALPHA, DELTA, stats=stats)
-    assert stats.iterations == 1
+    assert len(stats.rounds) == 1
     assert alloc.bundles == {0: frozenset({0}), 1: frozenset({1, 2})}
-    assert estimates.mu == (Fraction(6), Fraction(6))
+    assert estimates == (Fraction(6), Fraction(6))
     floor = (1 - DELTA) * ALPHA * 3  # exact share is 3 for both agents
     assert floor == Fraction(33, 32)
     for agent, bundle in alloc.bundles.items():
@@ -864,7 +863,7 @@ def test_fair_divide_single_agent_single_item():
     inst = Instance(name="one", n=1, spec=spec, valuations=(Valuation([Fraction(7, 2)]),))
     alloc, estimates = fair_divide(inst, ALPHA, DELTA)
     assert alloc.bundles == {0: frozenset({0})}
-    assert estimates.mu == (Fraction(7, 2),)
+    assert estimates == (Fraction(7, 2),)
 
 
 def test_fair_divide_all_zero_values():
@@ -876,7 +875,7 @@ def test_fair_divide_all_zero_values():
         valuations=(Valuation([0, 0]), Valuation([0, 0])),
     )
     alloc, estimates = fair_divide(inst, ALPHA, DELTA)
-    assert estimates.mu == (Fraction(0), Fraction(0))
+    assert estimates == (Fraction(0), Fraction(0))
     assert alloc.bundles == {0: frozenset(), 1: frozenset()}
     assert not alloc.unallocated_agents
 
@@ -891,16 +890,19 @@ def test_fair_divide_all_zero_values():
 )
 def test_fair_divide_bounds_each_value_row_once(monkeypatch, instance, calls):
     """Agents sharing one value row share its starting estimate, which is
-    still each agent's ``mms_bounds(val, n).upper``."""
+    still the upper end of each agent's ``mms_bounds(spec, val, n)``."""
     bounds = fairdiv.allocator.mms_bounds
     seen = []
     monkeypatch.setattr(
-        fairdiv.allocator, "mms_bounds", lambda val, n: seen.append(val) or bounds(val, n)
+        fairdiv.allocator,
+        "mms_bounds",
+        lambda spec, val, n: seen.append(val) or bounds(spec, val, n),
     )
     stats = RunStats()
     fair_divide(instance, ALPHA, DELTA, stats=stats)
     assert len(seen) == calls
-    assert stats.rounds[0][0] == tuple(bounds(val, instance.n).upper for val in instance.valuations)
+    uppers = tuple(bounds(instance.spec, val, instance.n)[1] for val in instance.valuations)
+    assert stats.rounds[0][0] == uppers
 
 
 def test_fair_divide_validates_delta(footnote2):
@@ -962,8 +964,8 @@ def test_fair_divide_iteration_and_query_budget(monkeypatch, table1):
     for inst in iter_suite(25, base_seed=10_000):
         stats = RunStats()
         fair_divide(inst, ALPHA, DELTA, stats=stats)
-        assert stats.iterations <= iteration_bound(inst.n, inst.num_items, DELTA)
-    bounded_round(table1, EstimateVector((Fraction(1),) * table1.n), UPPER_ALPHA)
+        assert len(stats.rounds) <= iteration_bound(inst.n, inst.num_items, DELTA)
+    bounded_round(table1, (Fraction(1),) * table1.n, UPPER_ALPHA)
     assert len(ratios) > 25
     print(f"worst queries/round bound: {max(ratios):.3f}")
 
@@ -975,7 +977,7 @@ def test_run_stats_count_each_rounds_queries(table1):
     for inst in [*iter_suite(12, base_seed=10_500), random_instance(0, 24, 5, "capacity")]:
         stats = RunStats()
         fair_divide(inst, ALPHA, DELTA, stats=stats)
-        assert len(stats.queries) == stats.iterations
+        assert len(stats.queries) == len(stats.rounds)
         assert sum(stats.queries) == sum(val.query_count for val in inst.valuations)
         assert max(stats.queries) <= round_query_bound(inst)
 

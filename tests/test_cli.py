@@ -17,12 +17,12 @@ from fairdiv import (
     parse_allocation,
     parse_instance,
     random_instance,
-    replicate_agents,
     serialize_instance,
     table1_instance,
 )
 from fairdiv.cli import main
 from fairdiv.instances import MAX_AGENTS
+from support import replicate_agents
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +156,35 @@ def test_mms_falls_back_to_bounds_over_cap(tmp_path, capsys):
     assert doc["mode"] == "bounds"
     assert doc["lower"] == "40/107"
     assert doc["upper"] == "567600/107"
+
+
+@pytest.mark.parametrize(
+    "set_system",
+    [
+        {"type": "capacity", "caps": [0, 1], "class_of": [0, 0, 0, 1]},
+        {"type": "explicit", "maximal_sets": []},
+        {"type": "explicit", "maximal_sets": [[]]},
+    ],
+    ids=["cap-0", "no-sets", "empty-set"],
+)
+def test_items_infeasible_alone_solve_and_verify(tmp_path, capsys, set_system):
+    """Items that no feasible set holds are worth 0 everywhere: the share
+    bounds skip them and contain the exact share, so ``fair_divide``
+    starts at a certified bound, converges and passes exact-mms verify."""
+    values = [["5", "5", "5", "1"]]
+    doc = {"name": "degenerate", "n": 2, "set_system": set_system, "valuations": values}
+    inst_path, alloc_path = tmp_path / "z.json", tmp_path / "za.json"
+    inst_path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "solve", str(inst_path), "-o", str(alloc_path))[0] == 0
+    code, out, _ = run_cli(
+        capsys, "verify", str(alloc_path), str(inst_path), "--floor-mode", "exact-mms"
+    )
+    assert (code, json.loads(out)["ok"]) == (0, True)
+    exact = json.loads(run_cli(capsys, "mms", str(inst_path))[1])
+    bounds = json.loads(run_cli(capsys, "mms", str(inst_path), "--cap", "0")[1])
+    assert bounds["mode"] == "bounds"
+    value, lower, upper = (Fraction(x) for x in (exact["value"], bounds["lower"], bounds["upper"]))
+    assert lower <= value <= upper
 
 
 def test_solve_verify_loop(tmp_path, capsys):

@@ -11,19 +11,17 @@ from fairdiv import (
     Valuation,
     bundle_value,
     footnote_instance,
-    is_feasible,
     parse_allocation,
     parse_instance,
     parse_rational,
     random_instance,
-    replicate_agents,
     serialize_allocation,
     serialize_instance,
     table1_instance,
 )
-from fairdiv import Allocation, EstimateVector, TraceEvent, allocate_from_estimates, fair_divide
+from fairdiv import Allocation, TraceEvent, allocate_from_estimates, fair_divide
 from fairdiv.instances import MAX_AGENTS
-from support import table1_labels
+from support import is_feasible, replicate_agents, table1_labels
 
 ALPHA_PRIME = Fraction(40, 107)
 
@@ -220,7 +218,7 @@ def test_allocation_round_trip(table1):
     assert parse_allocation(json.dumps(doc)) == alloc
     del doc["summary"], doc["alpha"]  # both optional
     assert parse_allocation(json.dumps(doc)) == alloc
-    mu, alpha = EstimateVector((Fraction(1),) * 330), ALPHA_PRIME + Fraction(1, 10**7)
+    mu, alpha = (Fraction(1),) * 330, ALPHA_PRIME + Fraction(1, 10**7)
     big = allocate_from_estimates(table1, mu, alpha)
     assert parse_allocation(serialize_allocation(big, alpha=alpha)) == big
 

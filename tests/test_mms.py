@@ -15,10 +15,9 @@ from fairdiv import (
     format_rational,
     mms_bounds,
     mms_exact,
-    nth_value,
     random_instance,
 )
-from support import brute_mms, iter_suite, normalize_to_partition, reference_mms_exact
+from support import brute_mms, iter_suite, normalize_to_partition, nth_value, reference_mms_exact
 
 # sha256 over (value, witness) of mms_exact on iter_suite(60, base_seed=7000),
 # every agent, n and n + 1 parts; recorded with the frozenset/Fraction
@@ -69,7 +68,7 @@ def test_desk_cap():
     "call",
     [
         lambda inst: mms_exact(inst.spec, inst.valuations[0], 0),
-        lambda inst: mms_bounds(inst.valuations[0], 0),
+        lambda inst: mms_bounds(inst.spec, inst.valuations[0], 0),
     ],
     ids=["exact", "bounds"],
 )
@@ -80,32 +79,45 @@ def test_no_parts_is_rejected(call):
 
 def test_bounds_footnote():
     inst = footnote_instance()
-    result = mms_bounds(inst.valuations[0], 2)
-    assert (result.lower, result.upper) == (2, 6)
-    assert result.lower <= mms_exact(inst.spec, inst.valuations[0], 2).value <= result.upper
+    lower, upper = mms_bounds(inst.spec, inst.valuations[0], 2)
+    assert (lower, upper) == (2, 6)
+    assert lower <= mms_exact(inst.spec, inst.valuations[0], 2).value <= upper
 
 
 def test_bounds_more_parts_than_items():
     inst = footnote_instance()
-    result = mms_bounds(inst.valuations[0], 5)
-    assert (result.lower, result.upper) == (0, 0)
+    assert mms_bounds(inst.spec, inst.valuations[0], 5) == (0, 0)
 
 
 def test_bounds_read_the_item_count_off_the_valuation():
-    val = random_instance(0, 10, 3, "capacity").valuations[0]
-    assert mms_bounds(val, 3).upper == 10 * nth_value(val, 3) == 30
+    inst = random_instance(0, 10, 3, "capacity")
+    val = inst.valuations[0]
+    assert mms_bounds(inst.spec, val, 3)[1] == 10 * nth_value(val, 3) == 30
+
+
+# Specs with items that are not feasible alone: a class of cap 0, no
+# maximal set, only the empty maximal set, and items no maximal set lists.
+# Each such item is worth 0 in every bundle, so the bounds skip it.
+_DEGENERATE = (
+    (capacity([0, 0, 0, 1], [0, 1]), Valuation(["5", "5", "5", "1"]), 2),
+    (explicit_maximal(4, []), Valuation(["5", "5", "5", "1"]), 2),
+    (explicit_maximal(4, [[]]), Valuation(["5", "5", "5", "1"]), 2),
+    (explicit_maximal(5, [[0, 1], [1, 2]]), Valuation([1, 1, 1, 9, 9]), 2),
+)
 
 
 def test_witness_validity_and_sandwich():
-    for inst in iter_suite(40, base_seed=3000):
-        for val in inst.valuations:
-            exact = mms_exact(inst.spec, val, inst.n)
-            worst = min(
-                bundle_value(inst.spec, val, part) for part in exact.witness
-            )
-            assert worst == exact.value
-            bounds = mms_bounds(val, inst.n)
-            assert bounds.lower <= exact.value <= bounds.upper
+    suite = [
+        (inst.spec, val, inst.n)
+        for inst in iter_suite(40, base_seed=3000)
+        for val in inst.valuations
+    ]
+    for spec, val, n in suite + list(_DEGENERATE):
+        exact = mms_exact(spec, val, n)
+        worst = min(bundle_value(spec, val, part) for part in exact.witness)
+        assert worst == exact.value
+        lower, upper = mms_bounds(spec, val, n)
+        assert lower <= exact.value <= upper
 
 
 def test_matches_independent_enumeration():

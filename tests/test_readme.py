@@ -11,9 +11,9 @@ from fairdiv import (
     mms_exact,
     parse_instance,
     random_instance,
-    replicate_agents,
 )
 from fairdiv.cli import main
+from support import replicate_agents
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -12,7 +12,6 @@ from fairdiv import (
     equivalence_classes,
     explicit_maximal,
     footnote_instance,
-    is_feasible,
     parse_instance,
     random_instance,
     serialize_instance,
@@ -21,6 +20,7 @@ from fairdiv import (
 from support import (
     FAMILIES,
     capacity_as_explicit,
+    is_feasible,
     random_subset,
     reference_equivalence_classes,
     table1_labels,

@@ -10,7 +10,6 @@ from fairdiv import (
     capacity,
     explicit_maximal,
     footnote_instance,
-    nth_value,
     random_instance,
     table1_instance,
 )
@@ -18,6 +17,7 @@ from support import (
     FAMILIES,
     brute_bundle_value,
     normalize_to_partition,
+    nth_value,
     random_subset,
     table1_labels,
     value_of_subset,
