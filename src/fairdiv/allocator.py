@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
-from .rationals import format_rational
+from .rationals import check_parameters, format_rational
 from .setsystem import SetSystemSpec, equivalence_classes
 from .valuation import BlockTable, RunningValues, Valuation, bundle_value, value_groups
 
@@ -135,21 +135,6 @@ class RunStats:
 
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
     queries: list[int] = field(default_factory=list)
-
-
-def check_parameters(
-    alpha: Fraction | None = None,
-    delta: Fraction | None = None,
-    max_items: int | None = None,
-) -> None:
-    """Reject alpha <= 0, delta outside (0, 1) and max_items < 0; every
-    entry point that takes one of these parameters checks it here."""
-    if alpha is not None and alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
-    if delta is not None and not 0 < delta < 1:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
-    if max_items is not None and max_items < 0:
-        raise InputError(f"max_items must be nonnegative, got {max_items}")
 
 
 def _block_table(spec: SetSystemSpec, valuations: Sequence[Valuation]) -> BlockTable:
@@ -602,8 +587,7 @@ def allocate_from_estimates(
     if len(mu) != n:
         raise InputError(f"estimate vector has {len(mu)} entries, expected {n}")
     for i, entry in enumerate(mu):
-        if entry < 0:
-            raise InputError(f"estimate for agent {i} is negative: {entry}")
+        check_parameters(i, estimate=entry)
 
     table = _block_table(instance.spec, instance.valuations) if _table is None else _table
     pool = _Pool(table)
@@ -815,6 +799,8 @@ def verify_allocation(
     outside = sorted(agent for agent in floors if not 0 <= agent < instance.n)
     if outside:
         raise InputError(f"floors for agents {outside} outside [0, {instance.n})")
+    for agent, floor in floors.items():
+        check_parameters(agent, floor=floor)
     violations: list[Violation] = []
     owner: dict[int, int] = {}
     bundles = allocation.bundles

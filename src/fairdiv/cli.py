@@ -4,12 +4,11 @@ Exit codes: 0 success, 1 verification/reproduction failure, 2 usage,
 input or file error (``InputError``, ``OSError``), 3 desk-cap exceeded
 (``DeskCapError``), 4 internal error (any other ``FairdivError``: a
 solver invariant failed, such as ``fair_divide`` not converging within
-its round bound at alpha <= 11/30).  The rational flags ``--alpha``, ``--delta``
-and ``--epsilon`` and the desk caps are parsed and range-checked once,
-before a command runs.  All numeric output is rendered as reduced
-fractions; ``mms`` and ``repro-upper-bound`` take ``--decimal`` to add
-float approximations for reading convenience, which never feed back
-into any computation.
+its round bound at alpha <= 11/30).  Every flag is parsed and checked, by the
+library's own rule where it has one, before a command runs.  All numeric
+output is in reduced fractions; ``mms`` and ``repro-upper-bound`` take
+``--decimal`` to add float approximations for reading convenience, which
+never feed back into any computation.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ from .instances import (
     table1_instance,
 )
 from .mms import DEFAULT_MMS_CAP, mms_bounds, mms_exact
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parameter_fault, parse_rational
 from .valuation import value_groups
 
 EXIT_OK = 0
@@ -135,11 +134,10 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
-    """Replace each rational flag's text by its value, then range-check
-    alpha, delta, the desk caps, the alpha 40/107 + epsilon that epsilon
-    sets and the agent counts ``--n`` and ``--agents``, which a document
-    holds from 1 to ``MAX_AGENTS``; a bad spelling or a value out of its
-    range is a ``ParseError`` at the flag's full name."""
+    """Parse each rational flag, then check the agent counts against a
+    document's 1 to ``MAX_AGENTS``, each flag by its ``rationals`` rule (table1's
+    ``--n`` in 330s) and the alpha 40/107 + epsilon.  A fault is a ``ParseError``
+    at the flag's full name."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
@@ -148,20 +146,18 @@ def _parse_rational_flags(args: argparse.Namespace) -> None:
                 raise ParseError(str(exc), location=f"--{flag}") from None
     for flag in ("n", "agents"):
         count = getattr(args, flag, None)
-        if count is not None and not 1 <= count <= MAX_AGENTS:
-            bound = "at least 1" if count < 1 else f"at most {MAX_AGENTS}"
+        if count is not None and (count > MAX_AGENTS or parameter_fault("n", count)):
+            bound = f"at most {MAX_AGENTS}" if count > MAX_AGENTS else "at least 1"
             raise ParseError(f"must be {bound}, got {count}", location=f"--{flag}")
-    for attr, flag in (("cap", "--cap"), ("naive_cap", "--naive-cap")):
-        cap = getattr(args, attr, None)
-        if cap is not None and cap < 0:
-            raise ParseError(f"must be nonnegative, got {cap}", location=flag)
-    alpha, delta = getattr(args, "alpha", None), getattr(args, "delta", None)
-    if alpha is not None and alpha <= 0:
-        raise ParseError(f"must be positive, got {alpha}", location="--alpha")
-    if delta is not None and not 0 < delta < 1:
-        raise ParseError(f"must lie in (0, 1), got {delta}", location="--delta")
+    rules = {"alpha": "alpha", "delta": "delta", "cap": "max_items", "naive_cap": "max_items",
+             "m": "m", "max_num": "value_bound", "max_den": "value_bound",
+             "n": "n" if getattr(args, "kind", None) == "random" else "table1_n"}
+    for attr, rule in rules.items():
+        value = getattr(args, attr, None)
+        if value is not None and (fault := parameter_fault(rule, value)):
+            raise ParseError(fault, location="--" + attr.replace("_", "-"))
     epsilon = getattr(args, "epsilon", None)
-    if epsilon is not None and UPPER_BOUND_RATIO + epsilon <= 0:
+    if epsilon is not None and parameter_fault("alpha", UPPER_BOUND_RATIO + epsilon):
         raise ParseError(f"40/107 + epsilon must be positive, got {epsilon}", location="--epsilon")
 
 

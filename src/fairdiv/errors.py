@@ -15,7 +15,7 @@ class FairdivError(Exception):
 
 class InputError(FairdivError, ValueError):
     """Malformed or degenerate caller input: unknown item ids, bad sizes,
-    negative values, alpha or delta out of range, no eligible agent."""
+    negative values, an inexact or out-of-range run parameter."""
 
 
 class ParseError(InputError):

@@ -19,7 +19,7 @@ from typing import Any
 
 from .allocator import MINIMAL, PHASE, ZERO_ESTIMATE, Allocation, TraceEvent
 from .errors import InputError, ParseError
-from .rationals import format_rational, parse_rational
+from .rationals import check_parameters, format_rational, parameter_fault, parse_rational
 from .setsystem import Capacity, SetSystemSpec, capacity, explicit_maximal
 from .valuation import Valuation
 
@@ -99,8 +99,8 @@ def table1_instance(n: int) -> Instance:
     330 so all quantities are integers.  Items are laid out class by
     class, A first.
     """
-    if n <= 0 or n % 330:
-        raise InputError(f"agent count must be a positive multiple of 330, got {n}")
+    if fault := parameter_fault("table1_n", n):
+        raise InputError(f"agent count {fault}")
     quantities = (n, n // 3, 2 * n // 3, 2 * n // 3, n // 3, 40 * n)
     class_of = [c for c, count in enumerate(quantities) for _ in range(count)]
     spec = capacity(class_of, [cap for _, cap in _ADVERSARIAL_ROWS])
@@ -129,12 +129,12 @@ def random_instance(
     with capacities of at least one.  Values are uniform positive
     rationals with numerators and denominators bounded by ``value_range``.
     """
-    if m < 0 or n < 1:
+    if parameter_fault("m", m) or parameter_fault("n", n):
         raise InputError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
     if family not in RANDOM_FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {RANDOM_FAMILIES}")
     max_num, max_den = value_range
-    if max_num < 1 or max_den < 1:
+    if parameter_fault("value_bound", max_num) or parameter_fault("value_bound", max_den):
         raise InputError(f"value bounds must be >= 1, got {max_num} and {max_den}")
     rng = random.Random(seed)
     valuations = tuple(
@@ -339,6 +339,7 @@ def _summary(allocation: Allocation, alpha: Fraction | None) -> dict[str, Any]:
 def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
     """Render an allocation document: the trace events, their ``_summary``
     and alpha."""
+    check_parameters(alpha=alpha)
     events = [
         {
             "kind": event.kind,

@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .errors import DeskCapError, InputError
+from .errors import DeskCapError
+from .rationals import check_parameters
 from .setsystem import SetSystemSpec, feasible_alone
 from .valuation import Valuation, item_set_evaluator
 
@@ -75,10 +76,7 @@ def mms_exact(
     scales every value by L; the value ``best / L`` and the frozenset
     parts are built once, on return.  No valuation query is charged.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if max_items < 0:
-        raise InputError(f"max_items must be nonnegative, got {max_items}")
+    check_parameters(n=n, max_items=max_items)
     m = spec.num_items
     if m > max_items:
         raise DeskCapError(f"mms_exact capped at {max_items} items, instance has {m}")
@@ -142,8 +140,7 @@ def mms_bounds(spec: SetSystemSpec, valuation: Valuation, n: int) -> tuple[Fract
     item infeasible alone adds nothing to any set (heredity); the part
     is worth at most m * v.  Charges no query.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_parameters(n=n)
     alone = sorted(compress(valuation.values, feasible_alone(spec)), reverse=True)
     nth = alone[n - 1] if n <= len(alone) else Fraction(0)
     return nth, spec.num_items * nth

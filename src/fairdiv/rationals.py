@@ -8,6 +8,7 @@ coprime.  So every value has exactly one spelling ("1/2", never "2/4",
 "1/-2" or " 1/2"), and decimal notation is rejected so that no value can
 silently lose exactness.  ``scale_row`` maps a row of values to integers
 over the lcm of its denominators, for the code that computes on them.
+``parameter_fault`` holds each run parameter's one rule, for library and CLI.
 """
 from __future__ import annotations
 
@@ -15,11 +16,40 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 _RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+_RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
+    "alpha": ((int, Fraction), lambda v: v > 0, "must be positive"),
+    "delta": ((int, Fraction), lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "estimate": ((int, Fraction), lambda v: v >= 0, "is negative"),
+    "floor": ((int, Fraction), lambda v: True, ""),
+    "max_items": (int, lambda v: v >= 0, "must be nonnegative"),
+    "n": (int, lambda v: v >= 1, "must be >= 1"),
+    "m": (int, lambda v: v >= 0, "must be >= 0"),
+    "value_bound": (int, lambda v: v >= 1, "must be >= 1"),
+    "table1_n": (int, lambda v: v > 0 and v % 330 == 0, "must be a positive multiple of 330"),
+}
+
+
+def parameter_fault(name: str, value: object) -> str | None:
+    """What is wrong with ``value`` as parameter ``name``, or None: its exact
+    types (never a bool, float or str), then its range, by ``_RULES``."""
+    types, holds, fault = _RULES[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        return f"must be {'an int' if types is int else 'an int or a Fraction'}, got {value!r}"
+    return None if holds(value) else f"{fault}, got {value}"
+
+
+def check_parameters(agent: int | None = None, /, **params: object) -> None:
+    """Raise ``InputError`` naming the first of ``params`` with a fault, as agent's if given."""
+    for name, value in params.items():
+        if fault := parameter_fault(name, value):
+            where = name if agent is None else f"{name} for agent {agent}"
+            raise InputError(f"{where} {fault}")
 
 
 def parse_rational(value: str | int) -> Fraction:

@@ -25,6 +25,7 @@ from fairdiv import (
     fair_divide,
     footnote_instance,
     iteration_bound,
+    mms_bounds,
     mms_exact,
     random_instance,
     serialize_allocation,
@@ -638,6 +639,56 @@ def test_estimates_no_items():
 def test_estimates_reject_bad_estimate_vectors(footnote2, mu, message):
     with pytest.raises(InputError, match=message):
         allocate_from_estimates(footnote2, mu, ALPHA)
+
+
+_INEXACT_PARAMETERS = {
+    "fair-divide-float-delta": (lambda inst, a: fair_divide(inst, ALPHA, 0.0625), "delta"),
+    "estimates-float": (
+        lambda inst, a: allocate_from_estimates(inst, (0.5, 0.5), Fraction(1, 3)),
+        "estimate for agent 0",
+    ),
+    "naive-float-alpha": (lambda inst, a: allocate_naive(inst, 0.3), "alpha"),
+    "verify-float-floor": (
+        lambda inst, a: verify_allocation(inst, a, {0: 100.0}),
+        "floor for agent 0",
+    ),
+    "serialize-float-alpha": (lambda inst, a: serialize_allocation(a, alpha=0.5), "alpha"),
+    "bounds-float-n": (lambda inst, a: mms_bounds(inst.spec, inst.valuations[0], 2.0), "n"),
+    "exact-float-n": (lambda inst, a: mms_exact(inst.spec, inst.valuations[0], 2.0), "n"),
+    "fair-divide-str-alpha": (lambda inst, a: fair_divide(inst, "11/30", DELTA), "alpha"),
+    "naive-str-cap": (
+        lambda inst, a: allocate_naive(inst, Fraction(1, 3), max_items="16"),
+        "max_items",
+    ),
+    "iteration-bound-float-delta": (lambda inst, a: iteration_bound(2, 8, 0.0625), "delta"),
+    "naive-bool-alpha": (lambda inst, a: allocate_naive(inst, True), "alpha"),
+    "exact-bool-n": (lambda inst, a: mms_exact(inst.spec, inst.valuations[0], True), "n"),
+    "exact-float-cap": (
+        lambda inst, a: mms_exact(inst.spec, inst.valuations[0], 2, max_items=12.5),
+        "max_items",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, name", _INEXACT_PARAMETERS.values(), ids=list(_INEXACT_PARAMETERS)
+)
+def test_inexact_parameters_are_input_errors(call, name):
+    """A run parameter is an int, or a Fraction where it is rational; a bool,
+    a float or a string is an ``InputError`` that names the parameter."""
+    inst = random_instance(1, 6, 2, "capacity")
+    alloc, _ = fair_divide(inst, ALPHA, DELTA)
+    with pytest.raises(InputError, match=f"^{name} must be an int"):
+        call(inst, alloc)
+
+
+def test_exact_parameters_in_plain_forms_are_accepted():
+    """Ints stand for rationals, and a list serves as the estimate vector."""
+    inst = random_instance(1, 6, 2, "capacity")
+    alloc = allocate_from_estimates(inst, [1, 1], Fraction(1, 3))
+    assert alloc == allocate_from_estimates(inst, (Fraction(1), Fraction(1)), Fraction(1, 3))
+    assert verify_allocation(inst, alloc, {0: 0}).ok
+    assert allocate_naive(inst, 1) == allocate_naive(inst, Fraction(1))
 
 
 def test_estimates_thresholds_vary_within_identical_agents(footnote2):

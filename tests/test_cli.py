@@ -90,8 +90,20 @@ def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag
             "--naive-cap: must be nonnegative, got -3",
         ),
         (("mms", "{fn}", "--agent", "5"), "--agent: must lie in [0, 1), got 5"),
+        (
+            ("gen", "random", "--seed", "1", "--m", "-1", "--n", "2", "-o", "{out}"),
+            "--m: must be >= 0, got -1",
+        ),
+        (
+            ("gen", "table1", "--n", "331", "-o", "{out}"),
+            "--n: must be a positive multiple of 330, got 331",
+        ),
+        (
+            ("repro-upper-bound", "--n", "331", "--trace", "{out}"),
+            "--n: must be a positive multiple of 330, got 331",
+        ),
     ],
-    ids=["mms-cap", "solve-naive-cap", "mms-agent"],
+    ids=["mms-cap", "solve-naive-cap", "mms-agent", "gen-random-m", "gen-table1-n", "repro-n"],
 )
 def test_range_flags_are_located_at_the_flag(tmp_path, capsys, argv, message):
     """A cap or agent index out of range names the flag the user typed,
@@ -110,7 +122,7 @@ def test_gen_random_value_bound_below_one_is_a_usage_error(capsys, bound):
     argv = ("gen", "random", "--seed", "1", "--m", "3", "--n", "2", bound, "0")
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err == f"error: {bound}: must be >= 1, got 0\n"
 
 
 def test_gen_random_deterministic(capsys):
