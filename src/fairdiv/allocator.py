@@ -447,9 +447,10 @@ def _minimal_set_scan(
     the winner's group is fresh.  The winner's ratio is then exact and
     every stale ratio is at least the true one, so no agent's true ratio
     beats it and no earlier agent ties it: the pick is the one-at-a-time
-    pick.  After a removal only the picked group is fresh, and its value
-    is the walk's own ``without`` answer for bstar, which the batch does
-    not change.
+    pick.  After a removal only the picked group is fresh: its value is
+    the answer for the k items the batch took off bstar, the walk's own
+    ``without`` answer when k = 1 and the last passing probe's otherwise,
+    so it is never read again.
 
     Ordered walk: each step walks the pool's blocks in ascending
     (value for the picked agent's group, front item) order and tests
@@ -470,13 +471,44 @@ def _minimal_set_scan(
     bstar's entry by ``bisect_left`` and, if the block keeps items,
     puts it back with ``insort``.
 
-    Batching: a run of removals from one block is collapsed when it
-    provably replays the one-at-a-time scan, which requires (a) the
-    picked group's value does not change, so the pick is stable (its
-    ratio stays and every other ratio can only fall) and previously
-    non-removable blocks stay non-removable (values only shrink with the
-    set), and (b) the block's front index stays below the rival's front,
-    so the scan order cannot switch mid-batch.
+    Batching: each step takes k items off bstar's front at once, for the
+    largest k <= k_bound for which the picked group's value without them,
+    ``without(gj, bstar, k)``, meets the need and, set as the group's
+    value, leaves ``pick`` the pick over the values at hand.  k_bound is
+    the number of bstar's items below its rival's front, or all of them
+    without a rival; k = 1 is always taken, as the one-at-a-time scan
+    takes it.  Both tests hold on a prefix of k: the value only falls as
+    k grows, and a lower value for the picked group leaves every other
+    ratio where it was.  So when the walk's own answer for one item
+    already moves the pick, no larger k is probed.  The batch replays k one-at-a-time steps, since
+    before each removal i < k the scan would pick the same agent and walk
+    to bstar again:
+    (a) stale group values are upper bounds, and the picked group's true
+    value after i removals is at least the k-th one, so ``pick``, which
+    wins with the k-th value against the values at hand, wins against
+    every true ratio, ties by index included: it is the exact pick;
+    (b) dead blocks stay dead, and every block the walk tested before
+    bstar, or between bstar and its rival, failed and so is dead for the
+    pick;
+    (c) k_bound keeps bstar's front below its rival's, so bstar stays
+    first among the live blocks of its value, and bstar stays removable
+    because the value without i + 1 items is at least the k-th, which
+    meets the need.
+    The search (``_batch``) probes k_bound first, then gallops and
+    bisects.  A probe at k + 1 that fails the need is the next
+    step's test of bstar, so it marks bstar dead for the pick.
+
+    Query bound: a scan with G groups in play, B blocks and p items in
+    its pool spends at most G + (G+1)·B + p·(2 + ceil(log2 p) + G): the
+    first values, at most B failed tests per agent picked, and per step
+    at most two passing tests (bstar and its rival), at most G - 1
+    refreshes and the batch's probes.  A step that takes k items stands
+    for k of the p steps the term allows.  At k = 1 its probes number at
+    most 2 (k_bound and 2), and at most 1 when k_bound = 2, so at most
+    ceil(log2 k_bound) <= ceil(log2 p).  At k >= 2 they number at most
+    2 + 2·log2 k <= 2 + 2·ceil(log2 p), so the step's whole cost, at most
+    2 + (G - 1) + 2 + 2·ceil(log2 p), fits the 2·(2 + ceil(log2 p) + G)
+    of two steps.
 
     Removals come off each block's front, so the kept items are the back
     of its window; the scan takes them off the pool and returns (bundle
@@ -537,30 +569,75 @@ def _minimal_set_scan(
             # >= 1: bstar's front precedes its rival's by the walk order
             k_bound = bisect_left(block, rival, start, start + have) - start
 
-        # the picked group's value only falls as k grows, so a batch
-        # needs the one-item answer to keep it
-        k = 1
-        if k_bound > 1 and s_after == group_vals[gj]:
-            lo_k, hi_k = 1, k_bound
-            while lo_k < hi_k:
-                mid = (lo_k + hi_k + 1) // 2
-                if state.without(gj, bstar, mid) == s_after:
-                    lo_k = mid
-                else:
-                    hi_k = mid - 1
-            k = lo_k
-
+        k, s, bstar_dead = 1, s_after, False
+        if k_bound > 1:
+            k, s, bstar_dead = _batch(
+                state, roster, leaders, group_vals, pick, bstar, k_bound, s_after
+            )
         state.change(bstar, -k)
         for g, keyed in orders.items():
             vb = table.val[g][bstar]
             del keyed[bisect_left(keyed, (vb, fstar, bstar))]
             if bstar in local:
                 insort(keyed, (vb, front(bstar), bstar))
-        group_vals[gj] = s_after
+        group_vals[gj] = s
+        if bstar_dead:
+            dead_j.add(bstar)
         fresh = {gj}
 
     bundle = sorted(j for b, k in local.items() for j in pool.take_back(b, k))
     return tuple(bundle), pick, Fraction(group_vals[gj], table.scale[gj])
+
+
+def _batch(
+    state: RunningValues,
+    roster: _Roster,
+    leaders: Sequence[int],
+    group_vals: dict[int, int],
+    pick: int,
+    bstar: int,
+    k_bound: int,
+    s_after: int,
+) -> tuple[int, int, bool]:
+    """(k, value, dead) for one scan step: the largest k in [1, k_bound]
+    whose value, ``state.without(g, bstar, k)`` for the pick's group g,
+    meets the pick's need and, set as g's value in ``group_vals``, leaves
+    ``pick`` the pick; that k's value; and whether the value without
+    k + 1 items was read and fails the need.  ``s_after`` is the value
+    without one item, which the walk read; when it fails the test, k is
+    1 at no query.  ``group_vals[g]`` is left holding the last value
+    tested.
+
+    Otherwise the search probes k_bound first, then gallops 2, 4, 8, ...
+    below it and bisects between the last pass and the first failure.
+    When the result is k, with 2^a <= k the last gallop pass, that is at
+    most 2 + 2a probes, and at most one when k_bound is 2.
+    """
+    g, need = roster.group_of[pick], roster.need[pick]
+    probed = {1: s_after}
+
+    def keeps(k: int) -> bool:
+        if k not in probed:
+            probed[k] = state.without(g, bstar, k)
+        v = group_vals[g] = probed[k]
+        return v >= need and roster.pick(leaders, group_vals) == pick
+
+    lo = 1
+    if keeps(1):
+        if keeps(k_bound):
+            lo = k_bound
+        else:
+            k = 2
+            while k < k_bound and keeps(k):
+                lo, k = k, 2 * k
+            hi = min(k, k_bound)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if keeps(mid):
+                    lo = mid
+                else:
+                    hi = mid
+    return lo, probed[lo], probed.get(lo + 1, need) < need
 
 
 def allocate_from_estimates(

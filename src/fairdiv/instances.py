@@ -237,11 +237,15 @@ def _distinct_ints(value: Any, where: str) -> list[int]:
     return value
 
 
-def _nonnegative(text: Any, what: str, location: str) -> Fraction:
+def _rational(text: Any, location: str) -> Fraction:
     try:
-        value = parse_rational(text)
+        return parse_rational(text)
     except ParseError as exc:
         raise ParseError(str(exc), location=location) from None
+
+
+def _nonnegative(text: Any, what: str, location: str) -> Fraction:
+    value = _rational(text, location)
     if value.numerator < 0:
         raise ParseError(f"{what} must be nonnegative, got {text!r}", location=location)
     return value
@@ -419,10 +423,16 @@ def parse_allocation(text: str) -> Allocation:
 
 
 def _check_summary(doc: dict[str, Any], allocation: Allocation) -> None:
-    """Reject a ``summary`` other than the ``_summary`` of the document's
-    events and ``alpha``, field by field; the ratio is compared by value,
-    so ``"1"`` and ``"1/1"`` agree."""
-    alpha = _nonnegative(doc["alpha"], "alpha", "alpha") if "alpha" in doc else None
+    """Reject an ``alpha`` outside the run parameter's rule
+    (``parameter_fault``), which ``serialize_allocation`` keeps too, and a
+    ``summary`` other than the ``_summary`` of the document's events and
+    ``alpha``, field by field; the ratio is compared by value, so ``"1"``
+    and ``"1/1"`` agree."""
+    alpha = None
+    if "alpha" in doc:
+        alpha = _rational(doc["alpha"], "alpha")
+        if fault := parameter_fault("alpha", alpha):
+            raise ParseError(fault, location="alpha")
     if "summary" not in doc:
         return
     for key, expected in _summary(allocation, alpha).items():

@@ -27,6 +27,7 @@ from fairdiv import (
     Instance,
     Valuation,
     bundle_value,
+    capacity,
     equivalence_classes,
     explicit_maximal,
     mms_exact,
@@ -469,6 +470,67 @@ def round_query_bound(instance) -> int:
     phases = g * sum(1 + comb(b + s - 1, s) for s in (1, 2, 3))
     scan = g + (g + 1) * b + m * (2 + (m - 1).bit_length() + g)
     return phases + (n + 1) * scan
+
+
+BLOCK_RICH_KINDS = ("capacity", "free", "explicit")
+
+
+def block_rich_instance(seed: int) -> tuple[Instance, tuple[Fraction, ...]]:
+    """A seeded instance whose m <= 50 items fall into 2-4 large blocks,
+    and its drawn estimates, for ``allocate_from_estimates`` at alpha 1/2.
+
+    Items are dealt to blocks in shuffled order, so blocks interleave.
+    Each of the 2-4 agents gives every item of a block one value in 0..9;
+    agents' rows differ, so each agent is its own value group.  The set
+    system treats a block's items alike, except for drawn uncovered items:
+    ``capacity`` puts each block in one of 1-3 classes, with caps drawn
+    from 0 up to the class size; ``free`` has one maximal set, and
+    ``explicit`` 2-3 drawn unions of blocks, each without the uncovered
+    items.  Each estimate is twice the agent's value of the whole ground
+    set times one drawn fraction in [1/2, 9/10] shared by all agents and
+    a drawn factor within 3 % of 1 per agent, so the agents' ratios start
+    close and the removal scan can hand the pick from one group to
+    another during a run of removals from one block; an estimate is 0
+    now and then.
+    """
+    rng = random.Random(seed)
+    kind = BLOCK_RICH_KINDS[seed % len(BLOCK_RICH_KINDS)]
+    num_blocks, n = rng.randint(2, 4), rng.randint(2, 4)
+    m = rng.randint(2 * num_blocks, 50)
+    block_of = [j % num_blocks for j in range(m)]
+    rng.shuffle(block_of)
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < n:
+        row = tuple(rng.randint(0, 9) for _ in range(num_blocks))
+        if row not in rows:
+            rows.append(row)
+    valuations = tuple(Valuation([row[b] for b in block_of]) for row in rows)
+    if kind == "capacity":
+        num_classes = rng.randint(1, 3)
+        class_of_block = [rng.randrange(num_classes) for _ in range(num_blocks)]
+        classes = sorted(set(class_of_block))
+        class_of = [classes.index(class_of_block[b]) for b in block_of]
+        caps = [rng.randint(0, class_of.count(c)) for c in range(len(classes))]
+        spec = capacity(class_of, caps)
+    else:
+        uncovered = set(rng.sample(range(m), rng.randint(0, 3)))
+        unions = [range(num_blocks)]
+        if kind == "explicit":
+            unions = [
+                rng.sample(range(num_blocks), rng.randint(1, num_blocks))
+                for _ in range(rng.randint(2, 3))
+            ]
+        spec = explicit_maximal(
+            m, [[j for j in range(m) if block_of[j] in u and j not in uncovered] for u in unions]
+        )
+    shared = Fraction(rng.randint(50, 90), 100)
+    mu = tuple(
+        ZERO
+        if rng.random() < 0.05
+        else 2 * shared * Fraction(rng.randint(97, 103), 100) * bundle_value(spec, val, range(m))
+        for val in valuations
+    )
+    return Instance(f"block-rich-{seed}", n, spec, valuations, seed), mu
 
 
 def reference_allocate_from_estimates(instance, mu, alpha):

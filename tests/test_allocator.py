@@ -38,6 +38,7 @@ from fairdiv.allocator import _block_table as _BlockTable
 from fairdiv.valuation import BlockTable
 from fairdiv.valuation import RunningValues as _RunningValues
 from support import (
+    block_rich_instance,
     FAMILIES,
     brute_bundle_value,
     is_feasible,
@@ -197,6 +198,17 @@ def test_minimal_set_matches_literal_scan():
         assert minimal_set(inst.spec, vals, grand, thresholds) == expected
 
 
+def _matches_the_literal_run(inst, mu, alpha):
+    """``allocate_from_estimates``'s allocation, once its events match the
+    literal oracle's field by field and its unallocated agents too."""
+    fast = allocate_from_estimates(inst, mu, alpha)
+    events, unallocated = reference_allocate_from_estimates(inst, mu, alpha)
+    got = [(e.kind, e.phase, e.agent, e.bundle, e.value, e.threshold) for e in fast.trace]
+    assert got == events, (inst.name, mu)
+    assert fast.unallocated_agents == unallocated
+    return fast
+
+
 def test_every_fair_divide_round_matches_the_literal_run():
     """Each round of ``fair_divide`` replays through the literal oracle:
     the same events field by field and the same unallocated agents, which
@@ -213,13 +225,37 @@ def test_every_fair_divide_round_matches_the_literal_run():
         stats = RunStats()
         fair_divide(inst, ALPHA, DELTA, stats=stats)
         for mu, stranded in stats.rounds:
-            fast = allocate_from_estimates(inst, mu, ALPHA)
-            events, unallocated = reference_allocate_from_estimates(inst, mu, ALPHA)
-            got = [(e.kind, e.phase, e.agent, e.bundle, e.value, e.threshold) for e in fast.trace]
-            assert got == events, (inst.name, mu)
-            assert fast.unallocated_agents == unallocated == stranded
+            assert _matches_the_literal_run(inst, mu, ALPHA).unallocated_agents == stranded
         rounds += len(stats.rounds)
     assert rounds > 150
+
+
+# The first seeds, then the three with the fewest items of the 13 seeds below
+# 3000 whose trace changes when a batch skips the pick test.
+BLOCK_RICH_SEEDS = [*range(16), 1097, 1675, 2809]
+
+
+@pytest.mark.parametrize("seed", BLOCK_RICH_SEEDS)
+def test_block_rich_runs_match_the_literal_run(seed):
+    """Runs over a few large blocks (``block_rich_instance``) make long
+    batches of removals from one block, during which another group's
+    ratio can overtake the pick; the literal oracle removes one item at a
+    time and re-picks after each."""
+    inst, mu = block_rich_instance(seed)
+    _matches_the_literal_run(inst, mu, Fraction(1, 2))
+
+
+def test_pick_change_mid_batch_matches_the_literal_run():
+    """One maximal set over 46 items.  Agent 0 values items 0-38 at 1 and
+    39-45 at 4; agent 1 values items 0-4 at 9 and 5-45 at 4.  Agent 1's
+    ratio leads, and its scan removes from items 5-38, which lower it
+    faster than agent 0's, so agent 0 takes over the pick partway through
+    that run; its own walk starts at items 0-4."""
+    rows = ([1] * 39 + [4] * 7, [9] * 5 + [4] * 41)
+    inst = Instance("m46-free", 2, explicit_maximal(46, [range(46)]), tuple(map(Valuation, rows)))
+    mu = (Fraction(91), Fraction(264))
+    alloc = _matches_the_literal_run(inst, mu, Fraction(1, 2))
+    assert [(e.agent, e.bundle) for e in alloc.trace] == [(0, tuple(range(21, 46)))]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -745,7 +781,7 @@ def test_table1_query_counts_are_pinned(table1):
         return sum(val.query_count for val in table1.valuations) - before
 
     mu = (Fraction(1),) * table1.n
-    assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 4321
+    assert queries(lambda: allocate_from_estimates(table1, mu, UPPER_ALPHA)) == 931
     assert queries(lambda: allocate_naive(table1, UPPER_ALPHA)) == 29
 
 

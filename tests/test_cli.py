@@ -411,6 +411,19 @@ def test_an_int_flag_refuses_a_negative_fraction(solved, capsys, argv, flag):
     assert err.endswith(f"error: argument {flag}: invalid int value: '-1/2'\n")
 
 
+def test_verify_rejects_a_zero_alpha(solved, capsys):
+    inst_path, alloc_path = solved
+
+    def zero_alpha(doc):
+        doc["alpha"] = "0/1"
+        doc["summary"]["min_ratio_to_mu"] = "0/1"
+
+    _rewrite_document(alloc_path, zero_alpha)
+    code, _, err = run_cli(capsys, "verify", str(alloc_path), str(inst_path))
+    assert code == 2
+    assert err == "error: alpha: must be positive, got 0\n"
+
+
 def test_verify_rejects_agent_both_allocated_and_unallocated(solved, capsys):
     inst_path, alloc_path = solved
     _rewrite_document(alloc_path, lambda doc: doc["unallocated_agents"].append(0))

@@ -232,6 +232,17 @@ def test_summary_ratio_is_compared_by_value():
     assert parse_allocation(json.dumps(doc)) == alloc
 
 
+def test_parse_allocation_refuses_a_zero_alpha():
+    """A document with alpha 0 does not parse, even with the summary that
+    alpha gives, since ``serialize_allocation`` could not have written it."""
+    alloc, _ = fair_divide(footnote_instance(), Fraction(11, 30), Fraction(1, 16))
+    doc = json.loads(serialize_allocation(alloc, alpha=Fraction(11, 30)))
+    doc["alpha"] = doc["summary"]["min_ratio_to_mu"] = "0/1"
+    with pytest.raises(ParseError, match="must be positive, got 0") as info:
+        parse_allocation(json.dumps(doc))
+    assert info.value.location == "alpha"
+
+
 def test_rational_wire_format():
     assert parse_rational("40/107") == Fraction(40, 107)
     assert parse_rational("-40/107") == Fraction(-40, 107)
