@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .mms import mms_bounds
-from .rationals import check_parameters, format_rational
+from .rationals import _is_int, check_parameters, format_rational, parameter_fault
 from .setsystem import SetSystemSpec, equivalence_classes
 from .valuation import BlockTable, RunningValues, Valuation, bundle_value, value_groups
 
@@ -71,6 +71,7 @@ NAIVE_NODE_CAP = 2_000_000
 PHASE = "phase"
 MINIMAL = "minimal"
 ZERO_ESTIMATE = "zero-estimate"
+_EVENT_KINDS = (PHASE, MINIMAL, ZERO_ESTIMATE)
 
 # A multiset of blocks: ascending (block, count) pairs.
 Multiset = tuple[tuple[int, int], ...]
@@ -105,12 +106,44 @@ class TraceEvent:
         )
 
 
+def _distinct_ints(value: object, kind: type, where: str) -> None:
+    """Raise a ``ParseError`` at ``where`` unless ``value`` is a ``kind`` of distinct ints."""
+    if not isinstance(value, kind) or not all(map(_is_int, value)):
+        raise ParseError(f"expected a {kind.__name__} of integers", location=where)
+    if len(set(value)) != len(value):
+        raise ParseError("lists an entry more than once", location=where)
+
+
 @dataclass(frozen=True)
 class Allocation:
-    """The ordered trace of allocations plus the agents left without one."""
+    """The ordered trace of allocations plus the agents left without one,
+    held to an allocation document's rules: each fault is a ``ParseError``
+    located as in a document."""
 
     trace: tuple[TraceEvent, ...]
     unallocated_agents: frozenset[int]
+
+    def __post_init__(self) -> None:
+        agents: set[int] = set()
+        for idx, event in enumerate(self.trace):
+            kind, agent, bundle, where = event.kind, event.agent, event.bundle, f"events[{idx}]"
+            if kind not in _EVENT_KINDS:
+                raise ParseError(f"unknown event kind {kind!r}", location=where)
+            if not _is_int(agent):
+                raise ParseError(f"agent must be an int, got {agent!r}", location=f"{where}.agent")
+            if agent in agents:
+                raise ParseError(f"agent {agent} already has an event", location=where)
+            agents.add(agent)
+            _distinct_ints(bundle, tuple, f"{where}.bundle")
+            if (kind == ZERO_ESTIMATE) != (not bundle):
+                fault = f"only zero-estimate bundles are empty; {kind!r} has {len(bundle)} items"
+                raise ParseError(fault, location=f"{where}.kind")
+            for key in ("value", "threshold"):
+                if fault := parameter_fault("estimate", getattr(event, key)):
+                    raise ParseError(f"{key} {fault}", location=f"{where}.{key}")
+        _distinct_ints(self.unallocated_agents, frozenset, "unallocated_agents")
+        if both := sorted(self.unallocated_agents & agents):
+            raise ParseError(f"agents {both} also have events", location="unallocated_agents")
 
     @cached_property
     def bundles(self) -> dict[int, frozenset[int]]:
@@ -798,7 +831,7 @@ def fair_divide(
 
 def iteration_bound(n: int, m: int, delta: Fraction) -> int:
     """n * ceil(log_{1/(1-delta)} m) + 1, computed exactly."""
-    check_parameters(delta=delta)
+    check_parameters(n=n, m=m, delta=delta)
     steps = 0
     if m > 1:
         shrink = ONE - delta
@@ -829,12 +862,10 @@ class VerificationReport:
 
 
 def require_fits_instance(allocation: Allocation, instance: "Instance") -> None:
-    """Reject an allocation document that names an agent or item the
-    instance lacks, or that does not account for each agent 0..n-1
-    exactly once.  ``parse_allocation`` already rejects an agent listed
-    twice; this adds the checks that need the instance: no agent id
-    outside [0, n), no bundle item outside [0, m), and no agent left out
-    of both the events and ``unallocated_agents``."""
+    """Reject an allocation that does not fit the instance, by the rules
+    that need it (``Allocation`` holds the others): no agent id outside
+    [0, n), no bundle item outside [0, m), and no agent left out of both
+    the events and ``unallocated_agents``."""
     n, m = instance.n, instance.num_items
     for idx, event in enumerate(allocation.trace):
         if not 0 <= event.agent < n:
@@ -863,8 +894,8 @@ def verify_allocation(
     floors: Mapping[int, Fraction],
 ) -> VerificationReport:
     """Check that the bundles are disjoint and that every agent with a
-    floor meets it, after ``require_fits_instance``; a floor for an agent
-    outside [0, n) is an ``InputError``.
+    floor meets it, after ``require_fits_instance``; a floor keyed by
+    anything but an int agent in [0, n) is an ``InputError``.
 
     An agent without an event holds the empty bundle, worth 0 at no
     query.  For any other floored agent, the event's recorded ``value``
@@ -873,11 +904,13 @@ def verify_allocation(
     charges one query per floored agent with an event and no more.
     """
     require_fits_instance(allocation, instance)
+    for agent, floor in floors.items():
+        if not _is_int(agent):
+            raise InputError(f"floor keys must be int agents, got {agent!r}")
+        check_parameters(agent, floor=floor)
     outside = sorted(agent for agent in floors if not 0 <= agent < instance.n)
     if outside:
         raise InputError(f"floors for agents {outside} outside [0, {instance.n})")
-    for agent, floor in floors.items():
-        check_parameters(agent, floor=floor)
     violations: list[Violation] = []
     owner: dict[int, int] = {}
     bundles = allocation.bundles

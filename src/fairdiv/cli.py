@@ -37,7 +37,6 @@ from .allocator import (
 )
 from .errors import DeskCapError, FairdivError, InputError, ParseError
 from .instances import (
-    MAX_AGENTS,
     RANDOM_FAMILIES,
     footnote_instance,
     parse_allocation,
@@ -134,25 +133,22 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 
 
 def _parse_rational_flags(args: argparse.Namespace) -> None:
-    """Parse each rational flag, then check the agent counts against a
-    document's 1 to ``MAX_AGENTS``, each flag by its ``rationals`` rule (table1's
-    ``--n`` in 330s) and the alpha 40/107 + epsilon.  A fault is a ``ParseError``
-    at the flag's full name."""
+    """Parse each rational flag, then check every flag by its ``rationals``
+    rule: an agent count by the document's (1 to ``MAX_AGENTS``), table1's
+    ``--n`` also in 330s, and the alpha 40/107 + epsilon.  A fault is a
+    ``ParseError`` at the flag's full name."""
     for flag in ("alpha", "delta", "epsilon"):
         if hasattr(args, flag):
             try:
                 setattr(args, flag, parse_rational(getattr(args, flag)))
             except ParseError as exc:
                 raise ParseError(str(exc), location=f"--{flag}") from None
-    for flag in ("n", "agents"):
-        count = getattr(args, flag, None)
-        if count is not None and (count > MAX_AGENTS or parameter_fault("n", count)):
-            bound = f"at most {MAX_AGENTS}" if count > MAX_AGENTS else "at least 1"
-            raise ParseError(f"must be {bound}, got {count}", location=f"--{flag}")
-    rules = {"alpha": "alpha", "delta": "delta", "cap": "max_items", "naive_cap": "max_items",
-             "m": "m", "max_num": "value_bound", "max_den": "value_bound",
-             "n": "n" if getattr(args, "kind", None) == "random" else "table1_n"}
-    for attr, rule in rules.items():
+    rules = [("n", "agents"), ("agents", "agents"), ("alpha", "alpha"), ("delta", "delta"),
+             ("cap", "max_items"), ("naive_cap", "max_items"), ("m", "m"),
+             ("max_num", "value_bound"), ("max_den", "value_bound")]
+    if getattr(args, "kind", None) != "random":
+        rules.append(("n", "table1_n"))
+    for attr, rule in rules:
         value = getattr(args, attr, None)
         if value is not None and (fault := parameter_fault(rule, value)):
             raise ParseError(fault, location="--" + attr.replace("_", "-"))
@@ -173,10 +169,6 @@ def _read_document(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", location=path) from None
-
-
-def _read_instance(path: str):
-    return parse_instance(_read_document(path))
 
 
 def _write_trace(allocation: Allocation, path: str | None) -> None:
@@ -201,7 +193,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.instance)
+    instance = parse_instance(_read_document(args.instance))
     if args.naive:
         allocation = allocate_naive(instance, args.alpha, max_items=args.naive_cap)
     else:
@@ -212,7 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_mms(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.instance)
+    instance = parse_instance(_read_document(args.instance))
     if not 0 <= args.agent < instance.n:
         raise ParseError(f"must lie in [0, {instance.n}), got {args.agent}", location="--agent")
     parts = args.agents if args.agents is not None else instance.n
@@ -239,7 +231,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     allocation = parse_allocation(_read_document(args.allocation))
-    instance = _read_instance(args.instance)
+    instance = parse_instance(_read_document(args.instance))
     # a document that does not fit exits 2 before any share is computed
     require_fits_instance(allocation, instance)
     if args.floor_mode == "mu":

@@ -2,8 +2,9 @@
 
 ``InputError`` (exit 2): malformed or degenerate caller input or run
 parameters; its subclass ``ParseError`` also carries the location of the
-fault in a document or on the command line.  ``DeskCapError`` (exit 3):
-an exponential-time path was asked to run beyond its cap.
+fault in a document, on the command line, or in an ``Instance`` or
+``Allocation`` built in code.  ``DeskCapError`` (exit 3): an
+exponential-time path was asked to run beyond its cap.
 ``FairdivError`` itself (exit 4): an invariant of the solver failed.
 """
 
@@ -19,7 +20,8 @@ class InputError(FairdivError, ValueError):
 
 
 class ParseError(InputError):
-    """A document or flag could not be parsed; carries a location when known."""
+    """A document, a flag, or an ``Instance`` or ``Allocation`` breaks a rule of
+    the wire format; carries the location of the field, as a document spells it."""
 
     def __init__(self, message: str, location: str | None = None):
         self.location = location

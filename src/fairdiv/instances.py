@@ -17,23 +17,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .allocator import MINIMAL, PHASE, ZERO_ESTIMATE, Allocation, TraceEvent
+from .allocator import Allocation, TraceEvent, _distinct_ints
 from .errors import InputError, ParseError
-from .rationals import check_parameters, format_rational, parameter_fault, parse_rational
+from .rationals import (
+    MAX_AGENTS,  # importable from here too
+    _is_int,
+    check_parameters,
+    format_rational,
+    parameter_fault,
+    parse_rational,
+)
 from .setsystem import Capacity, SetSystemSpec, capacity, explicit_maximal
-from .valuation import Valuation
+from .valuation import Valuation, _row_fault
 
 RANDOM_FAMILIES = ("free", "explicit-antichain", "capacity")
-# The most agents a document may declare: a one-row document of a few
-# hundred bytes otherwise builds one Valuation per agent.
-MAX_AGENTS = 100_000
-
-_EVENT_KINDS = (PHASE, MINIMAL, ZERO_ESTIMATE)
+_EVENT_FIELDS = ("kind", "agent", "phase", "bundle", "value", "threshold")
 
 
 @dataclass(frozen=True)
 class Instance:
-    """Agents, items (dense ids 0..m-1), a set system, and valuations."""
+    """Agents, items (dense ids 0..m-1), a set system, and valuations,
+    held to an instance document's rules: each fault is a ``ParseError``
+    located as in a document."""
 
     name: str
     n: int
@@ -42,18 +47,19 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"need at least one agent, got {self.n}")
+        if not isinstance(self.name, str):
+            raise ParseError(f"name must be a string, got {self.name!r}", location="name")
+        if fault := parameter_fault("agents", self.n):
+            raise ParseError(fault, location="n")
+        if not (self.seed is None or _is_int(self.seed)):
+            raise ParseError(f"seed must be an integer, got {self.seed!r}", location="seed")
         if len(self.valuations) != self.n:
-            raise InputError(
-                f"{len(self.valuations)} valuations for {self.n} agents"
+            raise ParseError(
+                f"{len(self.valuations)} valuations for {self.n} agents", location="valuations"
             )
         for i, val in enumerate(self.valuations):
-            if val.num_items != self.spec.num_items:
-                raise InputError(
-                    f"valuation {i} covers {val.num_items} items, "
-                    f"spec has {self.spec.num_items}"
-                )
+            if fault := _row_fault(self.spec, val):
+                raise ParseError(f"valuation {i} {fault}", location=f"valuations[{i}]")
 
     @property
     def num_items(self) -> int:
@@ -95,11 +101,11 @@ def table1_instance(n: int) -> Instance:
 
     Six item classes A..F, which are classes 0..5, with quantities
     (n, n/3, 2n/3, 2n/3, n/3, 40n), values (40, 23, 17, 10, 4, 1)/107 and
-    capacities (2, 1, 2, 5, 11, 40).  n must be a positive multiple of
-    330 so all quantities are integers.  Items are laid out class by
-    class, A first.
+    capacities (2, 1, 2, 5, 11, 40).  n must be a multiple of 330, so all
+    quantities are integers, and at most ``MAX_AGENTS``.  Items are laid
+    out class by class, A first.
     """
-    if fault := parameter_fault("table1_n", n):
+    if fault := parameter_fault("agents", n) or parameter_fault("table1_n", n):
         raise InputError(f"agent count {fault}")
     quantities = (n, n // 3, 2 * n // 3, 2 * n // 3, n // 3, 40 * n)
     class_of = [c for c, count in enumerate(quantities) for _ in range(count)]
@@ -129,8 +135,8 @@ def random_instance(
     with capacities of at least one.  Values are uniform positive
     rationals with numerators and denominators bounded by ``value_range``.
     """
-    if parameter_fault("m", m) or parameter_fault("n", n):
-        raise InputError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
+    if parameter_fault("m", m) or parameter_fault("agents", n):
+        raise InputError(f"need m >= 0 and 1 <= n <= {MAX_AGENTS}, got m={m}, n={n}")
     if family not in RANDOM_FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {RANDOM_FAMILIES}")
     max_num, max_den = value_range
@@ -225,30 +231,11 @@ def _require(doc: Any, key: str, where: str) -> Any:
     return doc[key]
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _distinct_ints(value: Any, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise ParseError("expected a list of integers", location=where)
-    if len(set(value)) != len(value):
-        raise ParseError("lists an entry more than once", location=where)
-    return value
-
-
 def _rational(text: Any, location: str) -> Fraction:
     try:
         return parse_rational(text)
     except ParseError as exc:
         raise ParseError(str(exc), location=location) from None
-
-
-def _nonnegative(text: Any, what: str, location: str) -> Fraction:
-    value = _rational(text, location)
-    if value.numerator < 0:
-        raise ParseError(f"{what} must be nonnegative, got {text!r}", location=location)
-    return value
 
 
 def _parse_values_row(row: Any, m: int, where: str) -> tuple[Fraction, ...]:
@@ -262,7 +249,10 @@ def _parse_values_row(row: Any, m: int, where: str) -> tuple[Fraction, ...]:
     for j, text in enumerate(row):
         value = parsed.get(text) if type(text) is str else None
         if value is None:
-            value = _nonnegative(text, "item values", f"{where}[{j}]")
+            at = f"{where}[{j}]"
+            value = _rational(text, at)
+            if value < 0:
+                raise ParseError(f"item values must be nonnegative, got {text!r}", location=at)
             if type(text) is str:
                 parsed[text] = value
         values.append(value)
@@ -273,18 +263,15 @@ def parse_instance(text: str) -> Instance:
     """Read an instance document, which holds no item or agent ids: m is
     the length of the first value row, and ``valuations`` holds one row
     that every agent shares or n rows in agent order.  Any fault is a
-    located ``ParseError``, raised before any ``Valuation`` is built."""
+    located ``ParseError``; one in n or in the shape of the rows is raised
+    before any ``Valuation`` is built, and ``Instance`` checks the rest."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     name = _require(doc, "name", "instance")
-    if not isinstance(name, str):
-        raise ParseError(f"name must be a string, got {name!r}", location="name")
     n = _require(doc, "n", "instance")
-    if not _is_int(n) or n < 1:
-        raise ParseError(f"n must be a positive integer, got {n!r}", location="n")
-    if n > MAX_AGENTS:
-        raise ParseError(f"n must be at most {MAX_AGENTS}, got {n}", location="n")
+    if fault := parameter_fault("agents", n):
+        raise ParseError(fault, location="n")
     val_docs = _require(doc, "valuations", "instance")
     if not isinstance(val_docs, list) or len(val_docs) not in (1, n):
         raise ParseError(
@@ -310,21 +297,11 @@ def parse_instance(text: str) -> Instance:
     except (InputError, TypeError) as exc:
         raise ParseError(f"bad set system: {exc}", location="set_system") from exc
 
-    seed = doc.get("seed")
-    if "seed" in doc and not _is_int(seed):
-        raise ParseError(f"seed must be an integer, got {seed!r}", location="seed")
     rows = [_parse_values_row(row, m, f"valuations[{i}]") for i, row in enumerate(val_docs)]
     if len(rows) == 1:
         rows *= n  # one shared row object, which ``value_groups`` groups on
     valuations = tuple(Valuation._wrap(row) for row in rows)
-
-    return Instance(
-        name=name,
-        n=n,
-        spec=spec,
-        valuations=valuations,
-        seed=seed,
-    )
+    return Instance(name, n, spec, valuations, doc.get("seed"))
 
 
 def _summary(allocation: Allocation, alpha: Fraction | None) -> dict[str, Any]:
@@ -332,7 +309,7 @@ def _summary(allocation: Allocation, alpha: Fraction | None) -> dict[str, Any]:
     unallocated counts, and the least alpha * value / threshold over the
     events with positive thresholds (thresholds store alpha * mu), or
     None without alpha or such an event."""
-    ratios = [e.value / e.threshold for e in allocation.trace if e.threshold > 0]
+    ratios = [Fraction(e.value, e.threshold) for e in allocation.trace if e.threshold > 0]
     return {
         "allocated": len(allocation.trace),
         "unallocated": len(allocation.unallocated_agents),
@@ -367,10 +344,10 @@ def serialize_allocation(allocation: Allocation, *, alpha: Fraction) -> str:
 
 
 def parse_allocation(text: str) -> Allocation:
-    """Read an allocation document.  Each event's ``phase`` must equal its
-    bundle's size, and its kind is zero-estimate exactly when the bundle
-    is empty; ``alpha`` and ``summary`` may be absent, but where present
-    must be what ``serialize_allocation`` writes for the events
+    """Read an allocation document into an ``Allocation``, which checks its
+    events.  Each event's ``phase`` must equal its bundle's size, checked
+    once the events are; ``alpha`` and ``summary`` may be absent, but where
+    present must be what ``serialize_allocation`` writes for the events
     (``_check_summary``).  Any fault is a located ``ParseError``."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -379,45 +356,27 @@ def parse_allocation(text: str) -> Allocation:
     if not isinstance(raw_events, list):
         raise ParseError("events must be a list", location="events")
     events: list[TraceEvent] = []
-    agents: set[int] = set()
+    phases: list[Any] = []
     for idx, entry in enumerate(raw_events):
         where = f"events[{idx}]"
-        kind = _require(entry, "kind", where)
-        if kind not in _EVENT_KINDS:
-            raise ParseError(f"unknown event kind {kind!r}", location=where)
-        agent = _require(entry, "agent", where)
-        if not _is_int(agent):
-            raise ParseError(f"agent must be an integer, got {agent!r}", location=f"{where}.agent")
-        if agent in agents:
-            raise ParseError(f"agent {agent!r} already has an event", location=where)
-        agents.add(agent)
-        phase = _require(entry, "phase", where)
-        bundle = _distinct_ints(_require(entry, "bundle", where), f"{where}.bundle")
-        if not _is_int(phase) or phase != len(bundle):
-            raise ParseError(
-                f"phase must be the bundle size {len(bundle)}, got {phase!r}",
-                location=f"{where}.phase",
-            )
-        if (kind == ZERO_ESTIMATE) != (not bundle):
-            raise ParseError(
-                f"only zero-estimate bundles are empty, got {kind!r} with {len(bundle)} items",
-                location=f"{where}.kind",
-            )
-        value, threshold = (
-            _nonnegative(_require(entry, key, where), key, f"{where}.{key}")
-            for key in ("value", "threshold")
+        kind, agent, phase, bundle, value, threshold = (
+            _require(entry, key, where) for key in _EVENT_FIELDS
         )
+        if not isinstance(bundle, list):
+            raise ParseError("expected a list of integers", location=f"{where}.bundle")
+        value = _rational(value, f"{where}.value")
+        threshold = _rational(threshold, f"{where}.threshold")
         events.append(TraceEvent(kind, agent, tuple(bundle), value, threshold))
-    unallocated = frozenset(
-        _distinct_ints(_require(doc, "unallocated_agents", "allocation"), "unallocated_agents")
-    )
-    both = sorted(unallocated & agents)
-    if both:
-        raise ParseError(
-            f"agents {both} have events but are listed as unallocated",
-            location="unallocated_agents",
-        )
-    allocation = Allocation(tuple(events), unallocated)
+        phases.append(phase)
+    unallocated = _require(doc, "unallocated_agents", "allocation")
+    _distinct_ints(unallocated, list, "unallocated_agents")
+    allocation = Allocation(tuple(events), frozenset(unallocated))
+    for idx, (event, phase) in enumerate(zip(events, phases)):
+        if not _is_int(phase) or phase != event.phase:
+            raise ParseError(
+                f"phase must be the bundle size {event.phase}, got {phase!r}",
+                location=f"events[{idx}].phase",
+            )
     _check_summary(doc, allocation)
     return allocation
 
@@ -438,7 +397,7 @@ def _check_summary(doc: dict[str, Any], allocation: Allocation) -> None:
     for key, expected in _summary(allocation, alpha).items():
         where = f"summary.{key}"
         text = _require(doc["summary"], key, "summary")
-        got = _nonnegative(text, key, where) if key == "min_ratio_to_mu" and text is not None else text
+        got = _rational(text, where) if key == "min_ratio_to_mu" and text is not None else text
         # the type test keeps true from passing for 1
         if type(got) is not type(expected) or got != expected:
             raise ParseError(f"the events give {expected}, not {text!r}", location=where)

@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .errors import DeskCapError
+from .errors import DeskCapError, InputError
 from .rationals import check_parameters
 from .setsystem import SetSystemSpec, feasible_alone
-from .valuation import Valuation, item_set_evaluator
+from .valuation import Valuation, _row_fault, item_set_evaluator
 
 DEFAULT_MMS_CAP = 12
 
@@ -141,6 +141,8 @@ def mms_bounds(spec: SetSystemSpec, valuation: Valuation, n: int) -> tuple[Fract
     is worth at most m * v.  Charges no query.
     """
     check_parameters(n=n)
+    if fault := _row_fault(spec, valuation):
+        raise InputError(f"valuation {fault}")
     alone = sorted(compress(valuation.values, feasible_alone(spec)), reverse=True)
     nth = alone[n - 1] if n <= len(alone) else Fraction(0)
     return nth, spec.num_items * nth

@@ -8,7 +8,8 @@ coprime.  So every value has exactly one spelling ("1/2", never "2/4",
 "1/-2" or " 1/2"), and decimal notation is rejected so that no value can
 silently lose exactness.  ``scale_row`` maps a row of values to integers
 over the lcm of its denominators, for the code that computes on them.
-``parameter_fault`` holds each run parameter's one rule, for library and CLI.
+``parameter_fault`` holds each run parameter's one rule, for library and CLI,
+and the document cap on agents, for the objects, the reader and the CLI.
 """
 from __future__ import annotations
 
@@ -21,8 +22,11 @@ from typing import Any, Callable, Sequence
 from .errors import InputError, ParseError
 
 _RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+# The most agents an instance may hold: a tiny one-row document builds a Valuation per agent.
+MAX_AGENTS = 100_000
 
 _RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
+    "agents": (int, lambda v: 1 <= v <= MAX_AGENTS, f"must lie in [1, {MAX_AGENTS}]"),
     "alpha": ((int, Fraction), lambda v: v > 0, "must be positive"),
     "delta": ((int, Fraction), lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "estimate": ((int, Fraction), lambda v: v >= 0, "is negative"),
@@ -33,6 +37,10 @@ _RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
     "value_bound": (int, lambda v: v >= 1, "must be >= 1"),
     "table1_n": (int, lambda v: v > 0 and v % 330 == 0, "must be a positive multiple of 330"),
 }
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parameter_fault(name: str, value: object) -> str | None:

@@ -114,6 +114,12 @@ def _take(order: Sequence[int], places: int, counts: Mapping[int, int], row: Seq
     return acc
 
 
+def _row_fault(spec: SetSystemSpec, valuation: Valuation) -> str | None:
+    """What is wrong with ``valuation`` as a value row over ``spec``'s items, or None."""
+    k, m = valuation.num_items, spec.num_items
+    return None if k == m else f"covers {k} items, spec has {m}"
+
+
 def item_set_evaluator(
     spec: SetSystemSpec, valuation: Valuation, items: Sequence[int]
 ) -> tuple[int, Callable[[int], int]]:
@@ -128,10 +134,8 @@ def item_set_evaluator(
     down to the listed items, so setup costs O(|items|) per class or
     maximal set, not O(m).  Charges no query.
     """
-    if valuation.num_items != spec.num_items:
-        raise InputError(
-            f"valuation covers {valuation.num_items} items, spec has {spec.num_items}"
-        )
+    if fault := _row_fault(spec, valuation):
+        raise InputError(f"valuation {fault}")
     scale, scaled = scale_row([valuation.values[j] for j in items])
 
     if isinstance(spec, Capacity):

@@ -697,6 +697,8 @@ _INEXACT_PARAMETERS = {
         "max_items",
     ),
     "iteration-bound-float-delta": (lambda inst, a: iteration_bound(2, 8, 0.0625), "delta"),
+    "iteration-bound-float-m": (lambda inst, a: iteration_bound(2, 8.0, DELTA), "m"),
+    "iteration-bound-bool-n": (lambda inst, a: iteration_bound(True, 8, DELTA), "n"),
     "naive-bool-alpha": (lambda inst, a: allocate_naive(inst, True), "alpha"),
     "exact-bool-n": (lambda inst, a: mms_exact(inst.spec, inst.valuations[0], True), "n"),
     "exact-float-cap": (
@@ -716,6 +718,23 @@ def test_inexact_parameters_are_input_errors(call, name):
     alloc, _ = fair_divide(inst, ALPHA, DELTA)
     with pytest.raises(InputError, match=f"^{name} must be an int"):
         call(inst, alloc)
+
+
+@pytest.mark.parametrize(
+    "n, m, message", [(-1, 8, "n must be >= 1, got -1"), (2, -8, "m must be >= 0, got -8")]
+)
+def test_iteration_bound_checks_its_counts(n, m, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        iteration_bound(n, m, DELTA)
+
+
+@pytest.mark.parametrize("key", [True, 0.0, "0", None])
+def test_verify_allocation_floors_are_keyed_by_int_agents(footnote2, key):
+    """A floor keyed by True is not agent 1's, and one keyed by 0.0 or "0"
+    is not agent 0's: each is an ``InputError`` that names the key."""
+    alloc, _ = fair_divide(footnote2, ALPHA, DELTA)
+    with pytest.raises(InputError, match=rf"^floor keys must be int agents, got {key!r}$"):
+        verify_allocation(footnote2, alloc, {key: Fraction(1, 100)})
 
 
 def test_exact_parameters_in_plain_forms_are_accepted():

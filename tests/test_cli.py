@@ -76,8 +76,7 @@ def test_agent_count_flags_stop_at_the_document_cap(tmp_path, capsys, argv, flag
     code, stdout, err = run_cli(capsys, *(arg.format(**fields) for arg in argv))
     assert code == 2
     count = argv[argv.index(flag) + 1].format(**fields)
-    bound = "at least 1" if count == "0" else f"at most {MAX_AGENTS}"
-    assert err == f"error: {flag}: must be {bound}, got {count}\n"
+    assert err == f"error: {flag}: must lie in [1, {MAX_AGENTS}], got {count}\n"
     assert stdout == "" and not out.exists()
 
 

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     Capacity,
@@ -133,11 +136,14 @@ _ROW = Valuation([3, 2, 2])
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda spec: Instance("x", 0, spec, ()), "at least one agent"),
+        (lambda spec: Instance("x", 0, spec, ()), r"^n: must lie in \[1, 100000\], got 0$"),
         (lambda spec: Instance("x", 2, spec, (_ROW,)), "1 valuations for 2 agents"),
         (lambda spec: Instance("x", 1, spec, (Valuation([1, 2]),)), "valuation 0 covers 2 items"),
         (lambda spec: replicate_agents(Instance("x", 2, spec, (_ROW, _ROW)), 3), "single-agent"),
-        (lambda spec: replicate_agents(Instance("x", 1, spec, (_ROW,)), 0), "at least one agent"),
+        (
+            lambda spec: replicate_agents(Instance("x", 1, spec, (_ROW,)), 0),
+            r"^n: must lie in \[1, 100000\], got 0$",
+        ),
         (lambda spec: random_instance(1, m=-1, n=2, family="free"), "m=-1"),
         (lambda spec: random_instance(1, m=4, n=0, family="free"), "n=0"),
     ],
@@ -154,6 +160,134 @@ _ROW = Valuation([3, 2, 2])
 def test_instance_builders_reject_bad_arguments(build, message):
     with pytest.raises(InputError, match=message):
         build(footnote_instance().spec)
+
+
+# Values that no int field of an instance or an allocation accepts.
+_NOT_INTS = st.sampled_from([True, False, 1.5, "2", None])
+_FRACTIONS = st.fractions(0, 5, max_denominator=7)
+# What may replace one field of a well-formed event: anything of any kind.
+_ANY_FIELD = {
+    "kind": st.sampled_from(["phase", "minimal", "zero-estimate", "gift", None]),
+    "agent": st.one_of(st.integers(-2, 5), _NOT_INTS),
+    "bundle": st.one_of(
+        st.lists(st.one_of(st.integers(0, 6), _NOT_INTS), max_size=3).map(tuple),
+        st.lists(st.integers(0, 6), max_size=2),
+    ),
+    "value": st.one_of(st.fractions(-1, 5), st.integers(-1, 5), st.sampled_from([True, 0.5])),
+}
+_ANY_FIELD["threshold"] = _ANY_FIELD["value"]
+_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _mostly(valid, invalid):
+    """``valid`` three draws in four, else ``invalid``."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+@st.composite
+def _traces(draw):
+    """A well-formed trace, then perhaps one field of one event replaced."""
+    events = []
+    for agent in draw(st.lists(st.integers(-2, 5), unique=True, max_size=4)):
+        bundle = tuple(draw(st.lists(st.integers(0, 6), unique=True, max_size=3)))
+        kind = draw(st.sampled_from(["phase", "minimal"])) if bundle else "zero-estimate"
+        events.append(TraceEvent(kind, agent, bundle, draw(_FRACTIONS), draw(_FRACTIONS)))
+    if events and draw(st.booleans()):
+        idx = draw(st.integers(0, len(events) - 1))
+        field = draw(st.sampled_from(sorted(_ANY_FIELD)))
+        events[idx] = replace(events[idx], **{field: draw(_ANY_FIELD[field])})
+    return tuple(events)
+
+
+def _reads_back(build, parse, serialize, fields):
+    """Either ``build`` raises a ``ParseError`` located at one of the
+    object's ``fields``, or the reader reads back what the writer writes
+    for the object built."""
+    try:
+        built = build()
+    except ParseError as exc:
+        assert exc.location.split("[")[0].split(".")[0] in fields
+        return
+    assert parse(serialize(built)) == built
+
+
+@_SETTINGS
+@given(
+    name=_mostly(st.text(max_size=3), st.one_of(st.integers(), st.none())),
+    n=_mostly(st.integers(1, 4), st.one_of(st.sampled_from([0, -1, MAX_AGENTS + 1]), _NOT_INTS)),
+    seed=_mostly(st.one_of(st.none(), st.integers(-(2**70), 2**70)), _NOT_INTS),
+    extra_row=_mostly(st.just(0), st.just(1)),
+    short_row=_mostly(st.just(False), st.just(True)),
+)
+def test_every_instance_built_reads_back(name, n, seed, extra_row, short_row):
+    """Whatever ``Instance`` accepts, ``parse_instance`` reads back."""
+    rows = [_ROW] * ((n if isinstance(n, int) and 1 <= n <= 4 else 1) + extra_row)
+    if short_row:
+        rows[-1] = Valuation([3, 2])
+    build = lambda: Instance(name, n, footnote_instance().spec, tuple(rows), seed)  # noqa: E731
+    _reads_back(build, parse_instance, serialize_instance, ("name", "n", "seed", "valuations"))
+
+
+@_SETTINGS
+@given(
+    trace=_traces(),
+    unallocated=_mostly(
+        st.frozensets(st.integers(-2, 5), max_size=2),
+        st.frozensets(st.one_of(st.integers(-2, 5), _NOT_INTS), min_size=1, max_size=2),
+    ),
+)
+def test_every_allocation_built_reads_back(trace, unallocated):
+    """Whatever ``Allocation`` accepts, ``parse_allocation`` reads back."""
+    build = lambda: Allocation(trace, unallocated)  # noqa: E731
+    serialize = lambda alloc: serialize_allocation(alloc, alpha=Fraction(1, 2))  # noqa: E731
+    _reads_back(build, parse_allocation, serialize, ("events", "unallocated_agents"))
+
+
+_EVENT = TraceEvent("phase", 0, (0, 1), Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "build, location",
+    [
+        (lambda: Allocation((_EVENT, replace(_EVENT, bundle=(2,))), frozenset()), "events[1]"),
+        (lambda: Allocation((replace(_EVENT, kind="zero-estimate"),), frozenset()), "events[0].kind"),
+        (
+            lambda: Allocation((replace(_EVENT, kind="minimal", bundle=()),), frozenset()),
+            "events[0].kind",
+        ),
+        (lambda: Allocation((replace(_EVENT, bundle=(1, 1)),), frozenset()), "events[0].bundle"),
+        (lambda: Allocation((replace(_EVENT, kind="gift"),), frozenset()), "events[0]"),
+        (lambda: Allocation((_EVENT,), frozenset({0})), "unallocated_agents"),
+        (lambda: Allocation((replace(_EVENT, agent=True),), frozenset()), "events[0].agent"),
+        (lambda: Allocation((replace(_EVENT, value=Fraction(-1)),), frozenset()), "events[0].value"),
+        (lambda: Instance("x", True, footnote_instance().spec, (_ROW,)), "n"),
+        (lambda: Instance("x", "2", footnote_instance().spec, (_ROW, _ROW)), "n"),
+        (lambda: random_instance("abc", 4, 2, "free"), "seed"),
+        (lambda: Instance("x", 1, footnote_instance().spec, (_ROW,), 1.5), "seed"),
+        (lambda: Instance(5, 1, footnote_instance().spec, (_ROW,)), "name"),
+    ],
+    ids=[
+        "agent-with-two-events",
+        "zero-estimate-with-items",
+        "minimal-without-items",
+        "item-twice-in-bundle",
+        "kind-unknown",
+        "agent-with-event-unallocated",
+        "agent-bool",
+        "value-negative",
+        "n-bool",
+        "n-string",
+        "random-seed-string",
+        "seed-float",
+        "name-int",
+    ],
+)
+def test_objects_the_readers_refuse_are_not_built(build, location):
+    """Built, each would be written to a document that its own reader
+    refuses, or end in a ``TypeError``."""
+    with pytest.raises(ParseError) as info:
+        build()
+    assert info.value.location == location
 
 
 def test_instance_round_trips():

@@ -89,6 +89,14 @@ def test_bounds_more_parts_than_items():
     assert mms_bounds(inst.spec, inst.valuations[0], 5) == (0, 0)
 
 
+@pytest.mark.parametrize("share", [mms_exact, mms_bounds], ids=["exact", "bounds"])
+def test_a_row_of_another_length_is_rejected(share):
+    """A row longer than the spec's item count is refused, not cut to fit."""
+    spec = explicit_maximal(3, [[0, 1, 2]])
+    with pytest.raises(InputError, match="^valuation covers 5 items, spec has 3$"):
+        share(spec, Valuation([5, 4, 3, 2, 1]), 1)
+
+
 def test_bounds_read_the_item_count_off_the_valuation():
     inst = random_instance(0, 10, 3, "capacity")
     val = inst.valuations[0]
