@@ -124,6 +124,10 @@ class Allocation:
     unallocated_agents: frozenset[int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trace, tuple) or not all(
+            isinstance(event, TraceEvent) for event in self.trace
+        ):
+            raise ParseError("expected a tuple of trace events", location="events")
         agents: set[int] = set()
         for idx, event in enumerate(self.trace):
             kind, agent, bundle, where = event.kind, event.agent, event.bundle, f"events[{idx}]"
@@ -314,6 +318,33 @@ class _Roster:
             if s * best_num * den > best_s * num * best_den:
                 best, best_s = pos, s
         return best
+
+    def pick_floor(self, leaders: Sequence[int], pick: int, group_vals: Mapping[int, int]) -> int:
+        """The least scaled value S of ``pick``'s group that meets the
+        pick's need and, set as that group's value in ``group_vals``,
+        leaves ``pick(leaders, group_vals)`` returning ``pick``, a leader.
+
+        ``pick`` returns the first leader of greatest ratio, so S must beat
+        every earlier leader's ratio strictly and match every later one's.
+        Against leader l of value s, S / t > s / t_l reads
+        S * (t_l L_l) * den > s * den_l * (t L), where (t L, den) is the
+        pick's weight and (t_l L_l, den_l) leader l's.  With
+        y = (t_l L_l) * den and x = s * den_l * (t L), S >= x // y + 1 beats
+        l, and S >= ceil(x / y) matches it.  Every threshold is positive,
+        so y > 0.
+        """
+        num, den = self.weight[pick]
+        floor = self.need[pick]
+        strict = True
+        for pos in leaders:
+            if pos == pick:
+                strict = False
+                continue
+            other_num, other_den = self.weight[pos]
+            x = group_vals[self.group_of[pos]] * other_den * num
+            y = other_num * den
+            floor = max(floor, x // y + 1 if strict else -(-x // y))
+        return floor
 
 
 def _run_phase(
@@ -510,12 +541,15 @@ def _minimal_set_scan(
     value, leaves ``pick`` the pick over the values at hand.  k_bound is
     the number of bstar's items below its rival's front, or all of them
     without a rival; k = 1 is always taken, as the one-at-a-time scan
-    takes it.  Both tests hold on a prefix of k: the value only falls as
-    k grows, and a lower value for the picked group leaves every other
-    ratio where it was.  So when the walk's own answer for one item
-    already moves the pick, no larger k is probed.  The batch replays k one-at-a-time steps, since
-    before each removal i < k the scan would pick the same agent and walk
-    to bstar again:
+    takes it.  Both tests are one comparison with the step's pick floor
+    (``_Roster.pick_floor``), the least value of the picked group that
+    meets the need and keeps the pick against the values at hand: a
+    value passes exactly when it is at least the floor, so the tests
+    hold on a prefix of k, as the value only falls while k grows.  When
+    the walk's own answer for one item is below the floor, no larger k
+    is probed.  The batch replays k one-at-a-time steps, since before
+    each removal i < k the scan would pick the same agent and walk to
+    bstar again:
     (a) stale group values are upper bounds, and the picked group's true
     value after i removals is at least the k-th one, so ``pick``, which
     wins with the k-th value against the values at hand, wins against
@@ -527,21 +561,31 @@ def _minimal_set_scan(
     first among the live blocks of its value, and bstar stays removable
     because the value without i + 1 items is at least the k-th, which
     meets the need.
-    The search (``_batch``) probes k_bound first, then gallops and
-    bisects.  A probe at k + 1 that fails the need is the next
-    step's test of bstar, so it marks bstar dead for the pick.
+    The search (``_batch``) probes k_bound first.  Removing one item
+    lowers a value by at most that item's own value vb (the best
+    feasible subset less the item stays feasible), so a failed probe
+    rules out every k within ceil((floor - value) / vb) items below it
+    at no query; the search probes the largest k left, cand, then
+    gallops and bisects below it.  When the same bound, or a probe at
+    k + 1, shows that the value without k + 1 items fails the need,
+    that is the next step's test of bstar, so bstar is dead for the
+    pick.
 
     Query bound: a scan with G groups in play, B blocks and p items in
     its pool spends at most G + (G+1)·B + p·(2 + ceil(log2 p) + G): the
     first values, at most B failed tests per agent picked, and per step
     at most two passing tests (bstar and its rival), at most G - 1
-    refreshes and the batch's probes.  A step that takes k items stands
-    for k of the p steps the term allows.  At k = 1 its probes number at
-    most 2 (k_bound and 2), and at most 1 when k_bound = 2, so at most
-    ceil(log2 k_bound) <= ceil(log2 p).  At k >= 2 they number at most
-    2 + 2·log2 k <= 2 + 2·ceil(log2 p), so the step's whole cost, at most
-    2 + (G - 1) + 2 + 2·ceil(log2 p), fits the 2·(2 + ceil(log2 p) + G)
-    of two steps.
+    refreshes and the batch's probes, which leaves 1 + ceil(log2 p)
+    probes per step.  A step that takes k items stands for k of the p
+    steps the term allows.  At k = 1 its probes are k_bound, cand when
+    cand >= 2, and 2 when cand >= 3; as cand < k_bound, that is one
+    probe when k_bound = 2, two when k_bound = 3 and three when
+    k_bound >= 4, so at most 1 + ceil(log2 k_bound) <= 1 + ceil(log2 p).
+    At k >= 2 they are k_bound, cand, a gallop of a passes and one
+    failure with 2^a <= k, and at most a bisection probes: at most
+    3 + 2·log2 k <= 3 + 2·ceil(log2 p).  So the step's whole cost, at
+    most 2 + (G - 1) + 3 + 2·ceil(log2 p) = 4 + G + 2·ceil(log2 p), fits
+    the 2·(2 + ceil(log2 p) + G) of two steps, as G >= 1.
 
     Removals come off each block's front, so the kept items are the back
     of its window; the scan takes them off the pool and returns (bundle
@@ -626,7 +670,7 @@ def _batch(
     state: RunningValues,
     roster: _Roster,
     leaders: Sequence[int],
-    group_vals: dict[int, int],
+    group_vals: Mapping[int, int],
     pick: int,
     bstar: int,
     k_bound: int,
@@ -636,41 +680,63 @@ def _batch(
     whose value, ``state.without(g, bstar, k)`` for the pick's group g,
     meets the pick's need and, set as g's value in ``group_vals``, leaves
     ``pick`` the pick; that k's value; and whether the value without
-    k + 1 items was read and fails the need.  ``s_after`` is the value
-    without one item, which the walk read; when it fails the test, k is
-    1 at no query.  ``group_vals[g]`` is left holding the last value
-    tested.
+    k + 1 items provably fails the need.  ``s_after`` is the value
+    without one item, which the walk read.
 
-    Otherwise the search probes k_bound first, then gallops 2, 4, 8, ...
-    below it and bisects between the last pass and the first failure.
-    When the result is k, with 2^a <= k the last gallop pass, that is at
-    most 2 + 2a probes, and at most one when k_bound is 2.
+    Both tests are one comparison with the step's pick floor
+    (``_Roster.pick_floor``): a value passes exactly when it is at least
+    the floor.  When ``s_after`` fails it, k is 1 at no query.
+
+    Otherwise the search probes k_bound first.  Removing one more item
+    lowers the value by at most vb, one bstar item's scaled value for g,
+    since the best feasible subset minus that item stays feasible
+    (heredity), so without(k) is at most without(j) + (j - k)·vb for
+    every j > k.  When k_bound fails with
+    value s, every k above cand = k_bound - ceil((floor - s) / vb) fails
+    too (vb > 0 there, as the value moved), and cand >= 1 since k = 1
+    passes.  The search then probes cand; if cand fails as well, it
+    gallops 2, 4, 8, ... below cand and bisects between the last pass
+    and the first failure.  When the result is k, with 2^a <= k the last
+    gallop pass, that is at most 3 + 2a probes: 1 when k_bound passes, 2
+    when cand does, and at k = 1 at most 1 + ceil(log2 k_bound) (k_bound,
+    then cand only when cand >= 2, so k_bound >= 3, then 2 only when
+    cand >= 3, so k_bound >= 4).  The same bound proves bstar dead for
+    the pick, at no query, when some failed probe j gives
+    without(k + 1) <= without(j) + (j - k - 1)·vb < need.
     """
-    g, need = roster.group_of[pick], roster.need[pick]
+    floor = roster.pick_floor(leaders, pick, group_vals)
+    if s_after < floor:
+        return 1, s_after, False
+    g = roster.group_of[pick]
+    vb = state.table.val[g][bstar]
     probed = {1: s_after}
 
     def keeps(k: int) -> bool:
         if k not in probed:
             probed[k] = state.without(g, bstar, k)
-        v = group_vals[g] = probed[k]
-        return v >= need and roster.pick(leaders, group_vals) == pick
+        return probed[k] >= floor
 
     lo = 1
-    if keeps(1):
-        if keeps(k_bound):
-            lo = k_bound
+    if keeps(k_bound):
+        lo = k_bound
+    else:
+        cand = k_bound - (floor - probed[k_bound] + vb - 1) // vb
+        if cand > 1 and keeps(cand):
+            lo = cand
         else:
             k = 2
-            while k < k_bound and keeps(k):
+            while k < cand and keeps(k):
                 lo, k = k, 2 * k
-            hi = min(k, k_bound)
+            hi = min(k, cand)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if keeps(mid):
                     lo = mid
                 else:
                     hi = mid
-    return lo, probed[lo], probed.get(lo + 1, need) < need
+    need = roster.need[pick]
+    dead = any(v + (j - lo - 1) * vb < need for j, v in probed.items() if j > lo)
+    return lo, probed[lo], dead
 
 
 def allocate_from_estimates(

@@ -281,6 +281,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
         "allocated": len(allocation.bundles),
         "unallocated": unallocated,
         "expected_unallocated": expected,
+        "queries": sum(val.query_count for val in instance.valuations),
     }
     if args.decimal:
         doc["alpha_decimal"] = float(alpha)

@@ -53,11 +53,17 @@ class Instance:
             raise ParseError(fault, location="n")
         if not (self.seed is None or _is_int(self.seed)):
             raise ParseError(f"seed must be an integer, got {self.seed!r}", location="seed")
+        if not isinstance(self.spec, SetSystemSpec):
+            raise ParseError(f"expected a set system, got {self.spec!r}", location="set_system")
+        if not isinstance(self.valuations, tuple):
+            raise ParseError("expected a tuple of valuations", location="valuations")
         if len(self.valuations) != self.n:
             raise ParseError(
                 f"{len(self.valuations)} valuations for {self.n} agents", location="valuations"
             )
         for i, val in enumerate(self.valuations):
+            if not isinstance(val, Valuation):
+                raise ParseError(f"expected a Valuation, got {val!r}", location=f"valuations[{i}]")
             if fault := _row_fault(self.spec, val):
                 raise ParseError(f"valuation {i} {fault}", location=f"valuations[{i}]")
 

@@ -106,6 +106,7 @@ def test_criterion_1_upper_bound_reproduction(capsys):
     assert doc["histogram"]["minimal"] == {"5": 44, "11": 10}
     assert doc["allocated"] == 329
     assert doc["unallocated"] == 1
+    assert doc["queries"] == 421
     assert elapsed < 60
     print(
         f"ACCEPTANCE 1 PASS: adversarial run strands exactly 1 of 330 agents "

@@ -186,7 +186,8 @@ def _mostly(valid, invalid):
 
 @st.composite
 def _traces(draw):
-    """A well-formed trace, then perhaps one field of one event replaced."""
+    """A well-formed trace, then perhaps one field of one event replaced;
+    one draw in four holds the events in a list."""
     events = []
     for agent in draw(st.lists(st.integers(-2, 5), unique=True, max_size=4)):
         bundle = tuple(draw(st.lists(st.integers(0, 6), unique=True, max_size=3)))
@@ -196,7 +197,7 @@ def _traces(draw):
         idx = draw(st.integers(0, len(events) - 1))
         field = draw(st.sampled_from(sorted(_ANY_FIELD)))
         events[idx] = replace(events[idx], **{field: draw(_ANY_FIELD[field])})
-    return tuple(events)
+    return draw(_mostly(st.just(tuple), st.just(list)))(events)
 
 
 def _reads_back(build, parse, serialize, fields):
@@ -260,11 +261,16 @@ _EVENT = TraceEvent("phase", 0, (0, 1), Fraction(2), Fraction(1))
         (lambda: Allocation((_EVENT,), frozenset({0})), "unallocated_agents"),
         (lambda: Allocation((replace(_EVENT, agent=True),), frozenset()), "events[0].agent"),
         (lambda: Allocation((replace(_EVENT, value=Fraction(-1)),), frozenset()), "events[0].value"),
+        (lambda: Allocation([_EVENT], frozenset()), "events"),
+        (lambda: Allocation(("phase",), frozenset()), "events"),
         (lambda: Instance("x", True, footnote_instance().spec, (_ROW,)), "n"),
         (lambda: Instance("x", "2", footnote_instance().spec, (_ROW, _ROW)), "n"),
         (lambda: random_instance("abc", 4, 2, "free"), "seed"),
         (lambda: Instance("x", 1, footnote_instance().spec, (_ROW,), 1.5), "seed"),
         (lambda: Instance(5, 1, footnote_instance().spec, (_ROW,)), "name"),
+        (lambda: Instance("x", 1, footnote_instance().spec, ([3, 2, 2],)), "valuations[0]"),
+        (lambda: Instance("x", 1, "spec", (_ROW,)), "set_system"),
+        (lambda: Instance("x", 1, footnote_instance().spec, _ROW), "valuations"),
     ],
     ids=[
         "agent-with-two-events",
@@ -275,11 +281,16 @@ _EVENT = TraceEvent("phase", 0, (0, 1), Fraction(2), Fraction(1))
         "agent-with-event-unallocated",
         "agent-bool",
         "value-negative",
+        "trace-list",
+        "trace-of-strings",
         "n-bool",
         "n-string",
         "random-seed-string",
         "seed-float",
         "name-int",
+        "row-list",
+        "spec-string",
+        "valuations-one-row",
     ],
 )
 def test_objects_the_readers_refuse_are_not_built(build, location):
