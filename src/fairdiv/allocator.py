@@ -35,7 +35,12 @@ sweep reads, once per table (``BlockTable.phase_memo``).  The removal
 scan changes its multiset one block at a time and reads a
 ``RunningValues`` state, whose reads are charged like from-scratch
 values.  Both read lazily, the way accelerated greedy does: a value is
-read only once it can decide a pick.
+read only once it can decide a pick.  Between the rounds of
+``fair_divide``, which share one table, only the stranded agents' needs
+fall, and a lowered need can only add qualifying (multiset, agent)
+pairs for its own agent; so each round replays, at no query, the
+previous round's phase sweeps whose pick no lowered agent can undercut
+(``_PhaseLog``), and sweeps from the first that it can.
 
 The kernel computes in integers.  Agents sharing one value row form a
 value group g, whose row is scaled by L_g, the lcm of the row's
@@ -167,11 +172,13 @@ EstimateVector = tuple[Fraction, ...]
 @dataclass
 class RunStats:
     """Optional instrumentation collected by fair_divide: per round, the
-    estimates with the agents they stranded, and the valuation queries
-    the round spent."""
+    estimates with the agents they stranded, the valuation queries the
+    round spent, and the phase events it replayed from the previous
+    round's log."""
 
     rounds: list[tuple[tuple[Fraction, ...], frozenset[int]]] = field(default_factory=list)
     queries: list[int] = field(default_factory=list)
+    replayed: list[int] = field(default_factory=list)
 
 
 def _block_table(spec: SetSystemSpec, valuations: Sequence[Valuation]) -> BlockTable:
@@ -354,6 +361,7 @@ def _run_phase(
     roster: _Roster,
     trace: list[TraceEvent],
     budget: list[int] | None,
+    log: _PhaseLog | None = None,
 ) -> None:
     """Repeatedly allocate the first qualifying size-``size`` bundle,
     appending one trace event per allocation and discarding its agent
@@ -393,19 +401,36 @@ def _run_phase(
     ``BlockTable.value``.  So a phase with G groups in play, B blocks in
     the pool and a allocations spends at most
     G * (1 + a) + G * C(B+size-1, size) queries, fewer after earlier ones.
+
+    Replay: given a ``log`` (``_PhaseLog``), the phase first takes the
+    previous round's sweeps of this size that still stand, at no query
+    (``_PhaseLog.replay``), then resumes the first that does not from the
+    last replayed pick's floor, or through the existence check when none
+    was replayed.  It logs every sweep it runs: at a multiset with no
+    offer every group in play is read, since the early stop fires only
+    after an offer, so the largest value each group reached before the
+    pick costs no query; a phase that ends on its existence check logs
+    that check's size-capped values, which bound every multiset's.
     """
     def reachable() -> bool:
         # the best size-`size` bundle of the pool meets some leader's need
         counts = pool.counts()
-        return roster.any_meets(lambda g: table.value(g, counts, size=size))
+        capped: dict[int, int] = {}
+        if roster.any_meets(lambda g: capped.setdefault(g, table.value(g, counts, size=size))):
+            return True
+        if log is not None:
+            log.sweeps.append((size, capped, None))
+        return False
 
-    if not roster or pool.total() < size or not reachable():
+    floor = -1 if log is None else log.replay(table, pool, size, roster, trace)
+    if floor is None or (floor < 0 and (not roster or pool.total() < size or not reachable())):
         return
     memo = table.phase_memo
-    floor, checked = -1, True
+    checked = floor < 0
     while roster and pool.total() >= size:
         firsts = [(g, first, roster.need[roster.leader(g)]) for g, first in roster.firsts().items()]
         agent = -1
+        missed: list[dict[int, int]] = []
         for key, ms in _realizations(pool, size, floor, budget):
             vals = memo.get(ms)
             if vals is None:
@@ -426,7 +451,11 @@ def _run_phase(
                         agent, agent_s = pos, v
             if agent >= 0:
                 break
+            if log is not None:
+                missed.append(vals)
         else:
+            if log is not None:
+                log.sweeps.append((size, _tops(missed, firsts), None))
             return
 
         g = table.group_of[agent]
@@ -434,8 +463,119 @@ def _run_phase(
             pool.take_front(b, k)
         value = Fraction(agent_s, table.scale[g])
         trace.append(TraceEvent(PHASE, agent, key, value, roster.thresholds[agent]))
+        if log is not None:
+            log.sweeps.append((size, _tops(missed, firsts), (key, ms, agent, value)))
         roster.discard(agent)
         floor, checked = key[0], False
+
+
+def _tops(
+    missed: Sequence[dict[int, int]], firsts: Sequence[tuple[int, int, int]]
+) -> dict[int, int]:
+    """Each group in play mapped to the largest value it has among the
+    ``missed`` multisets' memo entries; empty when none was missed."""
+    if not missed:
+        return {}
+    return {g: max(vals[g] for vals in missed) for g, _first, _need in firsts}
+
+
+# One logged phase sweep: its size; each group in play mapped to the largest
+# value the sweep read for it before its pick; and its pick (smallest
+# realization, multiset, agent, value), or None where the phase ended.
+Sweep = tuple[int, dict[int, int], tuple[tuple[int, ...], Multiset, int, Fraction] | None]
+
+
+class _PhaseLog:
+    """One round's phase sweeps on a shared block table, with the previous
+    round's log to replay.
+
+    ``fair_divide`` reruns the allocation each round with only the
+    stranded agents' estimates shrunk, so the phases mostly repeat the
+    previous round's decisions.  A sweep returns the least (multiset,
+    agent) pair that qualifies, multisets in the order of their smallest
+    realization, from the same floor when the pool and roster are the
+    same.  The phases compare values only with the scaled needs, so
+    when no need rose and the roster is the same, lowering some needs
+    only adds qualifying pairs, and only for the lowered agents.  A
+    logged sweep therefore still stands unless a lowered agent still in
+    the roster
+    (a) meets its new need at or below its group's logged largest value,
+    so some multiset before the pick, or where the phase ended some
+    multiset of the sweep or size-capped bundle of the pool, now
+    qualifies; or
+    (b) meets it at the pick's own multiset with a smaller index than the
+    pick.  Its group's value there is in the memo: the sweep read every
+    group whose least index precedes the pick's.
+    Replaying a sweep that stands takes its pick's items and agent, as
+    the sweep would, so by induction every replayed sweep starts from the
+    pool, roster and floor it was logged at.  The log has no entry for a
+    phase that ended because its roster emptied or its pool ran short,
+    and the same state ends the replayed phase the same way.  Skipping an
+    existence check never changes a trace (``_run_phase``), so the rounds
+    trace what rounds run from scratch trace, with fewer queries.
+
+    ``needs`` and ``roster`` are this round's scaled needs and starting
+    roster, ``sweeps`` the sweeps it ran or replayed, and ``replayed`` the
+    number of phase events it took from the previous log.
+    """
+
+    def __init__(self, roster: _Roster, previous: _PhaseLog | None):
+        self.needs = roster.need
+        self.roster = tuple(roster.ascending)
+        self.sweeps: list[Sweep] = []
+        self.replayed = 0
+        self.pending: Sequence[Sweep] = ()
+        self.at = 0  # the next pending sweep to test
+        self.lowered: list[int] = []
+        if (
+            previous is not None
+            and previous.roster == self.roster
+            and all(map(int.__le__, self.needs, previous.needs))
+        ):
+            self.pending = previous.sweeps
+            self.lowered = [
+                pos for pos in self.roster if self.needs[pos] < previous.needs[pos]
+            ]
+
+    def replay(
+        self,
+        table: BlockTable,
+        pool: _Pool,
+        size: int,
+        roster: _Roster,
+        trace: list[TraceEvent],
+    ) -> int | None:
+        """Take the pending sweeps of size ``size`` that stand, in order.
+        Returns None when a replayed sweep ended the phase, else the floor
+        to resume from: the last replayed bundle's first item, or -1 when
+        none was replayed.  The first sweep that does not stand ends the
+        replay for the rest of the round."""
+        floor = -1
+        memo = table.phase_memo
+        while self.at < len(self.pending) and self.pending[self.at][0] == size:
+            sweep = self.pending[self.at]
+            _size, tops, pick = sweep
+            for pos in self.lowered:
+                g, need = table.group_of[pos], roster.need[pos]
+                if need <= tops.get(g, -1) or (
+                    pick is not None and pos < pick[2] and need <= memo[pick[1]][g]
+                ):
+                    self.pending = ()
+                    return floor
+            self.sweeps.append(sweep)
+            self.at += 1
+            if pick is None:
+                return None
+            key, ms, agent, value = pick
+            for b, k in ms:
+                pool.take_front(b, k)
+            trace.append(TraceEvent(PHASE, agent, key, value, roster.thresholds[agent]))
+            roster.discard(agent)
+            if agent in self.lowered:
+                self.lowered.remove(agent)
+            self.replayed += 1
+            floor = key[0]
+        return floor
 
 
 def _realizations(
@@ -756,7 +896,10 @@ def allocate_from_estimates(
     forces a division.
 
     The block table depends only on the instance; ``fair_divide`` builds
-    it once per run and hands it to every round as ``_table``.
+    it once per run and hands it to every round as ``_table``.  On a table
+    passed in, the phases replay the sweeps of the table's last logged
+    call that still stand and log this call's (``_PhaseLog``); a fresh
+    table logs nothing.
     """
     check_parameters(alpha=alpha)
     n = instance.n
@@ -780,8 +923,11 @@ def allocate_from_estimates(
         table.group_of, table.scale, thresholds, (pos for pos in range(n) if mu[pos])
     )
 
+    log = None if _table is None else _PhaseLog(roster, table.phase_log)
     for size in (1, 2, 3):
-        _run_phase(table, pool, size, roster, trace, None)
+        _run_phase(table, pool, size, roster, trace, None, log)
+    if log is not None:
+        table.phase_log = log
 
     while roster and pool.total():
         found = _minimal_set_scan(table, pool, roster)
@@ -851,19 +997,20 @@ def fair_divide(
     m * (n-th largest value of an item feasible alone), a certified upper
     bound on each agent's maximin share, taken once per value group
     (agents sharing one value row).
-    Each round reruns the allocation from scratch on one block table built
-    for the whole run (it depends only on the instance; its phase memo
-    spares later rounds the values earlier ones read); if everyone is
-    allocated it returns, otherwise every unallocated agent's estimate
-    shrinks by (1 - delta).
+    Each round reruns the allocation on one block table built for the
+    whole run (it depends only on the instance): its phase memo spares
+    later rounds the values earlier ones read, and its phase log lets a
+    round replay the previous round's phase decisions that still hold.
+    If everyone is allocated it returns, otherwise every unallocated
+    agent's estimate shrinks by (1 - delta).
     For alpha <= 11/30, an agent whose estimate has dropped to its
     maximin share or below is always allocated, so the loop ends within
     n * ceil(log_{1/(1-delta)} m) + 1 rounds and every agent receives
     value at least (1 - delta) * alpha * (its maximin share).  Overrunning
     that bound is a ``FairdivError``, or an ``InputError`` above 11/30,
     where no bound is proven.  ``stats``, when given, gets one entry per
-    round in ``rounds`` and in ``queries``, the latter read off the block
-    table's query counters.
+    round in ``rounds``, ``queries`` and ``replayed``, the latter two read
+    off the block table: its query counters and its phase log.
     """
     check_parameters(alpha=alpha, delta=delta)
     n = instance.n
@@ -881,6 +1028,7 @@ def fair_divide(
         if stats is not None:
             stats.rounds.append((estimates, allocation.unallocated_agents))
             stats.queries.append(sum(rep.query_count for rep in table.reps) - before)
+            stats.replayed.append(table.phase_log.replayed)
         if not allocation.unallocated_agents:
             return allocation, estimates
         for pos in allocation.unallocated_agents:

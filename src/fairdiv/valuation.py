@@ -28,7 +28,7 @@ greedily along such an order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .rationals import parse_rational, scale_row
@@ -237,6 +237,9 @@ class BlockTable:
 
     ``phase_memo``, empty at first, maps a multiset of block counts to
     its uncapped value per group as the allocator's phases read them.
+    ``phase_log``, None at first, holds the allocator's record of the last
+    round's phase sweeps on this table (``allocator._PhaseLog``), which
+    the next round replays while its decisions still hold.
     """
 
     def __init__(
@@ -252,6 +255,7 @@ class BlockTable:
             tuple(sorted(b)) for b in blocks if b
         )
         self.phase_memo: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        self.phase_log: Any = None
         nb = len(self.block_items)
         firsts = [block[0] for block in self.block_items]
         self.scale: list[int] = []

@@ -74,6 +74,23 @@ def replicate_agents(instance: Instance, n: int) -> Instance:
     )
 
 
+def shared_row_instance(seed: int) -> Instance:
+    """A seeded ``random_instance`` whose 2-7 agents share 2-4 base value
+    rows, each agent holding one drawn base row's tuple itself, so agents
+    on one row form one value group.  The family cycles with the seed."""
+    rng = random.Random(seed)
+    rows, m = rng.randint(2, 4), rng.randint(8, 20)
+    base = random_instance(seed, m, rows, FAMILIES[seed % len(FAMILIES)])
+    n = rng.randint(rows, 7)
+    return Instance(
+        name=f"shared-{seed}",
+        n=n,
+        spec=base.spec,
+        valuations=tuple(Valuation._wrap(rng.choice(base.valuations).values) for _ in range(n)),
+        seed=seed,
+    )
+
+
 def nth_value(valuation, n: int) -> Fraction:
     """The ``n``-th largest item value (order statistic); 0 when n > m."""
     if n < 1:

@@ -7,6 +7,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     Allocation,
@@ -51,6 +53,7 @@ from support import (
     reference_pick,
     replicate_agents,
     round_query_bound,
+    shared_row_instance,
     table1_labels,
     value_of_subset,
 )
@@ -615,8 +618,11 @@ def test_scan_queries_stay_within_the_bound(monkeypatch, table1):
     The first step values the pool once per group.  At most G + 1 agents
     can be picked, and each fails a block's test at most once; each step
     tests at most two removable blocks (bstar and its rival), probes the
-    batch on the picked group in at most ceil(log2 p) queries, and
-    refreshes at most G - 1 stale groups before its pick.  Three
+    batch on the picked group in at most 1 + ceil(log2 p) queries per
+    step it takes (a step that takes k items stands for k steps; one
+    that takes a single item spends up to three probes, the third only
+    when its bound is at least 4), and refreshes at most G - 1 stale
+    groups before its pick.  Three
     identical agents (G = 1) at m = 60 make the bound bite: a scan that
     tests every live block at every step spends up to 2.7 times it
     there."""
@@ -653,7 +659,9 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
     ``fair_divide`` run, nor within one ``allocate_from_estimates`` or
     ``allocate_naive`` call.  ``allocate_naive``'s gate, outside the
     phases, values the whole pool only after a size that allocated, so
-    none of its (pool, group) reads repeats within one call either."""
+    none of its (pool, group) reads repeats within one call either.
+    Each phase runs without the round's log, so it sweeps against the
+    shared memo rather than replaying: a replayed sweep reads nothing."""
     run_phase = fairdiv.allocator._run_phase
     block_value = BlockTable.value
     reads = []
@@ -667,7 +675,7 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
             (reads if in_phase[0] else gate_reads).append(read)
         return block_value(self, group, counts, size)
 
-    def bounded_phase(table, pool, size, roster, trace, budget):
+    def bounded_phase(table, pool, size, roster, trace, budget, log=None):
         g, b = len(roster.groups()), len(pool.counts())
         events = len(trace)
         before = sum(rep.query_count for rep in table.reps)
@@ -700,20 +708,26 @@ def test_phase_queries_stay_within_the_bound(monkeypatch, table1):
 
 def test_warmed_table_replays_a_fresh_one(monkeypatch):
     """Every round of a ``fair_divide`` run reads a block table whose
-    phase memo earlier rounds have filled; rerun on a fresh table, with
-    an empty memo, the round gives the same trace and stranded agents."""
+    phase memo earlier rounds have filled, and replays the phase sweeps
+    of the previous round's log that still stand; rerun on a fresh table,
+    with an empty memo and no log, the round gives the same trace and
+    stranded agents.  The instances include agents that share value rows
+    (``shared_row_instance``), where a lowered agent can take a pick from
+    a later member of its own group at the pick's multiset."""
     allocate = fairdiv.allocator.allocate_from_estimates
     rounds = []
+    replayed = []
 
-    def replayed(instance, mu, alpha, *, _table=None):
+    def replayed_round(instance, mu, alpha, *, _table=None):
         rounds.append(bool(_table.phase_memo))
         warmed = allocate(instance, mu, alpha, _table=_table)
+        replayed.append(_table.phase_log.replayed)
         fresh = allocate(instance, mu, alpha)
         assert warmed.trace_records() == fresh.trace_records()
         assert warmed.unallocated_agents == fresh.unallocated_agents
         return warmed
 
-    monkeypatch.setattr(fairdiv.allocator, "allocate_from_estimates", replayed)
+    monkeypatch.setattr(fairdiv.allocator, "allocate_from_estimates", replayed_round)
     driver_configs = [
         ("capacity", 12, 3),
         ("free", 12, 3),
@@ -723,9 +737,71 @@ def test_warmed_table_replays_a_fresh_one(monkeypatch):
         ("explicit-antichain", 16, 4),
     ]
     instances = [random_instance(0, m, n, family) for family, m, n in driver_configs]
-    for inst in [*iter_suite(25, base_seed=12_000), *instances]:
+    shared = [shared_row_instance(seed) for seed in range(40)]
+    for inst in [*iter_suite(25, base_seed=12_000), *instances, *shared]:
         fair_divide(inst, ALPHA, DELTA)
     assert len(rounds) > 100 and sum(rounds) > 50
+    assert sum(map(bool, replayed)) > 100
+
+
+def _estimate_steps():
+    """Each step changes the last estimates one way: ``stranded`` shrinks
+    the last call's stranded agents by 15/16, as ``fair_divide`` does;
+    ``each`` keeps, shrinks, raises or zeroes each estimate (a raise
+    revives a zero one); ``alpha`` draws another alpha."""
+    op = st.sampled_from(["keep", "keep", "shrink", "raise", "zero"])
+    ops = st.lists(op, min_size=7, max_size=7)
+    return st.lists(
+        st.one_of(
+            st.just(("stranded", None)),
+            st.tuples(st.just("each"), ops),
+            st.tuples(st.just("alpha"), st.sampled_from([Fraction(1, 4), ALPHA, Fraction(1, 2)])),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    shared=st.booleans(),
+    share=st.fractions(Fraction(1, 2), Fraction(3, 2)),
+    steps=_estimate_steps(),
+)
+def test_shared_table_calls_match_fresh_ones(seed, shared, share, steps):
+    """Calls on one block table replay the previous call's phase sweeps
+    only while no need rose and the same agents hold zero estimates.  So
+    any sequence of estimate vectors and alphas on a shared table, with
+    rises, new zero estimates and other alphas among the steps, gives
+    each call the trace and stranded agents of a call on a fresh table."""
+    if shared:
+        inst = shared_row_instance(seed)
+    else:
+        inst = random_instance(seed, 8 + seed % 13, 2 + seed % 4, FAMILIES[seed % 3])
+    table = _BlockTable(inst.spec, inst.valuations)
+    grand = [bundle_value(inst.spec, val, range(inst.num_items)) for val in inst.valuations]
+    start = [g * share / inst.n for g in grand]
+    mu, alpha, stranded = list(start), ALPHA, frozenset()
+    for kind, arg in [("start", None), *steps]:
+        if kind == "stranded":
+            for pos in stranded:
+                mu[pos] *= Fraction(15, 16)
+        elif kind == "alpha":
+            alpha = arg
+        elif kind == "each":
+            for pos, op in zip(range(inst.n), arg):
+                if op == "shrink":
+                    mu[pos] *= Fraction(7, 8)
+                elif op == "raise":
+                    mu[pos] = mu[pos] * Fraction(9, 8) or start[pos]
+                elif op == "zero":
+                    mu[pos] = Fraction(0)
+        warmed = allocate_from_estimates(inst, tuple(mu), alpha, _table=table)
+        fresh = allocate_from_estimates(inst, tuple(mu), alpha)
+        assert warmed.trace_records() == fresh.trace_records()
+        assert warmed.unallocated_agents == fresh.unallocated_agents
+        stranded = warmed.unallocated_agents
 
 
 def test_estimates_footnote(footnote2):
@@ -912,28 +988,28 @@ def test_table1_event_values_match_both_item_set_evaluators(table1):
             "capacity",
             60,
             8,
-            14777,
+            13865,
             "720bd47f6d84dd90af8d07fa682f5a858edde4850a2682bf91fe475d76b29ee8",
         ),
         (
             "explicit-antichain",
             60,
             8,
-            14241,
+            13305,
             "624e70b5e304ef010c3f66b9af7b337e6a8d8fb9ac65e39c6e3a7b8748f18ca7",
         ),
         (
             "capacity",
             120,
             12,
-            67857,
+            65805,
             "d7813aae1d992c67178cd449c7919331336b1318b1885968f618524864725e23",
         ),
         (
             "explicit-antichain",
             16,
             4,
-            2631,
+            2453,
             "76c46b6af5667ca11c81138eb7edf9015b46d4ee4689920a9e6fa3c0e06111a8",
         ),
     ],
@@ -1174,6 +1250,31 @@ def test_run_stats_count_each_rounds_queries(table1):
         assert len(stats.queries) == len(stats.rounds)
         assert sum(stats.queries) == sum(val.query_count for val in inst.valuations)
         assert max(stats.queries) <= round_query_bound(inst)
+
+
+def test_run_stats_count_each_rounds_replayed_events():
+    """``RunStats.replayed`` has one entry per round: the phase events the
+    round took from the previous round's log, which are the first phase
+    events of both rounds (agent, bundle and value).  The first round has
+    no log to replay, and the round after one that strands an agent
+    replays the phase decisions its lowered estimate leaves standing."""
+    for inst in [*iter_suite(8, base_seed=10_500), *map(shared_row_instance, range(6))]:
+        stats = RunStats()
+        fair_divide(inst, ALPHA, DELTA, stats=stats)
+        assert len(stats.replayed) == len(stats.rounds)
+        assert stats.replayed[0] == 0
+        phases = [
+            [(e.agent, e.bundle, e.value) for e in allocate_from_estimates(inst, mu, ALPHA).trace
+             if e.kind == PHASE]
+            for mu, _stranded in stats.rounds
+        ]
+        for r in range(1, len(phases)):
+            k = stats.replayed[r]
+            assert len(phases[r]) >= k and phases[r][:k] == phases[r - 1][:k]
+    stats = RunStats()
+    fair_divide(random_instance(0, 16, 4, "explicit-antichain"), ALPHA, DELTA, stats=stats)
+    assert stats.rounds[0][1] and stats.replayed[1] > 0
+    assert sum(stats.replayed) > len(stats.rounds)
 
 
 def test_iteration_bound_values():
