@@ -16,6 +16,28 @@ leaf replaces the best so far only when strictly better, so the witness
 is the first optimum in enumeration order.  ``Fraction(best, L)`` and
 the witness, a tuple of exactly n frozensets (empty parts included), are
 built once, at return.
+
+Two additions prune the search without moving the value or the witness.
+
+- **Seed.**  Before the search, ``best`` starts at L - 1, where L is the
+  worst part of a greedy partition (items by descending own value, each
+  to a part of least current value).  L is a partition's worst part, so
+  L <= OPT.  Every leaf before the first optimum W* is worth less than
+  OPT, so ``best`` stays below OPT until W*; every node on W*'s path has
+  an upper bound >= OPT > ``best`` and is not pruned.  W* is therefore
+  reached and is the first leaf to reach OPT, as without the seed.
+- **Gap-covering bound.**  A node can only lead to a better leaf if every
+  part, open or not yet opened, reaches t = best + 1.  Heredity makes the
+  value subadditive over single items: the best feasible subset of
+  A + B splits into a feasible subset of A and single items of B, each
+  feasible alone, so v(A + B) <= v(A) + sum of v({j}) over j in B.  A
+  part p with gap t - v(p) > 0 must thus receive remaining items whose
+  own values sum to its gap; capping each own value at the widest gap G
+  keeps that true (an item worth G or more covers any gap alone).  So a
+  node whose positive gaps (t for each unopened part) sum to more than
+  the sum over remaining items of min(v({j}), G) is pruned.  It is
+  tested before the per-part bound v(p + rest), whose masks mostly miss
+  the memo.
 """
 from __future__ import annotations
 
@@ -72,6 +94,15 @@ def mms_exact(
     their value is that of their best feasible subset.  Empty parts are
     permitted, so n > m simply yields value 0.
 
+    Two prunes come before the enumeration's own "each open part absorbs
+    every remaining item" bound (the module docstring proves both):
+    ``best`` starts one below a greedy partition's worst part, a lower
+    bound on the share, so the first optimum is still the first leaf to
+    beat it; and a node is cut when the parts' gaps to ``best + 1`` sum to
+    more than the remaining items can cover, each item covering at most
+    its own value, which heredity makes an upper bound on what it adds
+    to any part.  When n > m the share is 0 and the seed is skipped.
+
     Parts are integer bitmasks valued by ``item_set_evaluator``, which
     scales every value by L; the value ``best / L`` and the frozenset
     parts are built once, on return.  No valuation query is charged.
@@ -85,9 +116,18 @@ def mms_exact(
     part_value = _PartValues(value_of)
     # suffixes[k]: the items k..m-1 not yet placed at depth k.
     suffixes = [(1 << m) - (1 << k) for k in range(m + 1)]
+    alone = [part_value[1 << j] for j in range(m)]
     parts: list[int] = []
     best = -1
     best_parts: tuple[int, ...] = ()
+    if n <= m:
+        # Greedy seed: items by descending own value, each to a part of
+        # least current value; its worst part is at most the share.
+        greedy = [0] * n
+        for j in sorted(range(m), key=alone.__getitem__, reverse=True):
+            i = min(range(n), key=lambda part: part_value[greedy[part]])
+            greedy[i] |= 1 << j
+        best = min([part_value[p] for p in greedy]) - 1
 
     def search(k: int) -> None:
         nonlocal best, best_parts
@@ -100,13 +140,31 @@ def mms_exact(
                 best = candidate
                 best_parts = tuple(parts)
             return
+        # Gap-covering bound: every part, open or not yet opened, must
+        # reach t, and an item j can close at most min(v({j}), widest
+        # gap) of the gaps.
+        t = best + 1
+        opening = len(parts) < n
+        need = (n - len(parts)) * t
+        widest = t if opening else 0
+        for p in parts:
+            gap = t - part_value[p]
+            if gap > 0:
+                need += gap
+                if gap > widest:
+                    widest = gap
+        if need:
+            cover = 0
+            for v in alone[k:]:
+                cover += v if v < widest else widest
+            if need > cover:
+                return
         rest = suffixes[k]
         # Upper bound: each open part can at best absorb all remaining
         # items; a part not yet opened can at best become all of `rest`.
         # With all n parts open, start above `best` so that only the
         # open parts' bounds can prune.
-        opening = len(parts) < n
-        bound = part_value[rest] if opening else best + 1
+        bound = part_value[rest] if opening else t
         for p in parts:
             pb = part_value[p | rest]
             if pb < bound:

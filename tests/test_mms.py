@@ -3,7 +3,10 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fairdiv.mms
 from fairdiv import (
     DeskCapError,
     InputError,
@@ -17,7 +20,14 @@ from fairdiv import (
     mms_exact,
     random_instance,
 )
-from support import brute_mms, iter_suite, normalize_to_partition, nth_value, reference_mms_exact
+from support import (
+    FAMILIES,
+    brute_mms,
+    iter_suite,
+    normalize_to_partition,
+    nth_value,
+    reference_mms_exact,
+)
 
 # sha256 over (value, witness) of mms_exact on iter_suite(60, base_seed=7000),
 # every agent, n and n + 1 parts; recorded with the frozenset/Fraction
@@ -195,6 +205,67 @@ def test_matches_reference_search_on_edge_cases():
 def test_matches_reference_search_above_the_default_cap(family):
     inst = random_instance(7, 13, 3, family)
     assert_matches_reference(inst.spec, inst.valuations[0], 3, max_items=13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    seed=st.integers(0, 10**6),
+    row=st.lists(st.sampled_from([0, 1, 2, 3]), max_size=8),
+    data=st.data(),
+)
+def test_tie_heavy_rows_match_the_reference_search(family, seed, row, data):
+    """Rows over {0, 1, 2, 3} tie often, so many partitions reach the
+    optimum and the greedy seed often equals it; the witness must still
+    be the reference search's first optimum."""
+    spec = random_instance(seed, len(row), 1, family).spec
+    n = data.draw(st.integers(1, len(row) + 1), label="n")
+    assert_matches_reference(spec, Valuation(row), n)
+
+
+@pytest.fixture
+def value_of_calls(monkeypatch):
+    """Counts the item-set evaluations ``mms_exact`` makes."""
+    calls = [0]
+    evaluator = fairdiv.mms.item_set_evaluator
+
+    def counting(*args):
+        scale, value_of = evaluator(*args)
+
+        def counted(mask):
+            calls[0] += 1
+            return value_of(mask)
+
+        return scale, counted
+
+    monkeypatch.setattr(fairdiv.mms, "item_set_evaluator", counting)
+    return calls
+
+
+# value_of calls of mms_exact on random_instance(0, 10, 3, family), agent 0,
+# n = 3.  Before the greedy seed and the gap-covering bound the counts
+# were 457, 520 and 550; a looser prune reads more.
+@pytest.mark.parametrize(
+    "family, calls", [("capacity", 331), ("explicit-antichain", 173), ("free", 321)]
+)
+def test_prune_evaluations_are_pinned(family, calls, value_of_calls):
+    inst = random_instance(0, 10, 3, family)
+    assert_matches_reference(inst.spec, inst.valuations[0], 3)
+    assert value_of_calls[0] == calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_more_parts_than_items_prunes_at_the_first_leaf(family, value_of_calls):
+    """With n > m the share is 0 and the first leaf, every item in part 0,
+    is the witness.  After it the gap-covering bound cuts every node at
+    once: 33 evaluations (the 12 singletons and the masks along the first
+    descent), where the search without it made 2048 and took over a
+    second."""
+    inst = random_instance(0, 12, 3, family)
+    result = mms_exact(inst.spec, inst.valuations[0], 100000)
+    assert result.value == 0
+    assert result.witness == (frozenset(range(12)),) + (frozenset(),) * 99999
+    assert value_of_calls[0] == 33
 
 
 def test_pinned_suite_digest():
